@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .action import ActionSpec, CharacterTable, act_on_path, close_group
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, kernel_of_rows, tensor_rows
 from .quiver import DEFAULT_PATH_CAP, Path, PathCapExceeded, Quiver
 
 
@@ -51,16 +51,36 @@ def compositions(n: int):
 def fixed_subspace(spec: ActionSpec, elements, path: Path) -> Subspace:
     """Common fixed subspace of the given elements on the path's tensor space."""
     ambient = spec.quiver.path_space_dim(path)
-    mats = [act_on_path(spec, g, path) for g in elements]
-    return _fixed_from_matrices(spec.field, ambient, mats)
+    return _fixed(spec.field, ambient, [_path_rows(spec, g, path) for g in elements])
 
 
-def _fixed_from_matrices(field, ambient: int, mats) -> Subspace:
-    ident = Matrix.identity(field, ambient)
-    deltas = [m - ident for m in mats if m != ident]
-    if not deltas:
-        return Subspace.full(field, ambient)
-    return Matrix.vstack(deltas).kernel()
+def _path_rows(spec: ActionSpec, element, path: Path):
+    """Sparse rows of the action on a path, built from the per-arrow factors."""
+    acc = [{0: spec.field.one()}]
+    width = 1
+    for edge in path.edges():
+        acc = tensor_rows(spec.edge_matrix(element, edge).sparse_rows(), acc, width)
+        width *= spec.quiver.dim(*edge)
+    return acc
+
+
+def _fixed(field, ambient: int, actions) -> Subspace:
+    """The kernel of the stacked rows of g - 1, one sparse row list per element."""
+    one = field.one()
+    deltas = []
+    for rows in actions:
+        for r, row in enumerate(rows):
+            delta = dict(row)
+            x = delta.get(r)
+            if x is None:
+                delta[r] = -one
+            elif x == one:
+                del delta[r]
+            else:
+                delta[r] = x - one
+            if delta:
+                deltas.append(delta)
+    return kernel_of_rows(field, ambient, deltas)
 
 
 def averaged_fixed_subspace(spec: ActionSpec, elements, path: Path) -> Subspace:
@@ -170,8 +190,9 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     Proceeds in degree waves so all proper sub-path profiles exist when a
     path is processed.  Fixed subspaces are intersections over the
     generator tuples (which generate the same group as the closure, hence
-    fix the same subspace); action matrices are extended incrementally
-    along path prefixes.
+    fix the same subspace), taken as the kernel of the stacked sparse rows
+    of g - 1; the sparse action rows are extended along path prefixes by
+    one Kronecker factor per arrow.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -184,27 +205,28 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     pairs: dict[tuple, list] = {}
 
     # global degree waves so every proper sub-path profile (any source) is
-    # ready before a path is processed; rho holds the previous wave's action
-    # matrices, one per generator, keyed by vertex sequence
-    rho_prev = {(source,): None for source in quiver.vertices}
+    # ready before a path is processed; rho holds the previous wave's sparse
+    # action rows, one list per generator, keyed by vertex sequence
+    factors = {
+        edge: [spec.edge_matrix(g, edge).sparse_rows() for g in gens]
+        for edge in spec.edges
+    }
+    one = field.one()
+    rho_prev = {(source,): (1, [[{0: one}] for _ in gens]) for source in quiver.vertices}
     for _degree in range(1, max_degree + 1):
         rho_cur = {}
         order = sorted(rho_prev, key=lambda seq: tuple(index(v) for v in seq))
         for seq in order:
-            prev_mats = rho_prev[seq]
+            width, prev_rows = rho_prev[seq]
             source = seq[0]
             for w in quiver.out_neighbors(seq[-1]):
                 ext = seq + (w,)
                 edge = (w, seq[-1])
-                edge_mats = [spec.edge_matrix(g, edge) for g in gens]
-                if prev_mats is None:
-                    cur = edge_mats
-                else:
-                    cur = [em.tensor(pm) for em, pm in zip(edge_mats, prev_mats)]
-                rho_cur[ext] = cur
+                cur = [tensor_rows(em, pm, width) for em, pm in zip(factors[edge], prev_rows)]
+                ambient = width * quiver.dim(*edge)
+                rho_cur[ext] = (ambient, cur)
                 path = Path(ext)
-                ambient = quiver.path_space_dim(path)
-                fixed = _fixed_from_matrices(field, ambient, cur)
+                fixed = _fixed(field, ambient, cur)
                 composite = _composite(field, quiver, path, profiles)
                 irreducible = composite.complement_in(fixed)
                 profiles[path] = StringInvariants(

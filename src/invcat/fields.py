@@ -452,7 +452,8 @@ class CyclotomicField:
             if m.group(3) is None:
                 power = 0
             else:
-                power = int(m.group(4)) if m.group(4) is not None else 1
+                # z^n = 1, so only the exponent mod n matters
+                power = (int(m.group(4)) if m.group(4) is not None else 1) % self.n
             powers[power] = powers.get(power, Fraction(0)) + coef
         coeffs = [Fraction(0)] * (max(powers) + 1)
         for k, v in powers.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 
-from .action import ActionSpec, close_group, extract_characters
+from .action import DEFAULT_GROUP_CAP, ActionSpec, close_group, extract_characters
 from .category import build_invariant_quiver, verify_freeness
 from .engine import compute_profiles, schurian_generators
 from .fields import CyclotomicField, PrimeField, QQ
@@ -22,7 +22,6 @@ from .reptype import classify, classify_invariants
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_DEGREE = 6
-DEFAULT_GROUP_CAP = 1024
 
 
 class ParseError(Exception):
@@ -37,7 +36,8 @@ def _get(data, key, ctx, kind=None, required=True, default=None):
             raise ParseError(f"{ctx}: missing required key {key!r}")
         return default
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true/false load as bool, a subclass of int
+    if kind is not None and (not isinstance(value, kind) or (kind is int and isinstance(value, bool))):
         raise ParseError(f"{ctx}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -125,7 +125,7 @@ def _parse_entry(field, value, ctx):
             return field.parse(value)
         except ValueError as err:
             raise ParseError(f"{ctx}: {err}") from None
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return field.from_int(value)
     raise ParseError(f"{ctx}: matrix entries must be strings or integers")
 

@@ -1,13 +1,21 @@
-"""Dense exact matrices and subspaces over any supported field.
+"""Exact matrices and subspaces over any supported field, on one sparse kernel.
 
-Matrices are immutable row-major grids of canonical scalars.  A subspace of
-k^n is stored as its unique reduced row echelon basis, so subspace equality
-is literal equality of the stored rows.  Tensor products use one fixed
-basis-ordering convention throughout the package: the left factor is the
-major index (the slot for the later composition factor comes first).
+All elimination goes through one field-generic sparse echelon kernel: rows
+are {column: scalar} dicts, inserted one at a time, reduced against the
+pivots, normalised and back-substituted, so the work follows the nonzeros
+(the rows of g - 1 for a monomial path action have at most two).
+`Matrix` is a small dense grid, kept for per-arrow generator matrices; its
+rref, rank, inverse and kernel run on the sparse kernel.  A subspace of k^n
+is stored as its unique reduced row echelon basis in sparse form, so
+subspace equality is literal equality of the stored rows.  Tensor products
+use one fixed basis-ordering convention throughout the package: the left
+factor is the major index (the slot for the later composition factor comes
+first).
 """
 
 from __future__ import annotations
+
+import functools
 
 from .fields import FieldMismatch
 
@@ -54,22 +62,6 @@ class Matrix:
     def zeros(cls, field, nrows, ncols):
         zero = field.zero()
         return cls(field, [[zero] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def vstack(cls, mats):
-        mats = list(mats)
-        if not mats:
-            raise ShapeMismatch("nothing to stack")
-        ncols = mats[0].ncols
-        field = mats[0].field
-        rows = []
-        for m in mats:
-            if m.ncols != ncols:
-                raise ShapeMismatch("column counts differ")
-            if m.field != field:
-                raise FieldMismatch("stacking matrices over different fields")
-            rows.extend(m.entries)
-        return cls(field, rows)
 
     def _check_same_shape(self, other):
         if self.field != other.field:
@@ -148,32 +140,17 @@ class Matrix:
             return Matrix.zeros(self.field, self.nrows * other.nrows, self.ncols * other.ncols)
         return Matrix(self.field, rows)
 
+    def sparse_rows(self):
+        """The rows as {column: nonzero entry} dicts."""
+        return [{c: x for c, x in enumerate(row) if x} for row in self.entries]
+
     def rref(self):
-        """Gauss-Jordan reduced row echelon form and the pivot columns."""
-        a = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pr = None
-            for i in range(r, self.nrows):
-                if a[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            a[r], a[pr] = a[pr], a[r]
-            piv = a[r][c]
-            if piv != 1:
-                a[r] = [x / piv for x in a[r]]
-            for i in range(self.nrows):
-                if i != r and a[i][c] != 0:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return Matrix(self.field, a), tuple(pivots)
+        """Reduced row echelon form (zero rows last) and the pivot columns."""
+        pivots = _echelon(self.field, self.sparse_rows())
+        zero = self.field.zero()
+        rows = [_dense(self.field, self.ncols, p, tail) for p, tail in pivots.items()]
+        rows += [[zero] * self.ncols for _ in range(self.nrows - len(rows))]
+        return Matrix(self.field, rows), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -198,18 +175,7 @@ class Matrix:
 
     def kernel(self) -> "Subspace":
         """The right kernel {v : m v = 0}, as a canonical subspace of k^ncols."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        zero, one = self.field.zero(), self.field.one()
-        rows = []
-        for f in free:
-            v = [zero] * self.ncols
-            v[f] = one
-            for i, p in enumerate(pivots):
-                v[p] = -red.entries[i][f]
-            rows.append(v)
-        return Subspace.from_vectors(self.field, self.ncols, rows)
+        return kernel_of_rows(self.field, self.ncols, self.sparse_rows())
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -229,45 +195,173 @@ def tensor_vector(u, v):
     return tuple(a * b for a in u for b in v)
 
 
+def tensor_rows(left, right, right_ncols: int):
+    """Sparse rows of the Kronecker product of two sparse row lists, left major."""
+    return [
+        {c * right_ncols + k: x * y for c, x in lrow.items() for k, y in rrow.items()}
+        for lrow in left
+        for rrow in right
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The elimination kernel.  A reduced echelon basis is a dict {pivot column:
+# tail}, where the tail holds the row's nonzero entries other than the
+# implicit 1 at the pivot; no tail has an entry in any pivot column.  Rows
+# are {column: nonzero scalar} dicts, so the work follows the nonzeros.
+
+
+def _subtract(row: dict, f, tail: dict) -> None:
+    """row -= f * tail, in place, dropping entries that cancel."""
+    for k, v in tail.items():
+        x = row.get(k)
+        if x is None:
+            row[k] = -(f * v)
+        else:
+            x = x - f * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def _reduce(pivots: dict, row: dict) -> dict:
+    """Eliminate the pivot columns from a sparse row, in place.
+
+    Tails avoid the pivot columns, so one pass over the pivots the row
+    starts with clears them all.
+    """
+    for c in [c for c in row if c in pivots]:
+        _subtract(row, row.pop(c), pivots[c])
+    return row
+
+
+def _insert(pivots: dict, row: dict, one) -> None:
+    """Add a sparse row (which the basis takes over) to a reduced echelon basis."""
+    _reduce(pivots, row)
+    if not row:
+        return
+    lead = min(row)
+    scale = row.pop(lead)
+    if row and scale != one:
+        inverse = one / scale
+        for k, x in row.items():
+            row[k] = x * inverse
+    for tail in pivots.values():
+        f = tail.pop(lead, None)
+        if f is not None:
+            _subtract(tail, f, row)
+    pivots[lead] = row
+
+
+def _echelon(field, rows) -> dict:
+    """The reduced echelon basis of the span of sparse rows, sorted by pivot.
+
+    The rows are consumed: the basis takes them over and edits them.
+    """
+    pivots: dict = {}
+    one = field.one()
+    for row in rows:
+        _insert(pivots, row, one)
+    return dict(sorted(pivots.items()))
+
+
+def _sparse_vector(vector, ambient_dim: int) -> dict:
+    v = tuple(vector)
+    if len(v) != ambient_dim:
+        raise AmbientMismatch(f"vector of length {len(v)} in k^{ambient_dim}")
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def _dense(field, ncols: int, pivot: int, tail: dict) -> list:
+    row = [field.zero()] * ncols
+    row[pivot] = field.one()
+    for k, x in tail.items():
+        row[k] = x
+    return row
+
+
+def _kernel_of_echelon(field, ncols: int, pivots: dict) -> "Subspace":
+    # one kernel vector per free column f: e_f - sum over pivots p of R[p][f] e_p
+    one = field.one()
+    vectors = {f: {f: one} for f in range(ncols) if f not in pivots}
+    for p, tail in pivots.items():
+        for f, x in tail.items():
+            vectors[f][p] = -x
+    return Subspace._canonical(field, ncols, _echelon(field, vectors.values()))
+
+
+def kernel_of_rows(field, ncols: int, rows) -> "Subspace":
+    """The right kernel of the matrix with these sparse rows (which it consumes)."""
+    return _kernel_of_echelon(field, ncols, _echelon(field, rows))
+
+
+@functools.lru_cache(maxsize=128)
+def _trivial(field, ambient_dim: int, full: bool) -> "Subspace":
+    rows = {i: {} for i in range(ambient_dim)} if full else {}
+    return Subspace(field, ambient_dim, rows)
+
+
 class Subspace:
-    """A subspace of k^n held as its reduced row echelon basis."""
+    """A subspace of k^n held as its reduced row echelon basis.
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    The basis is stored sparse only: ``rows`` maps each pivot column, in
+    increasing order, to the row's tail (see the elimination kernel above).
+    Values are never edited after construction, so the zero and full
+    subspaces, unique in reduced form, are shared instances.
+    """
 
-    def __init__(self, field, ambient_dim, basis, pivots):
-        # callers go through from_vectors(), which canonicalizes
+    __slots__ = ("field", "ambient_dim", "rows")
+
+    def __init__(self, field, ambient_dim, rows):
+        # callers go through _canonical(), which shares the trivial subspaces
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = pivots
+        self.rows = rows
+
+    @classmethod
+    def _canonical(cls, field, ambient_dim, rows) -> "Subspace":
+        """Wrap a sorted reduced echelon basis, sharing the zero and full subspaces."""
+        if not rows or len(rows) == ambient_dim:
+            return _trivial(field, ambient_dim, bool(rows))
+        return cls(field, ambient_dim, rows)
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors) -> "Subspace":
-        vectors = [tuple(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch(f"vector of length {len(v)} in k^{ambient_dim}")
-        if not vectors:
-            return cls(field, ambient_dim, (), ())
-        red, pivots = Matrix(field, vectors).rref()
-        rows = red.entries[: len(pivots)]
-        return cls(field, ambient_dim, rows, pivots)
+        rows = [_sparse_vector(v, ambient_dim) for v in vectors]
+        return cls._canonical(field, ambient_dim, _echelon(field, rows))
 
     @classmethod
     def zero(cls, field, ambient_dim) -> "Subspace":
-        return cls(field, ambient_dim, (), ())
+        return _trivial(field, ambient_dim, False)
 
     @classmethod
     def full(cls, field, ambient_dim) -> "Subspace":
-        ident = Matrix.identity(field, ambient_dim)
-        return cls(field, ambient_dim, ident.entries, tuple(range(ambient_dim)))
+        return _trivial(field, ambient_dim, True)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def pivots(self) -> tuple:
+        return tuple(self.rows)
+
+    @property
+    def basis(self) -> tuple:
+        """The reduced echelon basis as dense row tuples."""
+        return tuple(
+            tuple(_dense(self.field, self.ambient_dim, p, tail))
+            for p, tail in self.rows.items()
+        )
 
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, self.basis)
+
+    def _sparse_rows(self):
+        """Fresh full sparse rows, safe to hand to the kernel."""
+        one = self.field.one()
+        return [{p: one, **tail} for p, tail in self.rows.items()]
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
@@ -277,15 +371,20 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim, list(self.basis) + list(other.basis)
-        )
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        if small.dim == 0:
+            return big
+        pivots = {p: dict(tail) for p, tail in big.rows.items()}
+        one = self.field.one()
+        for row in small._sparse_rows():
+            _insert(pivots, row, one)
+        if len(pivots) == big.dim:
+            return big
+        return Subspace._canonical(self.field, self.ambient_dim, dict(sorted(pivots.items())))
 
     def annihilator(self) -> "Subspace":
         """All functionals (as coordinate vectors) vanishing on this subspace."""
-        if self.dim == 0:
-            return Subspace.full(self.field, self.ambient_dim)
-        return self.basis_matrix().kernel()
+        return _kernel_of_echelon(self.field, self.ambient_dim, self.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -293,47 +392,61 @@ class Subspace:
 
     def reduce(self, vector):
         """Remainder of a vector after elimination against the basis."""
-        w = list(vector)
-        if len(w) != self.ambient_dim:
-            raise AmbientMismatch(f"vector of length {len(w)} in k^{self.ambient_dim}")
-        for row, p in zip(self.basis, self.pivots):
-            c = w[p]
-            if c != 0:
-                w = [wi - c * ri for wi, ri in zip(w, row)]
-        return w
+        zero = self.field.zero()
+        row = _reduce(self.rows, _sparse_vector(vector, self.ambient_dim))
+        return [row.get(i, zero) for i in range(self.ambient_dim)]
 
     def contains(self, vector) -> bool:
-        return all(x == 0 for x in self.reduce(vector))
+        return not _reduce(self.rows, _sparse_vector(vector, self.ambient_dim))
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(other.contains(row) for row in self.basis)
+        if self.dim > other.dim:
+            return False
+        return not any(_reduce(other.rows, row) for row in self._sparse_rows())
 
     def complement_in(self, whole: "Subspace") -> "Subspace":
         """A canonical complement c with self (+) c = whole.
 
         Rows of `whole`'s echelon basis are kept when their pivot position,
         in the coordinates `whole` induces, is not a pivot of `self`
-        re-expressed in those coordinates (pivot extension).
+        re-expressed in those coordinates (pivot extension).  A subset of
+        reduced echelon rows is itself in reduced echelon form.
         """
         self._check_compatible(whole)
         if not self.is_subspace_of(whole):
             raise NotASubspace("complement_in: first space is not inside the second")
         if self.dim == 0:
-            return Subspace(whole.field, whole.ambient_dim, whole.basis, whole.pivots)
-        coords = [[row[p] for p in whole.pivots] for row in self.basis]
-        _, inner_pivots = Matrix(self.field, coords).rref()
-        used = set(inner_pivots)
-        keep = [whole.basis[j] for j in range(whole.dim) if j not in used]
-        return Subspace.from_vectors(self.field, self.ambient_dim, keep)
+            return whole
+        # self lies in whole, so each pivot of self is a pivot of whole
+        position = {p: j for j, p in enumerate(whole.rows)}
+        coords = [
+            {position[k]: x for k, x in row.items() if k in position}
+            for row in self._sparse_rows()
+        ]
+        used = _echelon(self.field, coords)
+        keep = {p: tail for j, (p, tail) in enumerate(whole.rows.items()) if j not in used}
+        return Subspace._canonical(self.field, self.ambient_dim, keep)
 
     def tensor(self, other: "Subspace") -> "Subspace":
-        """Span of all pairwise tensors of basis vectors, left factor major."""
+        """Span of all pairwise tensors of basis vectors, left factor major.
+
+        Tensors of reduced echelon rows are reduced echelon rows with pivot
+        p * m + q, so no elimination is needed.
+        """
         if self.field != other.field:
             raise FieldMismatch("tensor of subspaces over different fields")
-        ambient = self.ambient_dim * other.ambient_dim
-        rows = [tensor_vector(u, v) for u in self.basis for v in other.basis]
-        return Subspace.from_vectors(self.field, ambient, rows)
+        m = other.ambient_dim
+        rows = {}
+        for p, left in self.rows.items():
+            for q, right in other.rows.items():
+                tail = {p * m + k: y for k, y in right.items()}
+                for c, x in left.items():
+                    tail[c * m + q] = x
+                    for k, y in right.items():
+                        tail[c * m + k] = x * y
+                rows[p * m + q] = tail
+        return Subspace._canonical(self.field, self.ambient_dim * m, rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -341,11 +454,11 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"

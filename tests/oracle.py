@@ -1,0 +1,90 @@
+"""A dense Gauss-Jordan oracle for the linear algebra layer.
+
+Written from the textbook definitions with field scalars only; it calls no
+invcat elimination, so the sparse kernel in ``invcat.linalg`` can be diffed
+against it.  Vectors and bases are tuples of scalars; a basis is the
+reduced row echelon form of its span, with zero rows dropped.
+"""
+
+
+def rref(field, rows, ncols):
+    """(nonzero rows of the reduced row echelon form, pivot columns)."""
+    a = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = field.one() / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in a[:r]), tuple(pivots)
+
+
+def span(field, vectors, ncols):
+    return rref(field, vectors, ncols)[0]
+
+
+def kernel(field, rows, ncols):
+    """Reduced echelon basis of {v : m v = 0}."""
+    red, pivots = rref(field, rows, ncols)
+    vectors = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [field.zero()] * ncols
+        v[f] = field.one()
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        vectors.append(v)
+    return span(field, vectors, ncols)
+
+
+def add(field, a, b, ncols):
+    return span(field, list(a) + list(b), ncols)
+
+
+def intersect(field, a, b, ncols):
+    """Vectors x.a with x.a = y.b, read off the kernel of the stacked columns."""
+    if not a or not b:
+        return ()
+    # columns: the rows of a, then the negated rows of b
+    cols = list(a) + [[-x for x in row] for row in b]
+    system = [[col[i] for col in cols] for i in range(ncols)]
+    vectors = []
+    for coeffs in kernel(field, system, len(cols)):
+        v = [field.zero()] * ncols
+        for c, row in zip(coeffs[: len(a)], a):
+            v = [x + c * y for x, y in zip(v, row)]
+        vectors.append(v)
+    return span(field, vectors, ncols)
+
+
+def tensor(field, a, b, ncols):
+    """Span of u (x) v, the left factor as the major index."""
+    return span(field, [[x * y for x in u for y in v] for u in a for v in b], ncols)
+
+
+def reduce(basis, vector):
+    """Remainder of a vector after subtracting v[p] times each pivot row."""
+    w = list(vector)
+    for row in basis:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        c = w[p]
+        w = [x - c * y for x, y in zip(w, row)]
+    return w
+
+
+def complement(field, part, whole, ncols):
+    """Rows of `whole` whose index is no pivot of `part` in whole's pivot coordinates."""
+    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in whole]
+    coords = [[row[p] for p in pivots] for row in part]
+    _, used = rref(field, coords, len(pivots))
+    return tuple(row for j, row in enumerate(whole) if j not in used)

@@ -247,3 +247,72 @@ def test_flag_overrides_file_options(tmp_path):
     report = json.loads(out.read_text())
     assert report["job"]["options"]["max_degree"] == 3
     assert len(report["hom_series"]["t0<-t0"]) == 4
+
+
+def _with(data, path, value):
+    """A deep copy of a job with the item at a key path replaced."""
+    out = json.loads(json.dumps(data))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _rejected(data, fragment):
+    from invcat.jobs import ParseError
+
+    try:
+        parse_job(data)
+    except ParseError as err:
+        assert fragment in str(err), str(err)
+    else:
+        raise AssertionError(f"accepted {fragment}")
+
+
+SWAP_F2 = {
+    "field": {"kind": "prime", "p": 2},
+    "quiver": {"vertices": ["v"], "arrows": [{"source": "v", "target": "v", "dim": 2}]},
+    "action": {"generators": [{"name": "s", "matrices": {"v<-v": [["0", "1"], ["1", "0"]]}}]},
+    "options": {"max_degree": 3},
+}
+
+
+def test_boolean_dim_rejected():
+    bad = _with(KRONECKER_TRIVIAL, ["quiver", "arrows", 0, "dim"], True)
+    _rejected(bad, "quiver.arrows[0].dim: expected int, got bool")
+
+
+def test_boolean_max_degree_rejected():
+    bad = _with(CROWN3, ["options", "max_degree"], True)
+    _rejected(bad, "options.max_degree: expected int, got bool")
+
+
+def test_boolean_verify_depth_rejected():
+    bad = _with(CROWN3, ["options", "verify_depth"], True)
+    _rejected(bad, "options.verify_depth: expected int, got bool")
+
+
+def test_boolean_path_cap_rejected():
+    bad = _with(CROWN3, ["options", "path_cap"], False)
+    _rejected(bad, "options.path_cap: expected int, got bool")
+
+
+def test_boolean_group_cap_rejected():
+    _rejected(_with(CROWN3, ["options", "group_cap"], True), "options.group_cap: expected int, got bool")
+    _rejected(_with(CROWN3, ["action", "group_cap"], True), "action.group_cap: expected int, got bool")
+
+
+def test_boolean_cyclotomic_order_rejected():
+    _rejected(_with(CROWN3, ["field", "n"], True), "field.n: expected int, got bool")
+
+
+def test_boolean_prime_rejected():
+    _rejected(_with(SWAP_F2, ["field", "p"], True), "field.p: expected int, got bool")
+
+
+def test_boolean_matrix_entry_rejected():
+    entry = ["action", "generators", 0, "matrices", "v<-v", 0, 1]
+    _rejected(_with(SWAP_F2, entry, True),
+              "matrices['v<-v'][0][1]: matrix entries must be strings or integers")
+    assert parse_job(_with(SWAP_F2, entry, 1)).action.generator_elements

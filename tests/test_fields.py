@@ -175,3 +175,10 @@ def test_cyclotomic_inverse_matches_power():
         field = CyclotomicField(n)
         z = field.zeta()
         assert 1 / z == z ** (n - 1)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_parse_reduces_huge_exponents_mod_n(n):
+    field = CyclotomicField(n)
+    assert field.parse("z^1000000000000") == field.zeta() ** (10**12 % n)
+    assert field.parse("2*z^1000000000001-z^5") == 2 * field.zeta() ** ((10**12 + 1) % n) - field.zeta() ** (5 % n)
