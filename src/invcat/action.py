@@ -106,9 +106,6 @@ class ActionSpec:
             Matrix.identity(self.field, self.quiver.dim(*edge)) for edge in self.edges
         )
 
-    def edge_position(self, edge) -> int:
-        return self._position[edge]
-
     def edge_matrix(self, element: GroupElement, edge) -> Matrix:
         return element.matrices[self._position[edge]]
 
@@ -162,25 +159,33 @@ class CharacterTable:
     def value(self, edge, element_index: int):
         return self.values[edge][element_index]
 
+    def extend(self, values, edge):
+        """The character values of a path followed by one more edge."""
+        return tuple(a * b for a, b in zip(values, self.values[edge]))
+
     def path_values(self, path: Path):
         """Componentwise product of the edge characters along a path."""
-        out = [self.field.one()] * len(self.elements)
+        out = tuple(self.field.one() for _ in self.elements)
         for edge in path.edges():
-            vals = self.values[edge]
-            out = [a * b for a, b in zip(out, vals)]
-        return tuple(out)
+            out = self.extend(out, edge)
+        return out
 
     def is_invariant(self, path: Path) -> bool:
         return all(v == 1 for v in self.path_values(path))
 
 
+def require_schurian(quiver: Quiver) -> None:
+    """Raise NotSchurian unless every nonzero arrow space is a line."""
+    for t, s in quiver.track_edges():
+        d = quiver.dim(t, s)
+        if d != 1:
+            raise NotSchurian(f"arrow space {s!r} -> {t!r} has dimension {d}; not Schurian")
+
+
 def extract_characters(quiver: Quiver, elements, field=None) -> CharacterTable:
     """Read off the 1x1 action matrices as characters; needs a Schurian quiver."""
+    require_schurian(quiver)
     edges = quiver.track_edges()
-    for edge in edges:
-        if quiver.dim(*edge) != 1:
-            t, s = edge
-            raise NotSchurian(f"arrow space {s!r} -> {t!r} has dimension {quiver.dim(*edge)}")
     elements = tuple(elements)
     if not elements:
         raise ValueError("need at least the identity element")

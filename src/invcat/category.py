@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .action import ActionSpec, CharacterTable, NotSchurian
+from .action import ActionSpec, CharacterTable, require_schurian
 from .engine import ProfileTable, verify_decomposition
 from .quiver import (
     DEFAULT_PATH_CAP,
@@ -22,6 +22,7 @@ from .quiver import (
     Quiver,
     is_acyclic,
     longest_path_degree,
+    walk,
 )
 
 
@@ -29,6 +30,8 @@ CERTIFIED = "certified"
 TRUNCATED = "truncated"
 REASON_ACYCLIC = "acyclic"
 REASON_CROWN = "crown-bound"
+# the decomposition check walks 2^(d-1) compositions per path of degree d
+DEFAULT_VERIFY_DEPTH_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def verify_freeness(table: ProfileTable, report: InvariantQuiverReport,
     """
     max_degree = table.max_degree
     if verify_depth is None:
-        verify_depth = min(max_degree, 8)
+        verify_depth = min(max_degree, DEFAULT_VERIFY_DEPTH_CAP)
     verify_depth = min(verify_depth, max_degree)
 
     failures = []
@@ -276,47 +279,33 @@ def verify_cleaving_schurian(quiver: Quiver, chars: CharacterTable, max_degree: 
     complement path on either side lands in the complement, and that per
     hom-pair the two families partition the path basis.
     """
-    for edge in quiver.track_edges():
-        if quiver.dim(*edge) != 1:
-            t, s = edge
-            raise NotSchurian(f"arrow space {s!r} -> {t!r} has dimension {quiver.dim(*edge)}")
-
-    from .quiver import paths_from
-
-    flags: dict[tuple, bool] = {}
-    pair_counts: dict[tuple, tuple] = {}
-    counter: dict[tuple, list] = {}
-    for source in quiver.vertices:
-        flags[(source,)] = True  # trivial paths are invariant
-        counter.setdefault((source, source), [1, 0])
-        for _deg, seqs in paths_from(quiver, source, max_degree, path_cap):
-            for seq in seqs:
-                inv = chars.is_invariant(Path(seq))
-                flags[seq] = inv
-                c = counter.setdefault((source, seq[-1]), [0, 0])
-                c[0 if inv else 1] += 1
-    for pair, (ninv, nother) in counter.items():
-        pair_counts[pair] = (ninv, nother)
+    require_schurian(quiver)
+    # walk order is (degree, lexicographic) across all sources, so each
+    # by_source list below is in degree order
+    ones = tuple(chars.field.one() for _ in chars.elements)
+    start = [((v,), ones) for v in quiver.vertices]
+    flags = {
+        seq: all(x == 1 for x in vals)
+        for seq, vals in walk(quiver, start, max_degree, path_cap, chars.extend)
+    }
+    counter = {(v, v): [1, 0] for v in quiver.vertices}  # trivial paths are invariant
+    by_source: dict[object, list] = {}
+    for seq, inv in flags.items():
+        c = counter.setdefault((seq[0], seq[-1]), [0, 0])
+        c[0 if inv else 1] += 1
+        by_source.setdefault(seq[0], []).append(seq)
+    pair_counts = {pair: tuple(c) for pair, c in counter.items()}
 
     violations = []
-    by_source: dict[object, list] = {}
-    for seq in list(flags):
-        by_source.setdefault(seq[0], []).append(seq)
-    for w in sorted(flags, key=lambda s: (len(s), tuple(map(quiver.vertex_index, s)))):
-        dw = len(w) - 1
-        if dw == 0:
-            continue
-        w_inv = flags[w]
+    for w, w_inv in flags.items():
         for u in by_source.get(w[-1], ()):
-            du = len(u) - 1
-            if du == 0 or du + dw > max_degree:
-                continue
+            if (len(w) - 1) + (len(u) - 1) > max_degree:
+                break
             u_inv = flags[u]
             if u_inv == w_inv:
                 continue
             composed = w[:-1] + u
-            comp_inv = chars.is_invariant(Path(composed))
-            if comp_inv:
+            if chars.is_invariant(Path(composed)):
                 violations.append(
                     CleavingViolation(
                         invariant=Path(u if u_inv else w),

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 input error (bad file, cap exceeded), 2 a
 verified mathematical property was falsified (reserved so CI property
-runs can script against it).
+runs can script against it), 3 an internal error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ import os
 import sys
 import tempfile
 
-from .action import ActionError, ClosureCapExceeded
+from .action import ActionError, ClosureCapExceeded, close_group, require_schurian
+from .category import build_invariant_quiver
+from .engine import compute_profiles
 from .fields import FieldError
 from .jobs import (
     ParseError,
@@ -98,22 +100,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_schurian_check(args) -> int:
-    from .action import close_group
-    from .category import build_invariant_quiver
-    from .engine import compute_profiles
-
     job = load_job(args.input, _overrides(args))
-    for edge in job.quiver.track_edges():
-        if job.quiver.dim(*edge) != 1:
-            t, s = edge
-            print(f"error: arrow space {s!r} -> {t!r} has dimension > 1; not Schurian", file=sys.stderr)
-            return 1
+    require_schurian(job.quiver)
     elements = close_group(job.action)
     table = compute_profiles(job.quiver, job.action, job.max_degree,
                              path_cap=job.path_cap, elements=elements)
     report = build_invariant_quiver(table)
-    diff, _ = schurian_diff(job.quiver, elements, job.field, report,
-                            job.max_degree, job.path_cap)
+    diff = schurian_diff(job.quiver, elements, job.field, report,
+                         job.max_degree, job.path_cap)
     if diff["agrees"]:
         print(f"agree: {len(report.generators)} generator paths up to degree {job.max_degree}")
         return 0
@@ -160,11 +154,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, QuiverError, ActionError, FieldError) as err:
+    except (ParseError, QuiverError, ActionError, FieldError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         if isinstance(err, (PathCapExceeded, ClosureCapExceeded)):
             print("hint: raise --path-cap / --group-cap, or lower --max-degree", file=sys.stderr)
         return 1
+    except Exception as err:
+        import traceback  # imported only on failure: it costs startup time and memory
+        traceback.print_exc()
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

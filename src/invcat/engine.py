@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .action import ActionSpec, CharacterTable, act_on_path, close_group
 from .linalg import Matrix, Subspace, kernel_of_rows, tensor_rows
-from .quiver import DEFAULT_PATH_CAP, Path, PathCapExceeded, Quiver
+from .quiver import DEFAULT_PATH_CAP, Path, Quiver, walk
 
 
 class EngineError(Exception):
@@ -166,11 +166,7 @@ class ProfileTable:
 
     def all_paths(self):
         """Every stored path, ordered by (degree, lexicographic vertex indices)."""
-        index = self.quiver.vertex_index
-        return sorted(
-            self.profiles,
-            key=lambda p: (p.degree, tuple(index(v) for v in p.vertices)),
-        )
+        return tuple(self.profiles)
 
     def hom_dims(self, source, target):
         """Invariant dimension by degree 0..max_degree for one hom-pair."""
@@ -187,12 +183,12 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
                      elements=None) -> ProfileTable:
     """Profiles for every path of every hom-pair up to the degree bound.
 
-    Proceeds in degree waves so all proper sub-path profiles exist when a
-    path is processed.  Fixed subspaces are intersections over the
-    generator tuples (which generate the same group as the closure, hence
-    fix the same subspace), taken as the kernel of the stacked sparse rows
-    of g - 1; the sparse action rows are extended along path prefixes by
-    one Kronecker factor per arrow.
+    Walks all sources in one pass of degree waves, so every proper sub-path
+    profile (of any source) exists when a path is processed.  Fixed
+    subspaces are intersections over the generator tuples (which generate
+    the same group as the closure, hence fix the same subspace), taken as
+    the kernel of the stacked sparse rows of g - 1; the sparse action rows
+    are extended along path prefixes by one Kronecker factor per arrow.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -200,51 +196,33 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
         elements = close_group(spec)
     gens = spec.generator_elements
     field = spec.field
-    index = quiver.vertex_index
     profiles: dict[Path, StringInvariants] = {}
     pairs: dict[tuple, list] = {}
 
-    # global degree waves so every proper sub-path profile (any source) is
-    # ready before a path is processed; rho holds the previous wave's sparse
-    # action rows, one list per generator, keyed by vertex sequence
     factors = {
         edge: [spec.edge_matrix(g, edge).sparse_rows() for g in gens]
         for edge in spec.edges
     }
-    one = field.one()
-    rho_prev = {(source,): (1, [[{0: one}] for _ in gens]) for source in quiver.vertices}
-    for _degree in range(1, max_degree + 1):
-        rho_cur = {}
-        order = sorted(rho_prev, key=lambda seq: tuple(index(v) for v in seq))
-        for seq in order:
-            width, prev_rows = rho_prev[seq]
-            source = seq[0]
-            for w in quiver.out_neighbors(seq[-1]):
-                ext = seq + (w,)
-                edge = (w, seq[-1])
-                cur = [tensor_rows(em, pm, width) for em, pm in zip(factors[edge], prev_rows)]
-                ambient = width * quiver.dim(*edge)
-                rho_cur[ext] = (ambient, cur)
-                path = Path(ext)
-                fixed = _fixed(field, ambient, cur)
-                composite = _composite(field, quiver, path, profiles)
-                irreducible = composite.complement_in(fixed)
-                profiles[path] = StringInvariants(
-                    path=path,
-                    space_dim=ambient,
-                    fixed=fixed,
-                    composite=composite,
-                    irreducible=irreducible,
-                )
-                bucket = pairs.setdefault((source, w), [])
-                bucket.append(path)
-                if len(bucket) > path_cap:
-                    raise PathCapExceeded(
-                        f"more than {path_cap} paths from {source!r} to {w!r}"
-                    )
-        rho_prev = rho_cur
-        if not rho_prev:
-            break
+
+    def step(state, edge):
+        width, prev_rows = state
+        cur = [tensor_rows(em, pm, width) for em, pm in zip(factors[edge], prev_rows)]
+        return width * quiver.dim(*edge), cur
+
+    start = [((source,), (1, [[{0: field.one()}] for _ in gens])) for source in quiver.vertices]
+    for seq, (ambient, cur) in walk(quiver, start, max_degree, path_cap, step):
+        path = Path(seq)
+        fixed = _fixed(field, ambient, cur)
+        composite = _composite(field, quiver, path, profiles)
+        irreducible = composite.complement_in(fixed)
+        profiles[path] = StringInvariants(
+            path=path,
+            space_dim=ambient,
+            fixed=fixed,
+            composite=composite,
+            irreducible=irreducible,
+        )
+        pairs.setdefault((seq[0], seq[-1]), []).append(path)
 
     pairs = {k: tuple(v) for k, v in pairs.items()}
     return ProfileTable(quiver, spec, tuple(elements), max_degree, profiles, pairs)
@@ -321,33 +299,21 @@ def schurian_generators(quiver: Quiver, chars: CharacterTable, max_degree: int,
 
     A path is invariant when the product of its edge characters is the
     trivial character, and irreducible when additionally no proper
-    nonempty prefix is invariant.
+    nonempty prefix is invariant.  The cap counts every walked path per
+    hom-pair, not only the generators.
     """
+    # state: (character values, invariant, some proper nonempty prefix is invariant)
+    def step(state, edge):
+        vals, invariant, tainted = state
+        cur = chars.extend(vals, edge)
+        return cur, all(v == 1 for v in cur), tainted or invariant
+
     ones = tuple(chars.field.one() for _ in chars.elements)
-    index = quiver.vertex_index
     out: dict[tuple, list] = {}
+    # one source at a time keeps only that source's waves alive
     for source in quiver.vertices:
-        # state per live sequence: (character values, saw an invariant proper prefix)
-        states = {(source,): (ones, False)}
-        for _degree in range(1, max_degree + 1):
-            new_states = {}
-            order = sorted(states, key=lambda seq: tuple(index(v) for v in seq))
-            for seq in order:
-                vals, tainted = states[seq]
-                for w in quiver.out_neighbors(seq[-1]):
-                    ext = seq + (w,)
-                    edge_vals = chars.values[(w, seq[-1])]
-                    cur = tuple(a * b for a, b in zip(vals, edge_vals))
-                    invariant = all(v == 1 for v in cur)
-                    if invariant and not tainted:
-                        bucket = out.setdefault((source, w), [])
-                        bucket.append(Path(ext))
-                        if len(bucket) > path_cap:
-                            raise PathCapExceeded(
-                                f"more than {path_cap} generator paths from {source!r} to {w!r}"
-                            )
-                    new_states[ext] = (cur, tainted or invariant)
-            states = new_states
-            if not states:
-                break
+        start = [((source,), (ones, False, False))]
+        for seq, (_, invariant, tainted) in walk(quiver, start, max_degree, path_cap, step):
+            if invariant and not tainted:
+                out.setdefault((source, seq[-1]), []).append(Path(seq))
     return out

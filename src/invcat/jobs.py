@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import time
 
-from .action import DEFAULT_GROUP_CAP, ActionSpec, close_group, extract_characters
-from .category import build_invariant_quiver, verify_freeness
+from .action import DEFAULT_GROUP_CAP, ActionSpec, NotSchurian, close_group, extract_characters
+from .category import DEFAULT_VERIFY_DEPTH_CAP, build_invariant_quiver, verify_freeness
 from .engine import compute_profiles, schurian_generators
 from .fields import CyclotomicField, PrimeField, QQ
 from .quiver import DEFAULT_PATH_CAP, Quiver
@@ -74,6 +74,8 @@ def quiver_from_dict(data, ctx="quiver"):
     for i, v in enumerate(vertices):
         if not isinstance(v, str):
             raise ParseError(f"{ctx}.vertices[{i}]: vertex labels must be strings")
+        if "<-" in v:
+            raise ParseError(f"{ctx}.vertices[{i}]: label {v!r} contains '<-', the arrow key separator")
     if len(set(vertices)) != len(vertices):
         raise ParseError(f"{ctx}.vertices: labels must be unique")
     arrows = _get(data, "arrows", ctx, list)
@@ -135,6 +137,8 @@ def action_from_dict(data, quiver, field, ctx="action", group_cap=None):
     cap = group_cap
     if cap is None:
         cap = _get(data, "group_cap", ctx, int, required=False, default=DEFAULT_GROUP_CAP)
+        if cap < 1:
+            raise ParseError(f"{ctx}.group_cap: must be at least 1, got {cap}")
     generators = []
     for i, gen in enumerate(raw_generators):
         gctx = f"{ctx}.generators[{i}]"
@@ -196,12 +200,10 @@ def parse_job(data, overrides=None) -> JobSpec:
         "max_degree",
         _get(options, "max_degree", "options", int, required=False, default=DEFAULT_MAX_DEGREE),
     )
-    if max_degree < 0:
-        raise ParseError("options.max_degree: must be nonnegative")
     verify_depth = overrides.get(
         "verify_depth",
         _get(options, "verify_depth", "options", int, required=False,
-             default=min(max_degree, 8)),
+             default=min(max_degree, DEFAULT_VERIFY_DEPTH_CAP)),
     )
     path_cap = overrides.get(
         "path_cap",
@@ -211,6 +213,15 @@ def parse_job(data, overrides=None) -> JobSpec:
         "group_cap",
         _get(options, "group_cap", "options", int, required=False, default=None),
     )
+    # command-line overrides bypass _get, so check the merged values
+    for key, value, least in (
+        ("max_degree", max_degree, 0),
+        ("verify_depth", verify_depth, 0),
+        ("path_cap", path_cap, 1),
+        ("group_cap", group_cap, 1),
+    ):
+        if value is not None and value < least:
+            raise ParseError(f"options.{key}: must be at least {least}, got {value}")
     action = action_from_dict(
         _get(data, "action", "job", dict, required=False, default={"generators": []}),
         quiver,
@@ -275,7 +286,10 @@ def _classification_to_dict(classification):
 
 
 def schurian_diff(quiver, elements, field, report, max_degree, path_cap):
-    """Compare the character fast path with the general engine's generators."""
+    """Compare the character fast path with the general engine's generators.
+
+    Raises NotSchurian unless every arrow space of the quiver is a line.
+    """
     chars = extract_characters(quiver, elements, field)
     fast = schurian_generators(quiver, chars, max_degree, path_cap)
     fast_paths = {p for bucket in fast.values() for p in bucket}
@@ -303,7 +317,7 @@ def schurian_diff(quiver, elements, field, report, max_degree, path_cap):
         "applicable": True,
         "agrees": first_difference is None,
         "first_difference": first_difference,
-    }, chars
+    }
 
 
 class PipelineResult:
@@ -338,13 +352,13 @@ def run_pipeline(job: JobSpec) -> PipelineResult:
     freeness = verify_freeness(table, report, verify_depth=job.verify_depth)
     input_classification = classify(job.quiver)
     invariant_classification = classify_invariants(report)
-    schurian = None
-    is_schurian = all(job.quiver.dim(*e) == 1 for e in job.quiver.track_edges())
-    if is_schurian:
-        schurian, _ = schurian_diff(
+    try:
+        schurian = schurian_diff(
             job.quiver, elements, job.field, report,
             job.max_degree, job.path_cap,
         )
+    except NotSchurian:
+        schurian = None
     elapsed = time.perf_counter() - start
     return PipelineResult(
         job=job,

@@ -131,27 +131,10 @@ class Quiver:
 
     def weak_components(self):
         """Vertex lists of the weakly connected components, in vertex order."""
-        adj = {v: set() for v in self.vertices}
-        for (t, s) in self._dims:
-            adj[s].add(t)
-            adj[t].add(s)
-        seen = set()
-        comps = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            comp = []
-            queue = deque([v])
-            seen.add(v)
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            comps.append(sorted(comp, key=self._index.__getitem__))
-        return comps
+        return [
+            [self.vertices[i] for i in comp]
+            for comp in underlying_multigraph(self).component_index_sets()
+        ]
 
     def __eq__(self, other):
         if not isinstance(other, Quiver):
@@ -163,31 +146,37 @@ class Quiver:
         return f"Quiver({list(self.vertices)}; {arrows})"
 
 
-def paths_from(quiver: Quiver, source, max_degree: int, path_cap: int = DEFAULT_PATH_CAP):
-    """All paths leaving `source` of degree 1..max_degree, grouped by degree.
+def walk(quiver: Quiver, start, max_degree: int, path_cap: int, step):
+    """Paths of degree 1..max_degree extending the start wave, with a folded state.
 
-    Yields (degree, list of vertex tuples); within a degree the tuples come
-    in lexicographic vertex-index order.  Counts per (source, target) pair
-    are capped; exceeding the cap is an error, never silent truncation.
+    `start` is the degree-0 wave, a list of (vertex tuple, state) in
+    lexicographic vertex-index order.  Yields (vertex tuple, state) one
+    degree wave at a time; each wave is extended in `out_neighbors` order,
+    so within a degree the paths stay in lexicographic order.  A path's
+    state is step(prefix state, (target, source)) for its last edge.
+    Counts per (source, target) pair are capped; exceeding the cap is an
+    error, never silent truncation.
     """
-    quiver.vertex_index(source)
     counts = Counter()
-    frontier = [(source,)]
-    for degree in range(1, max_degree + 1):
-        new = []
-        for seq in frontier:
-            for w in quiver.out_neighbors(seq[-1]):
-                ext = seq + (w,)
-                counts[w] += 1
-                if counts[w] > path_cap:
+    # a dict holds a wave in less memory than a list of (seq, state) tuples
+    wave = dict(start)
+    for _degree in range(max_degree):
+        new = {}
+        for seq, state in wave.items():
+            v = seq[-1]
+            for w in quiver.out_neighbors(v):
+                pair = (seq[0], w)
+                counts[pair] += 1
+                if counts[pair] > path_cap:
                     raise PathCapExceeded(
-                        f"more than {path_cap} paths from {source!r} to {w!r}"
+                        f"more than {path_cap} paths from {seq[0]!r} to {w!r}"
                     )
-                new.append(ext)
-        frontier = new
-        if not frontier:
+                ext = seq + (w,)
+                new[ext] = ext_state = step(state, (w, v))
+                yield ext, ext_state
+        if not new:
             return
-        yield degree, frontier
+        wave = new
 
 
 def enumerate_paths(quiver: Quiver, source, target, max_degree: int,
@@ -197,13 +186,11 @@ def enumerate_paths(quiver: Quiver, source, target, max_degree: int,
     Ordered by (degree, lexicographic vertex sequence); the trivial path is
     included exactly when source == target.
     """
+    quiver.vertex_index(source)
     quiver.vertex_index(target)
-    result = []
-    if source == target:
-        result.append(Path((source,)))
-    for _, seqs in paths_from(quiver, source, max_degree, path_cap):
-        result.extend(Path(seq) for seq in seqs if seq[-1] == target)
-    return result
+    result = [Path((source,))] if source == target else []
+    walked = walk(quiver, [((source,), None)], max_degree, path_cap, lambda *_: None)
+    return result + [Path(seq) for seq, _ in walked if seq[-1] == target]
 
 
 def is_acyclic(quiver: Quiver) -> bool:

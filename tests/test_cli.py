@@ -316,3 +316,61 @@ def test_boolean_matrix_entry_rejected():
     _rejected(_with(SWAP_F2, entry, True),
               "matrices['v<-v'][0][1]: matrix entries must be strings or integers")
     assert parse_job(_with(SWAP_F2, entry, 1)).action.generator_elements
+
+
+def _compute_exit(tmp_path, data, *flags):
+    job = write_job(tmp_path, data)
+    return main(["compute", "--input", job, "--out", str(tmp_path / "r.json"), *flags])
+
+
+def _rejected_in_file_and_flag(tmp_path, capsys, key, flag, value, fragment):
+    _rejected(_with(CROWN3, ["options", key], value), fragment)
+    assert _compute_exit(tmp_path, CROWN3, flag, str(value)) == 1
+    assert fragment in capsys.readouterr().err
+
+
+def test_negative_verify_depth_rejected(tmp_path, capsys):
+    _rejected_in_file_and_flag(tmp_path, capsys, "verify_depth", "--verify-depth", -3,
+                               "options.verify_depth: must be at least 0, got -3")
+
+
+def test_path_cap_below_one_rejected(tmp_path, capsys):
+    _rejected_in_file_and_flag(tmp_path, capsys, "path_cap", "--path-cap", 0,
+                               "options.path_cap: must be at least 1, got 0")
+
+
+def test_group_cap_below_one_rejected(tmp_path, capsys):
+    _rejected_in_file_and_flag(tmp_path, capsys, "group_cap", "--group-cap", 0,
+                               "options.group_cap: must be at least 1, got 0")
+    _rejected(_with(CROWN3, ["action", "group_cap"], -1), "action.group_cap: must be at least 1, got -1")
+
+
+def test_vertex_label_with_arrow_key_separator_rejected():
+    bad = _with(KRONECKER_TRIVIAL, ["quiver", "vertices", 1], "t<-0")
+    bad["quiver"]["arrows"][0]["target"] = "t<-0"
+    _rejected(bad, "quiver.vertices[1]: label 't<-0' contains '<-', the arrow key separator")
+
+
+def test_path_cap_exceeded_exits_one_with_hint(tmp_path, capsys):
+    # every hom-pair of the 3-crown has one path in three consecutive degrees
+    assert _compute_exit(tmp_path, CROWN3, "--path-cap", "2", "--max-degree", "9") == 1
+    err = capsys.readouterr().err
+    assert "more than 2 paths" in err and "--path-cap" in err
+
+
+def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
+    import invcat.cli as cli_module
+
+    def broken(job):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_module, "run_pipeline", broken)
+    assert _compute_exit(tmp_path, CROWN3) == 3
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    job = write_job(tmp_path, CROWN3)
+    assert main(["compute", "--input", job, "--out", str(tmp_path / "missing" / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal error" not in err

@@ -1,0 +1,40 @@
+"""The demo scripts and the ready-made job files in demos/ run cleanly."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from invcat.cli import main
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+SRC = DEMOS.parent / "src"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_script_runs(script):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(DEMOS / script)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+
+
+@pytest.mark.parametrize("job", sorted(p.name for p in (DEMOS / "inputs").glob("*.json")))
+def test_demo_job_computes(job, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["compute", "--input", str(DEMOS / "inputs" / job), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["freeness"]["holds"] is True
+
+
+def test_demos_found():
+    # an empty glob would parametrize the tests above away without failing
+    assert list(DEMOS.glob("*.py")) and list((DEMOS / "inputs").glob("*.json"))

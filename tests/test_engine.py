@@ -17,7 +17,7 @@ from invcat.engine import (
 )
 from invcat.fields import CyclotomicField, PrimeField, QQ
 from invcat.linalg import Matrix, Subspace
-from invcat.quiver import Quiver
+from invcat.quiver import PathCapExceeded, Quiver
 
 import oracle
 from instances import (
@@ -477,3 +477,26 @@ def test_hom_dims_diagonal_degree_zero():
     table = compute_profiles(q, spec, 6)
     assert table.hom_dims("t0", "t0") == [1, 0, 0, 1, 0, 0, 1]
     assert table.hom_dims("t0", "t1") == [0] * 7
+
+
+def test_all_paths_in_degree_then_lex_order():
+    # all_paths no longer sorts; the walk's order must equal the sorted one
+    rng = random.Random(5150)
+    for _ in range(12):
+        q = random_quiver(rng, max_vertices=4, max_dim=2, extra_arrows=3)
+        for quiver in (q, Quiver(tuple(reversed(q.vertices)), {e: q.dim(*e) for e in q.track_edges()})):
+            table = compute_profiles(quiver, ActionSpec(quiver, QQ, []), 3)
+            index = quiver.vertex_index
+            assert list(table.all_paths()) == sorted(
+                table.profiles,
+                key=lambda p: (p.degree, tuple(index(v) for v in p.vertices)),
+            )
+
+
+def test_compute_profiles_path_cap():
+    q, _, spec = crown_spec(2)
+    # t0 -> t1 has one path in each odd degree, t0 -> t0 in each even one
+    table = compute_profiles(q, spec, 6, path_cap=3)
+    assert len(table.paths_between("t0", "t1")) == len(table.paths_between("t0", "t0")) == 3
+    with pytest.raises(PathCapExceeded, match="more than 3 paths from 't0' to 't1'"):
+        compute_profiles(q, spec, 7, path_cap=3)

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +16,7 @@ from invcat.quiver import (
     is_acyclic,
     longest_path_degree,
     underlying_multigraph,
+    walk,
 )
 
 from instances import crown_quiver, random_quiver
@@ -157,3 +160,60 @@ def test_weak_components_and_restriction():
     sub = q.restricted(["a", "b"])
     assert sub.vertices == ("a", "b")
     assert sub.dim("b", "a") == 1 and sub.dim("d", "c") == 0
+
+
+def _brute_force_paths(q, sources, max_degree):
+    """Every vertex tuple of degree 1..max_degree along nonzero arrows, by (degree, lex)."""
+    out = []
+    for d in range(1, max_degree + 1):
+        for seq in itertools.product(q.vertices, repeat=d + 1):
+            if seq[0] in sources and all(q.dim(b, a) > 0 for a, b in zip(seq, seq[1:])):
+                out.append(seq)
+    return out
+
+
+def _extend_by_target(state, edge):
+    return state + (edge[0],)
+
+
+def test_walk_matches_brute_force_order_and_counts():
+    rng = random.Random(4242)
+    for k in range(25):
+        q = random_quiver(rng, max_vertices=4, max_dim=2, extra_arrows=3)
+        if k % 2:
+            # declaration order, not label order, is the lexicographic order
+            q = Quiver(tuple(reversed(q.vertices)), {e: q.dim(*e) for e in q.track_edges()})
+        max_degree = 4
+        start = [((v,), (v,)) for v in q.vertices]
+        walked = list(walk(q, start, max_degree, 100_000, _extend_by_target))
+        expected = _brute_force_paths(q, set(q.vertices), max_degree)
+        # the folded state rebuilds the path edge by edge, (target, source) each
+        assert all(seq == state for seq, state in walked)
+        assert [seq for seq, _ in walked] == expected
+        assert Counter((s[0], s[-1]) for s, _ in walked) == Counter(
+            (s[0], s[-1]) for s in expected
+        )
+        for v in q.vertices:
+            one = [seq for seq, _ in walk(q, [((v,), (v,))], max_degree, 100_000, _extend_by_target)]
+            assert one == _brute_force_paths(q, {v}, max_degree)
+
+
+def test_walk_cap_raises_at_exactly_cap_plus_one():
+    # one loop: exactly one path v -> v in every degree
+    loop = Quiver(["v"], {("v", "v"): 1})
+    seen = []
+    with pytest.raises(PathCapExceeded, match="more than 3 paths"):
+        for seq, _ in walk(loop, [(("v",), None)], 10, 3, lambda *_: None):
+            seen.append(seq)
+    assert len(seen) == 3
+    assert len(list(walk(loop, [(("v",), None)], 3, 3, lambda *_: None))) == 3
+
+    rng = random.Random(99)
+    for _ in range(10):
+        q = random_quiver(rng, max_vertices=4, extra_arrows=3)
+        start = [((v,), None) for v in q.vertices]
+        counts = Counter((s[0], s[-1]) for s in _brute_force_paths(q, set(q.vertices), 4))
+        most = max(counts.values())
+        assert len(list(walk(q, start, 4, most, lambda *_: None))) == sum(counts.values())
+        with pytest.raises(PathCapExceeded):
+            list(walk(q, start, 4, most - 1, lambda *_: None))
