@@ -12,9 +12,7 @@ import os
 import sys
 import tempfile
 
-from .action import ActionError, ClosureCapExceeded, close_group, require_schurian
-from .category import build_invariant_quiver
-from .engine import compute_profiles
+from .action import ActionError, ClosureCapExceeded, require_schurian
 from .fields import FieldError
 from .jobs import (
     ParseError,
@@ -23,7 +21,6 @@ from .jobs import (
     load_quiver,
     report_to_dict,
     run_pipeline,
-    schurian_diff,
 )
 from .quiver import PathCapExceeded, QuiverError
 from .reptype import classify
@@ -102,17 +99,12 @@ def cmd_classify(args) -> int:
 def cmd_schurian_check(args) -> int:
     job = load_job(args.input, _overrides(args))
     require_schurian(job.quiver)
-    elements = close_group(job.action)
-    table = compute_profiles(job.quiver, job.action, job.max_degree,
-                             path_cap=job.path_cap, elements=elements)
-    report = build_invariant_quiver(table)
-    diff = schurian_diff(job.quiver, elements, job.field, report,
-                         job.max_degree, job.path_cap)
-    if diff["agrees"]:
-        print(f"agree: {len(report.generators)} generator paths up to degree {job.max_degree}")
+    result = run_pipeline(job)
+    if result.schurian["agrees"]:
+        print(f"agree: {len(result.report.generators)} generator paths up to degree {job.max_degree}")
         return 0
     print("MISMATCH between the character fast path and the general engine:")
-    print(f"  first differing path: {diff['first_difference']}")
+    print(f"  first differing path: {result.schurian['first_difference']}")
     return 2
 
 

@@ -5,9 +5,11 @@ simultaneous kernel of (action - identity) over the group; it never uses
 averaging, so every characteristic is supported.  The composite subspace C
 is the span of all products of invariants of complementary sub-paths, and
 the irreducible subspace I is the canonical pivot-extension complement of
-C inside F.  The central correctness property, checked executably here, is
-that the tensor chains of irreducible subspaces along all 2^(n-1)
-compositions of n decompose F as a direct sum.
+C inside F.  That the irreducible tensor chains along all 2^(n-1)
+compositions of n decompose F directly is certified per path, by induction
+on sub-paths: C is built as a sum over cut points that must be direct, and
+dim I + dim C = dim F.  `verify_decomposition` checks it over all
+compositions, as the reference and to explain a failing path.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ class MissingSubPath(EngineError):
     pass
 
 
-@dataclass
+# slots: one instance per path; a __dict__ would add about 40 bytes to each
+@dataclass(slots=True)
 class StringInvariants:
     """The three nested subspaces attached to one path."""
 
@@ -108,25 +111,27 @@ def averaged_fixed_subspace(spec: ActionSpec, elements, path: Path) -> Subspace:
 
 def composite_subspace(spec: ActionSpec, path: Path, table: "ProfileTable") -> Subspace:
     """Span of the embedded products of sub-path invariants (zero in degree 1)."""
-    return _composite(spec.field, spec.quiver, path, table.profiles)
+    return _composite(spec.field, spec.quiver.path_space_dim(path), path, table.profiles)[0]
 
 
-def _composite(field, quiver: Quiver, path: Path, profiles) -> Subspace:
+def _composite(field, ambient: int, path: Path, profiles):
+    """C as the sum of F(top) (x) I(bottom) over cut points, and whether it is direct.
+
+    No freeness is assumed: F(bottom) = I(bottom) + C(bottom), and F(top) (x)
+    C(bottom) lies in the terms with shorter bottoms (invariants multiply).
+    """
     n = path.degree
-    ambient = quiver.path_space_dim(path)
-    total = Subspace.zero(field, ambient)
+    terms = []
     for i in range(1, n):
-        bottom = path.segment(0, i)
-        top = path.segment(i, n)
         try:
-            f_top = profiles[top].fixed
-            f_bottom = profiles[bottom].fixed
+            f_top = profiles[path.segment(i, n)].fixed
+            i_bottom = profiles[path.segment(0, i)].irreducible
         except KeyError as missing:
             raise MissingSubPath(f"profile for sub-path {missing.args[0]} not computed") from None
-        if f_top.dim == 0 or f_bottom.dim == 0:
-            continue
-        total = total + f_top.tensor(f_bottom)
-    return total
+        if f_top.dim and i_bottom.dim:
+            terms.append(f_top.tensor(i_bottom))
+    total = Subspace.span(field, ambient, terms)
+    return total, total.dim == sum(t.dim for t in terms)
 
 
 def irreducible_complement(path: Path, table: "ProfileTable") -> Subspace:
@@ -142,13 +147,14 @@ class ProfileTable:
     sub-path of a stored path is stored too.
     """
 
-    def __init__(self, quiver, spec, elements, max_degree, profiles, pairs):
+    def __init__(self, quiver, spec, elements, max_degree, profiles, pairs, uncertified):
         self.quiver = quiver
         self.spec = spec
         self.elements = elements
         self.max_degree = max_degree
         self.profiles = profiles
         self._pairs = pairs
+        self.uncertified = uncertified  # paths failing the freeness certificate, in walk order
 
     @property
     def field(self):
@@ -198,6 +204,7 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     field = spec.field
     profiles: dict[Path, StringInvariants] = {}
     pairs: dict[tuple, list] = {}
+    uncertified = []
 
     factors = {
         edge: [spec.edge_matrix(g, edge).sparse_rows() for g in gens]
@@ -213,8 +220,10 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     for seq, (ambient, cur) in walk(quiver, start, max_degree, path_cap, step):
         path = Path(seq)
         fixed = _fixed(field, ambient, cur)
-        composite = _composite(field, quiver, path, profiles)
+        composite, direct = _composite(field, ambient, path, profiles)
         irreducible = composite.complement_in(fixed)
+        if not direct or irreducible.dim + composite.dim != fixed.dim:
+            uncertified.append(path)
         profiles[path] = StringInvariants(
             path=path,
             space_dim=ambient,
@@ -225,7 +234,7 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
         pairs.setdefault((seq[0], seq[-1]), []).append(path)
 
     pairs = {k: tuple(v) for k, v in pairs.items()}
-    return ProfileTable(quiver, spec, tuple(elements), max_degree, profiles, pairs)
+    return ProfileTable(quiver, spec, tuple(elements), max_degree, profiles, pairs, uncertified)
 
 
 @dataclass

@@ -31,16 +31,29 @@ class WrongFieldKind(FieldError):
     """The requested operation needs a different kind of field."""
 
 
+# the least strong pseudoprime to all the prime bases up to 41
+PRIME_LIMIT = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# building Phi_n by exact division is quadratic in n: 0.03 s at n = 840, 1.7 s at 5040
+MAX_CYCLOTOMIC_ORDER = 1000
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin with the prime bases up to 41: exact below PRIME_LIMIT."""
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -390,6 +403,8 @@ class CyclotomicField:
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("cyclotomic order must be at least 2")
+        if n > MAX_CYCLOTOMIC_ORDER:
+            raise ValueError(f"cyclotomic order must be at most {MAX_CYCLOTOMIC_ORDER}, got {n}")
         self.n = n
         self.modulus = cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
@@ -497,8 +512,8 @@ class PrimeField:
     _RE = re.compile(r"[+-]?\d+$")
 
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if p >= PRIME_LIMIT or not is_prime(p):
+            raise ValueError(f"{p} is not a prime below {PRIME_LIMIT}")
         self.p = p
         self.characteristic = p
 

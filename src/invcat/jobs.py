@@ -51,13 +51,13 @@ def field_from_dict(data, ctx="field"):
         try:
             return CyclotomicField(n)
         except ValueError as err:
-            raise ParseError(f"{ctx}: {err}") from None
+            raise ParseError(f"{ctx}.n: {err}") from None
     if kind == "prime":
         p = _get(data, "p", ctx, int)
         try:
             return PrimeField(p)
         except ValueError as err:
-            raise ParseError(f"{ctx}: {err}") from None
+            raise ParseError(f"{ctx}.p: {err}") from None
     raise ParseError(f"{ctx}.kind: unknown field kind {kind!r}")
 
 

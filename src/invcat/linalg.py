@@ -355,9 +355,6 @@ class Subspace:
             for p, tail in self.rows.items()
         )
 
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.basis)
-
     def _sparse_rows(self):
         """Fresh full sparse rows, safe to hand to the kernel."""
         one = self.field.one()
@@ -369,18 +366,26 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch(f"k^{self.ambient_dim} vs k^{other.ambient_dim}")
 
-    def __add__(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        big, small = (self, other) if self.dim >= other.dim else (other, self)
-        if small.dim == 0:
-            return big
+    @classmethod
+    def span(cls, field, ambient_dim, spaces) -> "Subspace":
+        """The sum of a sequence of subspaces, inserted into the largest one's pivots."""
+        big = cls.zero(field, ambient_dim)
+        for space in spaces:
+            big._check_compatible(space)
+            if space.dim > big.dim:
+                big = space
         pivots = {p: dict(tail) for p, tail in big.rows.items()}
-        one = self.field.one()
-        for row in small._sparse_rows():
-            _insert(pivots, row, one)
+        one = field.one()
+        for space in spaces:
+            if space is not big:
+                for row in space._sparse_rows():
+                    _insert(pivots, row, one)
         if len(pivots) == big.dim:
             return big
-        return Subspace._canonical(self.field, self.ambient_dim, dict(sorted(pivots.items())))
+        return cls._canonical(field, ambient_dim, dict(sorted(pivots.items())))
+
+    def __add__(self, other: "Subspace") -> "Subspace":
+        return Subspace.span(self.field, self.ambient_dim, (self, other))
 
     def annihilator(self) -> "Subspace":
         """All functionals (as coordinate vectors) vanishing on this subspace."""

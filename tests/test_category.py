@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -13,9 +14,11 @@ from invcat.category import (
     verify_cleaving_schurian,
     verify_freeness,
 )
+from invcat.cli import main
 from invcat.engine import compute_profiles
 from invcat.fields import CyclotomicField, QQ
-from invcat.linalg import Matrix
+from invcat.jobs import load_job, report_to_dict, run_pipeline
+from invcat.linalg import Matrix, Subspace
 from invcat.quiver import Quiver
 
 from instances import character_action, crown_quiver, random_acyclic_quiver
@@ -221,6 +224,24 @@ def test_freeness_catches_wrong_generators():
     verdict = verify_freeness(table, broken)
     assert not verdict.holds
     assert verdict.series_mismatches
+
+
+def test_failed_certificate_is_explained_by_the_composition_check(monkeypatch, tmp_path):
+    # a broken complement makes every irreducible space the whole fixed
+    # space; the certificate must fail on the same paths, with the same
+    # details, as running the composition check on every path did
+    monkeypatch.setattr(Subspace, "complement_in", lambda self, whole: whole)
+    job = pathlib.Path(__file__).resolve().parent.parent / "demos" / "inputs" / "swap_loop.json"
+    freeness = report_to_dict(run_pipeline(load_job(str(job))))["freeness"]
+    assert freeness["holds"] is False
+    assert freeness["decomposition_failures"] == [
+        {
+            "path": ["v"] * (d + 1),
+            "detail": f"dimension identity fails: sum {3 ** (d - 1)}, fixed {2 ** (d - 1)}",
+        }
+        for d in range(2, 7)
+    ]
+    assert main(["compute", "--input", str(job), "--out", str(tmp_path / "r.json")]) == 2
 
 
 def test_cleaving_crown():

@@ -1,7 +1,11 @@
 import json
+import time
+
+import pytest
 
 from invcat.cli import main
-from invcat.jobs import parse_job
+from invcat.fields import MAX_CYCLOTOMIC_ORDER, PRIME_LIMIT
+from invcat.jobs import ParseError, parse_job
 
 
 CROWN3 = {
@@ -374,3 +378,22 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert main(["compute", "--input", job, "--out", str(tmp_path / "missing" / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "internal error" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p", 2 ** 61 - 1),  # trial division did not finish in 10 s
+    ("p", PRIME_LIMIT),
+    ("n", 720720),  # building Phi_n by exact division did not finish in 10 s
+    ("n", 1000000),
+    ("n", MAX_CYCLOTOMIC_ORDER),
+])
+def test_field_parameter_parsed_or_rejected_within_a_second(key, value):
+    data = _with(SWAP_F2 if key == "p" else CROWN3, ["field", key], value)
+    start = time.perf_counter()
+    try:
+        job = parse_job(data)
+    except ParseError as err:
+        assert str(err).startswith(f"field.{key}: "), str(err)
+    else:
+        assert getattr(job.field, key) == value
+    assert time.perf_counter() - start < 1.0

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from invcat import category
 from invcat.cli import main
+from invcat.engine import verify_decomposition
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = DEMOS.parent / "src"
@@ -29,10 +31,34 @@ def test_demo_script_runs(script):
 
 
 @pytest.mark.parametrize("job", sorted(p.name for p in (DEMOS / "inputs").glob("*.json")))
-def test_demo_job_computes(job, tmp_path):
+def test_demo_job_computes(job, tmp_path, monkeypatch):
+    # on a passing run the freeness certificate suffices: the composition
+    # enumeration runs only to explain a failing path
+    calls = []
+
+    def counted(path, table):
+        calls.append(path)
+        return verify_decomposition(path, table)
+
+    monkeypatch.setattr(category, "verify_decomposition", counted)
     out = tmp_path / "report.json"
     assert main(["compute", "--input", str(DEMOS / "inputs" / job), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["freeness"]["holds"] is True
+    assert calls == []
+
+
+# the other inputs have an arrow space of dimension 2
+SCHURIAN_INPUTS = {"crown3.json", "sign_line_f5.json"}
+
+
+@pytest.mark.parametrize("job", sorted(p.name for p in (DEMOS / "inputs").glob("*.json")))
+def test_demo_job_schurian_check(job, capsys):
+    code = main(["schurian-check", "--input", str(DEMOS / "inputs" / job)])
+    captured = capsys.readouterr()
+    if job in SCHURIAN_INPUTS:
+        assert code == 0 and captured.out.startswith("agree:"), captured
+    else:
+        assert code == 1 and "not Schurian" in captured.err, captured
 
 
 def test_demos_found():

@@ -500,3 +500,31 @@ def test_compute_profiles_path_cap():
     assert len(table.paths_between("t0", "t1")) == len(table.paths_between("t0", "t0")) == 3
     with pytest.raises(PathCapExceeded, match="more than 3 paths from 't0' to 't1'"):
         compute_profiles(q, spec, 7, path_cap=3)
+
+
+def test_composite_terms_match_full_fixed_products_on_random_instances():
+    # composites are built from F(top) (x) I(bottom); summing F(top) (x)
+    # F(bottom) one term at a time with Subspace.__add__ must give the same space
+    fields = [QQ, CyclotomicField(3), PrimeField(2), PrimeField(3)]
+    rng = random.Random(4711)
+    instances = paths = 0
+    while instances < 40:
+        field = fields[instances % 4]
+        q = random_quiver(rng, max_vertices=4, max_dim=3, extra_arrows=3)
+        drawn = random_action(q, field, rng, rng.randint(1, 2), 24)
+        if drawn is None:
+            continue
+        spec, elements = drawn
+        instances += 1
+        table = compute_profiles(q, spec, rng.randint(2, 4), elements=elements)
+        assert table.uncertified == []
+        for path in table.all_paths():
+            expected = Subspace.zero(field, table.profile(path).space_dim)
+            for i in range(1, path.degree):
+                f_top = table.profile(path.segment(i, path.degree)).fixed
+                f_bottom = table.profile(path.segment(0, i)).fixed
+                expected = expected + f_top.tensor(f_bottom)
+            assert composite_subspace(spec, path, table) == expected
+            assert table.profile(path).composite == expected
+            paths += 1
+    assert paths > 100

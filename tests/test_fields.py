@@ -12,6 +12,7 @@ from invcat.fields import (
     WrongFieldKind,
     cyclotomic_polynomial,
     euler_phi,
+    is_prime,
     primitive_root,
 )
 
@@ -182,3 +183,16 @@ def test_parse_reduces_huge_exponents_mod_n(n):
     field = CyclotomicField(n)
     assert field.parse("z^1000000000000") == field.zeta() ** (10**12 % n)
     assert field.parse("2*z^1000000000001-z^5") == 2 * field.zeta() ** ((10**12 + 1) % n) - field.zeta() ** (5 % n)
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [
+        n for n in range(-3, 20000) if by_trial_division(n)
+    ]
+    # strong pseudoprimes to every prime base up to 7, 23 and 37 in turn
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 14 + 31)

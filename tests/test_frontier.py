@@ -68,3 +68,15 @@ def test_swap_loop_over_f2_degree_ten():
     # the characteristic divides the group order; N = 2^10 = 1024 in degree 10
     fixed = check_frontier({"kind": "prime", "p": 2}, 2, [(1, 0)], 10)
     assert fixed == [2 ** (d - 1) for d in range(1, 11)]
+
+
+def test_s3_words_over_q_degree_seven():
+    # N = 3^7 = 2187; the freeness certificate covers every degree
+    fixed = check_frontier({"kind": "rationals"}, 3, [(1, 0, 2), (1, 2, 0)], 7)
+    assert fixed == [1, 2, 5, 14, 41, 122, 365]
+
+
+def test_swap_loop_over_f2_degree_twelve():
+    # N = 2^12 = 4096 in degree 12, with freeness certified at every degree
+    fixed = check_frontier({"kind": "prime", "p": 2}, 2, [(1, 0)], 12)
+    assert fixed == [2 ** (d - 1) for d in range(1, 13)]
