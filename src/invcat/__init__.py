@@ -67,10 +67,7 @@ from .engine import (
     StringInvariants,
     averaged_fixed_subspace,
     compositions,
-    composite_subspace,
     compute_profiles,
-    fixed_subspace,
-    irreducible_complement,
     schurian_generators,
     verify_decomposition,
 )

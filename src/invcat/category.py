@@ -298,7 +298,7 @@ def verify_cleaving_schurian(quiver: Quiver, chars: CharacterTable, max_degree: 
             if u_inv == w_inv:
                 continue
             composed = w[:-1] + u
-            if chars.is_invariant(Path(composed)):
+            if flags[composed]:
                 violations.append(
                     CleavingViolation(
                         invariant=Path(u if u_inv else w),

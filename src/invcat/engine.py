@@ -1,5 +1,6 @@
 """Per-path invariant profiles: fixed, composite and irreducible subspaces.
 
+`compute_profiles` folds each path's sparse action rows over `quiver.walk`.
 For a path of degree n with tensor space V, the fixed subspace F is the
 simultaneous kernel of (action - identity) over the group; it never uses
 averaging, so every characteristic is supported.  The composite subspace C
@@ -9,16 +10,18 @@ C inside F.  That the irreducible tensor chains along all 2^(n-1)
 compositions of n decompose F directly is certified per path, by induction
 on sub-paths: C is built as a sum over cut points that must be direct, and
 dim I + dim C = dim F.  `verify_decomposition` checks it over all
-compositions, as the reference and to explain a failing path.
+compositions, as the reference and to explain a failing path;
+`averaged_fixed_subspace` is the reference for F.  `schurian_generators`
+folds characters instead and stops the walk at invariant paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .action import ActionSpec, CharacterTable, act_on_path, close_group
+from .action import ActionSpec, CharacterTable, act_on_path
 from .linalg import Matrix, Subspace, kernel_of_rows, tensor_rows
-from .quiver import DEFAULT_PATH_CAP, Path, Quiver, walk
+from .quiver import DEFAULT_PATH_CAP, PRUNE, Path, Quiver, walk
 
 
 class EngineError(Exception):
@@ -49,22 +52,6 @@ def compositions(n: int):
     for first in range(1, n + 1):
         for rest in compositions(n - first):
             yield (first,) + rest
-
-
-def fixed_subspace(spec: ActionSpec, elements, path: Path) -> Subspace:
-    """Common fixed subspace of the given elements on the path's tensor space."""
-    ambient = spec.quiver.path_space_dim(path)
-    return _fixed(spec.field, ambient, [_path_rows(spec, g, path) for g in elements])
-
-
-def _path_rows(spec: ActionSpec, element, path: Path):
-    """Sparse rows of the action on a path, built from the per-arrow factors."""
-    acc = [{0: spec.field.one()}]
-    width = 1
-    for edge in path.edges():
-        acc = tensor_rows(spec.edge_matrix(element, edge).sparse_rows(), acc, width)
-        width *= spec.quiver.dim(*edge)
-    return acc
 
 
 def _fixed(field, ambient: int, actions) -> Subspace:
@@ -109,11 +96,6 @@ def averaged_fixed_subspace(spec: ActionSpec, elements, path: Path) -> Subspace:
     )
 
 
-def composite_subspace(spec: ActionSpec, path: Path, table: "ProfileTable") -> Subspace:
-    """Span of the embedded products of sub-path invariants (zero in degree 1)."""
-    return _composite(spec.field, spec.quiver.path_space_dim(path), path, table.profiles)[0]
-
-
 def _composite(field, ambient: int, path: Path, profiles):
     """C as the sum of F(top) (x) I(bottom) over cut points, and whether it is direct.
 
@@ -123,21 +105,12 @@ def _composite(field, ambient: int, path: Path, profiles):
     n = path.degree
     terms = []
     for i in range(1, n):
-        try:
-            f_top = profiles[path.segment(i, n)].fixed
-            i_bottom = profiles[path.segment(0, i)].irreducible
-        except KeyError as missing:
-            raise MissingSubPath(f"profile for sub-path {missing.args[0]} not computed") from None
+        f_top = profiles[path.segment(i, n)].fixed
+        i_bottom = profiles[path.segment(0, i)].irreducible
         if f_top.dim and i_bottom.dim:
             terms.append(f_top.tensor(i_bottom))
     total = Subspace.span(field, ambient, terms)
     return total, total.dim == sum(t.dim for t in terms)
-
-
-def irreducible_complement(path: Path, table: "ProfileTable") -> Subspace:
-    """The canonical complement of the composites inside the fixed subspace."""
-    prof = table.profiles[path]
-    return prof.composite.complement_in(prof.fixed)
 
 
 class ProfileTable:
@@ -147,10 +120,9 @@ class ProfileTable:
     sub-path of a stored path is stored too.
     """
 
-    def __init__(self, quiver, spec, elements, max_degree, profiles, pairs, uncertified):
+    def __init__(self, quiver, spec, max_degree, profiles, pairs, uncertified):
         self.quiver = quiver
         self.spec = spec
-        self.elements = elements
         self.max_degree = max_degree
         self.profiles = profiles
         self._pairs = pairs
@@ -185,8 +157,7 @@ class ProfileTable:
 
 
 def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
-                     path_cap: int = DEFAULT_PATH_CAP,
-                     elements=None) -> ProfileTable:
+                     path_cap: int = DEFAULT_PATH_CAP) -> ProfileTable:
     """Profiles for every path of every hom-pair up to the degree bound.
 
     Walks all sources in one pass of degree waves, so every proper sub-path
@@ -198,8 +169,6 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    if elements is None:
-        elements = close_group(spec)
     gens = spec.generator_elements
     field = spec.field
     profiles: dict[Path, StringInvariants] = {}
@@ -234,7 +203,7 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
         pairs.setdefault((seq[0], seq[-1]), []).append(path)
 
     pairs = {k: tuple(v) for k, v in pairs.items()}
-    return ProfileTable(quiver, spec, tuple(elements), max_degree, profiles, pairs, uncertified)
+    return ProfileTable(quiver, spec, max_degree, profiles, pairs, uncertified)
 
 
 @dataclass
@@ -308,21 +277,24 @@ def schurian_generators(quiver: Quiver, chars: CharacterTable, max_degree: int,
 
     A path is invariant when the product of its edge characters is the
     trivial character, and irreducible when additionally no proper
-    nonempty prefix is invariant.  The cap counts every walked path per
-    hom-pair, not only the generators.
+    nonempty prefix is invariant.  The walk stops at invariant paths, as
+    no extension of one is irreducible; the cap counts the paths walked
+    per hom-pair, those with no invariant proper nonempty prefix.
     """
-    # state: (character values, invariant, some proper nonempty prefix is invariant)
+    # state: (character values, invariant)
     def step(state, edge):
-        vals, invariant, tainted = state
+        vals, invariant = state
+        if invariant:
+            return PRUNE
         cur = chars.extend(vals, edge)
-        return cur, all(v == 1 for v in cur), tainted or invariant
+        return cur, all(v == 1 for v in cur)
 
     ones = tuple(chars.field.one() for _ in chars.elements)
     out: dict[tuple, list] = {}
     # one source at a time keeps only that source's waves alive
     for source in quiver.vertices:
-        start = [((source,), (ones, False, False))]
-        for seq, (_, invariant, tainted) in walk(quiver, start, max_degree, path_cap, step):
-            if invariant and not tainted:
+        start = [((source,), (ones, False))]
+        for seq, (_, invariant) in walk(quiver, start, max_degree, path_cap, step):
+            if invariant:
                 out.setdefault((source, seq[-1]), []).append(Path(seq))
     return out

@@ -22,6 +22,8 @@ from .reptype import classify, classify_invariants
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_DEGREE = 6
+# the report holds a hom series of max_degree + 1 entries for every vertex pair
+MAX_SERIES_ENTRIES = 10**6
 
 
 class ParseError(Exception):
@@ -222,6 +224,12 @@ def parse_job(data, overrides=None) -> JobSpec:
     ):
         if value is not None and value < least:
             raise ParseError(f"options.{key}: must be at least {least}, got {value}")
+    entries = len(quiver.vertices) ** 2 * (max_degree + 1)
+    if entries > MAX_SERIES_ENTRIES:
+        raise ParseError(
+            f"options.max_degree: {max_degree} gives {entries} hom series entries"
+            f" over {len(quiver.vertices)} vertices, more than {MAX_SERIES_ENTRIES}"
+        )
     action = action_from_dict(
         _get(data, "action", "job", dict, required=False, default={"generators": []}),
         quiver,
@@ -344,10 +352,7 @@ class PipelineResult:
 def run_pipeline(job: JobSpec) -> PipelineResult:
     start = time.perf_counter()
     elements = close_group(job.action)
-    table = compute_profiles(
-        job.quiver, job.action, job.max_degree,
-        path_cap=job.path_cap, elements=elements,
-    )
+    table = compute_profiles(job.quiver, job.action, job.max_degree, path_cap=job.path_cap)
     report = build_invariant_quiver(table)
     freeness = verify_freeness(table, report, verify_depth=job.verify_depth)
     input_classification = classify(job.quiver)

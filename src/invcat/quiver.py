@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 
 DEFAULT_PATH_CAP = 100_000
+# returned by a walk step to drop that extension: a state of None is a valid fold
+PRUNE = object()
 
 
 class QuiverError(Exception):
@@ -153,18 +155,22 @@ def walk(quiver: Quiver, start, max_degree: int, path_cap: int, step):
     lexicographic vertex-index order.  Yields (vertex tuple, state) one
     degree wave at a time; each wave is extended in `out_neighbors` order,
     so within a degree the paths stay in lexicographic order.  A path's
-    state is step(prefix state, (target, source)) for its last edge.
-    Counts per (source, target) pair are capped; exceeding the cap is an
-    error, never silent truncation.
+    state is step(prefix state, (target, source)) for its last edge; a step
+    that returns PRUNE drops the path, which is then neither yielded, nor
+    extended, nor counted.  Counts per (source, target) pair are capped;
+    exceeding the cap is an error, never silent truncation.
     """
     counts = Counter()
     # a dict holds a wave in less memory than a list of (seq, state) tuples
     wave = dict(start)
-    for _degree in range(max_degree):
+    for degree in range(1, max_degree + 1):
         new = {}
         for seq, state in wave.items():
             v = seq[-1]
             for w in quiver.out_neighbors(v):
+                ext_state = step(state, (w, v))
+                if ext_state is PRUNE:
+                    continue
                 pair = (seq[0], w)
                 counts[pair] += 1
                 if counts[pair] > path_cap:
@@ -172,7 +178,8 @@ def walk(quiver: Quiver, start, max_degree: int, path_cap: int, step):
                         f"more than {path_cap} paths from {seq[0]!r} to {w!r}"
                     )
                 ext = seq + (w,)
-                new[ext] = ext_state = step(state, (w, v))
+                if degree < max_degree:  # the last wave is never extended
+                    new[ext] = ext_state
                 yield ext, ext_state
         if not new:
             return

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .action import ActionSpec
-from .engine import fixed_subspace
+from .engine import compute_profiles
 from .quiver import Multigraph, Path, Quiver, underlying_multigraph
 
 
@@ -218,7 +218,7 @@ def kronecker_invariants(spec: ActionSpec) -> str:
         raise WrongShape("expected two vertices joined by one 2-dimensional arrow space")
     target, source = edges[0]
     path = Path((source, target))
-    fixed = fixed_subspace(spec, spec.generator_elements, path)
+    fixed = compute_profiles(quiver, spec, 1).profile(path).fixed
     if fixed.dim == 2:
         return KRONECKER_AGAIN
     if fixed.dim == 1:

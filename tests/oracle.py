@@ -88,3 +88,25 @@ def complement(field, part, whole, ncols):
     coords = [[row[p] for p in pivots] for row in part]
     _, used = rref(field, coords, len(pivots))
     return tuple(row for j, row in enumerate(whole) if j not in used)
+
+
+def cyclotomic_polynomial(n):
+    """Phi_n by dividing x^n - 1 by Phi_d for every proper divisor d of n.
+
+    Quadratic in n; ascending integer coefficients, as a tuple.
+    """
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
+            continue
+        den = cyclotomic_polynomial(d)
+        dn = len(den) - 1
+        quot = [0] * (len(poly) - dn)
+        for i in range(len(quot) - 1, -1, -1):
+            c = poly[i + dn]
+            quot[i] = c
+            for j, x in enumerate(den):
+                poly[i + j] -= c * x
+        assert not any(poly), "x^n - 1 is divisible by Phi_d"
+        poly = quot
+    return tuple(poly)

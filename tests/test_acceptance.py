@@ -130,7 +130,7 @@ def test_criterion_3_decomposition_property_suite():
     for spec, elements, max_degree in work:
         if isinstance(spec.field, PrimeField) and spec.field.p == 2 and len(elements) % 2 == 0:
             f2_even_order += 1
-        table = compute_profiles(spec.quiver, spec, max_degree, elements=elements)
+        table = compute_profiles(spec.quiver, spec, max_degree)
         for path in table.all_paths():
             verdict = verify_decomposition(path, table)
             assert verdict.holds, (

@@ -397,3 +397,26 @@ def test_field_parameter_parsed_or_rejected_within_a_second(key, value):
     else:
         assert getattr(job.field, key) == value
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("field, entry", [
+    ({"kind": "rationals"}, "1/0"),
+    ({"kind": "cyclotomic", "n": 3}, "z+1/0"),
+    ({"kind": "cyclotomic", "n": 3}, "3*"),
+    ({"kind": "prime", "p": 5}, "٣"),
+])
+def test_bad_scalar_entry_exits_one_with_key_path(tmp_path, capsys, field, entry):
+    bad = _with(KRONECKER_TRIVIAL, ["field"], field)
+    bad["action"]["generators"] = [{"name": "s", "matrices": {"y<-x": [["1", "0"], ["0", entry]]}}]
+    assert _compute_exit(tmp_path, bad) == 1
+    err = capsys.readouterr().err
+    assert "action.generators[0].matrices['y<-x'][1][1]: " in err
+    assert "internal error" not in err
+
+
+def test_series_size_cap_in_file_and_flag(tmp_path, capsys):
+    # three vertices: 9 * (max_degree + 1) entries may not pass 10**6
+    assert parse_job(_with(CROWN3, ["options", "max_degree"], 111_110)).max_degree == 111_110
+    fragment = "options.max_degree: 111111 gives 1000008 hom series entries over 3 vertices"
+    _rejected_in_file_and_flag(tmp_path, capsys, "max_degree", "--max-degree", 111_111, fragment)
+    _rejected(_with(KRONECKER_TRIVIAL, ["options", "max_degree"], 10**6), "options.max_degree: ")

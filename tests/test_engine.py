@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,16 +9,13 @@ from invcat.engine import (
     MissingSubPath,
     averaged_fixed_subspace,
     compositions,
-    composite_subspace,
     compute_profiles,
-    fixed_subspace,
-    irreducible_complement,
     schurian_generators,
     verify_decomposition,
 )
 from invcat.fields import CyclotomicField, PrimeField, QQ
 from invcat.linalg import Matrix, Subspace
-from invcat.quiver import PathCapExceeded, Quiver
+from invcat.quiver import Path, PathCapExceeded, Quiver
 
 import oracle
 from instances import (
@@ -66,23 +64,24 @@ def test_fixed_subspace_trivial_group_is_everything():
     q, spec = swap_loop_spec()
     trivial = ActionSpec(q, QQ, [])
     path = q.path(["v", "v", "v"])
-    assert fixed_subspace(trivial, close_group(trivial), path) == Subspace.full(QQ, 4)
+    assert compute_profiles(q, trivial, 2).profile(path).fixed == Subspace.full(QQ, 4)
 
 
 def test_fixed_subspace_crown_degree_one_is_zero():
     q, _, spec = crown_spec(3)
     path = q.path(["t0", "t1"])
-    assert fixed_subspace(spec, close_group(spec), path).dim == 0
+    assert compute_profiles(q, spec, 1).profile(path).fixed.dim == 0
 
 
 def test_fixed_subspace_swap_degree_one():
     q, spec = swap_loop_spec()
     path = q.path(["v", "v"])
-    fixed = fixed_subspace(spec, close_group(spec), path)
+    fixed = compute_profiles(q, spec, 1).profile(path).fixed
     assert fixed.basis == ((Fraction(1), Fraction(1)),)
 
 
 def test_fixed_subspace_generators_agree_with_closure():
+    # the engine intersects over the generators only; the oracle over the closure
     rng = random.Random(321)
     fields = [QQ, CyclotomicField(3), PrimeField(2), PrimeField(5)]
     done = 0
@@ -93,16 +92,9 @@ def test_fixed_subspace_generators_agree_with_closure():
         if drawn is None:
             continue
         spec, elements = drawn
-        for x in q.vertices:
-            for y in q.vertices:
-                from invcat.quiver import enumerate_paths
-
-                for path in enumerate_paths(q, x, y, 3):
-                    if path.degree == 0:
-                        continue
-                    a = fixed_subspace(spec, spec.generator_elements, path)
-                    b = fixed_subspace(spec, elements, path)
-                    assert a == b
+        table = compute_profiles(q, spec, 3)
+        for path in table.all_paths():
+            assert table.profile(path).fixed.basis == _brute_fixed(q, spec, elements, path)
         done += 1
 
 
@@ -119,16 +111,11 @@ def test_averaging_cross_check_agrees_with_kernels():
         spec, elements = drawn
         if field.characteristic and len(elements) % field.characteristic == 0:
             continue
-        from invcat.quiver import enumerate_paths
-
-        for x in q.vertices:
-            for y in q.vertices:
-                for path in enumerate_paths(q, x, y, 3):
-                    if path.degree == 0:
-                        continue
-                    kernel_route = fixed_subspace(spec, elements, path)
-                    average_route = averaged_fixed_subspace(spec, elements, path)
-                    assert kernel_route == average_route
+        table = compute_profiles(q, spec, 3)
+        for path in table.all_paths():
+            kernel_route = table.profile(path).fixed
+            average_route = averaged_fixed_subspace(spec, elements, path)
+            assert kernel_route == average_route
         done += 1
 
 
@@ -145,21 +132,21 @@ def test_composite_degree_one_is_zero():
     q, spec = swap_loop_spec()
     table = compute_profiles(q, spec, 2)
     path = q.path(["v", "v"])
-    assert composite_subspace(spec, path, table).dim == 0
+    assert table.profile(path).composite.dim == 0
 
 
 def test_composite_crown_degree_three_is_zero():
     q, _, spec = crown_spec(3)
     table = compute_profiles(q, spec, 3)
     path = q.path(["t0", "t1", "t2", "t0"])
-    assert composite_subspace(spec, path, table).dim == 0
+    assert table.profile(path).composite.dim == 0
 
 
 def test_composite_swap_degree_two_brute_force():
     q, spec = swap_loop_spec()
     table = compute_profiles(q, spec, 2)
     path = q.path(["v", "v", "v"])
-    comp = composite_subspace(spec, path, table)
+    comp = table.profile(path).composite
     # (1,1) tensor (1,1) expands to (1,1,1,1)
     expected = Subspace.from_vectors(QQ, 4, [[Fraction(1)] * 4])
     assert comp == expected
@@ -168,9 +155,9 @@ def test_composite_swap_degree_two_brute_force():
 def test_missing_subpath_error():
     q, spec = swap_loop_spec()
     table = compute_profiles(q, spec, 1)
-    path = q.path(["v", "v", "v", "v"])  # needs degree-2 sub-profiles
+    path = q.path(["v", "v", "v", "v"])  # beyond the degree bound
     with pytest.raises(MissingSubPath):
-        composite_subspace(spec, path, table)
+        table.profile(path)
 
 
 def test_irreducible_examples():
@@ -180,7 +167,7 @@ def test_irreducible_examples():
     assert deg1.irreducible == deg1.fixed
     deg2 = table.profile(q.path(["v", "v", "v"]))
     assert (deg2.fixed.dim, deg2.composite.dim, deg2.irreducible.dim) == (2, 1, 1)
-    assert irreducible_complement(deg2.path, table) == deg2.irreducible
+    assert deg2.composite.complement_in(deg2.fixed) == deg2.irreducible
 
     qc, _, specc = crown_spec(3)
     tablec = compute_profiles(qc, specc, 3)
@@ -243,8 +230,8 @@ def test_direct_sum_invariant_random():
         drawn = random_action(q, field, rng, rng.randint(1, 2), 24)
         if drawn is None:
             continue
-        spec, elements = drawn
-        table = compute_profiles(q, spec, 3, elements=elements)
+        spec, _ = drawn
+        table = compute_profiles(q, spec, 3)
         for path in table.all_paths():
             prof = table.profile(path)
             assert prof.composite.is_subspace_of(prof.fixed)
@@ -323,6 +310,48 @@ def test_schurian_generators_trivial_characters_are_arrows():
     )
 
 
+def _brute_schurian_generators(q, chars, max_degree):
+    """Invariant paths with no invariant proper nonempty prefix, over all vertex tuples."""
+    out = {}
+    for d in range(1, max_degree + 1):
+        for seq in itertools.product(q.vertices, repeat=d + 1):
+            if not all(q.dim(b, a) for a, b in zip(seq, seq[1:])):
+                continue
+            prefixes = [Path(seq[: i + 1]) for i in range(1, d + 1)]
+            if chars.is_invariant(prefixes[-1]) and not any(map(chars.is_invariant, prefixes[:-1])):
+                out.setdefault((seq[0], seq[-1]), []).append(Path(seq))
+    return out
+
+
+def test_schurian_generators_match_brute_force_on_random_instances():
+    rng = random.Random(60221)
+    found = 0
+    for k in range(24):
+        q = random_quiver(rng, max_vertices=4, max_dim=1, extra_arrows=3)
+        if k % 2:
+            q = Quiver(tuple(reversed(q.vertices)), {e: q.dim(*e) for e in q.track_edges()})
+        spec = character_action(q, rng.choice([1, 2, 3, 4, 6]), rng)
+        chars = extract_characters(q, close_group(spec), spec.field)
+        gens = schurian_generators(q, chars, 5)
+        assert gens == _brute_schurian_generators(q, chars, 5)
+        found += sum(map(len, gens.values()))
+    assert found > 50
+
+
+def test_schurian_walk_cap_counts_only_paths_without_invariant_prefix():
+    # every hom-pair of the 3-crown has one path in degrees d, d + 3, ...; the
+    # walk stops at the degree-3 cycles, so one path per pair is walked
+    q, _, spec = crown_spec(3)
+    chars = extract_characters(q, close_group(spec))
+    with pytest.raises(PathCapExceeded):
+        compute_profiles(q, spec, 6, path_cap=1)
+    gens = schurian_generators(q, chars, 6, path_cap=1)
+    assert gens == schurian_generators(q, chars, 6)
+    assert sorted(p.vertices for bucket in gens.values() for p in bucket) == [
+        ("t0", "t1", "t2", "t0"), ("t1", "t2", "t0", "t1"), ("t2", "t0", "t1", "t2"),
+    ]
+
+
 def _brute_action_matrix(q, spec, element, path):
     """The path action built by explicit index arithmetic, no tensor calls.
 
@@ -381,7 +410,7 @@ def test_profiles_match_independent_brute_force():
         if drawn is None:
             continue
         spec, elements = drawn
-        table = compute_profiles(q, spec, 3, elements=elements)
+        table = compute_profiles(q, spec, 3)
         for path in table.all_paths():
             prof = table.profile(path)
             fixed = _brute_fixed(q, spec, elements, path)
@@ -514,9 +543,9 @@ def test_composite_terms_match_full_fixed_products_on_random_instances():
         drawn = random_action(q, field, rng, rng.randint(1, 2), 24)
         if drawn is None:
             continue
-        spec, elements = drawn
+        spec, _ = drawn
         instances += 1
-        table = compute_profiles(q, spec, rng.randint(2, 4), elements=elements)
+        table = compute_profiles(q, spec, rng.randint(2, 4))
         assert table.uncertified == []
         for path in table.all_paths():
             expected = Subspace.zero(field, table.profile(path).space_dim)
@@ -524,7 +553,6 @@ def test_composite_terms_match_full_fixed_products_on_random_instances():
                 f_top = table.profile(path.segment(i, path.degree)).fixed
                 f_bottom = table.profile(path.segment(0, i)).fixed
                 expected = expected + f_top.tensor(f_bottom)
-            assert composite_subspace(spec, path, table) == expected
             assert table.profile(path).composite == expected
             paths += 1
     assert paths > 100

@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invcat.fields import (
     CyclotomicField,
@@ -15,6 +17,8 @@ from invcat.fields import (
     is_prime,
     primitive_root,
 )
+
+import oracle
 
 
 C3 = CyclotomicField(3)
@@ -157,9 +161,43 @@ def test_format_round_trips_random_values(field):
 
 
 def test_parse_rejects_garbage():
-    for field, text in [(QQ, "1.5"), (QQ, "z"), (C3, "z^"), (C3, ""), (F5, "2/3")]:
+    for field, text in [
+        (QQ, "1.5"), (QQ, "z"), (C3, "z^"), (C3, ""), (F5, "2/3"),
+        # a zero denominator, a dangling '*' and non-ASCII digits
+        (QQ, "1/0"), (C3, "z+1/0"), (C3, "0/0*z"), (C3, "3*"), (C3, "z-3*"),
+        (QQ, "\u0663"), (F5, "\u0663"), (C3, "\u0663"), (C3, "z^\u0663"),
+    ]:
         with pytest.raises(ValueError):
             field.parse(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([QQ, C3, F5]), st.text(alphabet="0123456789/+-*z^ ", max_size=12))
+def test_parse_raises_only_value_error(field, text):
+    try:
+        value = field.parse(text)
+    except ValueError:
+        return
+    assert field.parse(field.format(value)) == value
+
+
+def test_cyclotomic_polynomial_matches_division_oracle():
+    for n in range(1, 400):
+        assert cyclotomic_polynomial(n) == oracle.cyclotomic_polynomial(n), n
+        assert euler_phi(n) == len(oracle.cyclotomic_polynomial(n)) - 1
+
+
+def test_cyclotomic_polynomial_of_large_order_is_fast():
+    # the division construction took over 50 s at n = 27720
+    start = time.perf_counter()
+    phi = cyclotomic_polynomial.__wrapped__(27720)
+    assert time.perf_counter() - start < 1.0
+    assert len(phi) - 1 == 5760 and phi[0] == phi[-1] == 1
+
+
+def test_cyclotomic_zero_and_one_are_shared():
+    assert C3.zero() is C3.zero() and C3.one() is C3.one()
+    assert not C3.zero() and C3.one() == 1
 
 
 def test_cyclotomic_reduction_of_high_powers():

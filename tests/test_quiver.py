@@ -7,6 +7,7 @@ import pytest
 from invcat.fields import QQ
 from invcat.linalg import Matrix
 from invcat.quiver import (
+    PRUNE,
     CyclicQuiver,
     Path,
     PathCapExceeded,
@@ -217,3 +218,35 @@ def test_walk_cap_raises_at_exactly_cap_plus_one():
         assert len(list(walk(q, start, 4, most, lambda *_: None))) == sum(counts.values())
         with pytest.raises(PathCapExceeded):
             list(walk(q, start, 4, most - 1, lambda *_: None))
+
+
+def test_walk_prune_matches_brute_force():
+    # a pruned path is not yielded, not extended and not counted against the cap
+    rng = random.Random(2718)
+    fewer = 0
+    for k in range(25):
+        q = random_quiver(rng, max_vertices=4, max_dim=2, extra_arrows=3)
+        every = _brute_force_paths(q, set(q.vertices), 4)
+        blocked = set(rng.sample(every, len(every) // 4))
+
+        def step(state, edge):
+            ext = state + (edge[0],)
+            return PRUNE if ext in blocked else ext
+
+        expected = [
+            seq for seq in every
+            if not any(seq[: i + 1] in blocked for i in range(1, len(seq)))
+        ]
+        start = [((v,), (v,)) for v in q.vertices]
+        walked = list(walk(q, start, 4, 100_000, step))
+        assert all(seq == state for seq, state in walked)
+        assert [seq for seq, _ in walked] == expected
+        counts = Counter((s[0], s[-1]) for s in expected)
+        most = max(counts.values(), default=0)
+        if not most:
+            continue
+        fewer += most < max(Counter((s[0], s[-1]) for s in every).values())
+        assert len(list(walk(q, start, 4, most, step))) == len(expected)
+        with pytest.raises(PathCapExceeded):
+            list(walk(q, start, 4, most - 1, step))
+    assert fewer >= 5
