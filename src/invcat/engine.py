@@ -9,7 +9,9 @@ the irreducible subspace I is the canonical pivot-extension complement of
 C inside F.  That the irreducible tensor chains along all 2^(n-1)
 compositions of n decompose F directly is certified per path, by induction
 on sub-paths: C is built as a sum over cut points that must be direct, and
-dim I + dim C = dim F.  `verify_decomposition` checks it over all
+dim I + dim C = dim F.  Only live cuts, whose bottom has a nonzero I, add
+to that sum, so `compute_profiles` keeps those I by vertex tuple and finds
+the bottoms by tuple slices.  `verify_decomposition` checks it over all
 compositions, as the reference and to explain a failing path;
 `averaged_fixed_subspace` is the reference for F.  `schurian_generators`
 folds characters instead and stops the walk at invariant paths.
@@ -96,19 +98,21 @@ def averaged_fixed_subspace(spec: ActionSpec, elements, path: Path) -> Subspace:
     )
 
 
-def _composite(field, ambient: int, path: Path, profiles):
+def _composite(field, ambient: int, seq: tuple, profiles, irreducibles):
     """C as the sum of F(top) (x) I(bottom) over cut points, and whether it is direct.
 
     No freeness is assumed: F(bottom) = I(bottom) + C(bottom), and F(top) (x)
     C(bottom) lies in the terms with shorter bottoms (invariants multiply).
+    Only cuts whose bottom is in `irreducibles` (vertex tuple -> nonzero I)
+    contribute, so the top is looked up only there.
     """
-    n = path.degree
     terms = []
-    for i in range(1, n):
-        f_top = profiles[path.segment(i, n)].fixed
-        i_bottom = profiles[path.segment(0, i)].irreducible
-        if f_top.dim and i_bottom.dim:
-            terms.append(f_top.tensor(i_bottom))
+    for i in range(1, len(seq) - 1):
+        i_bottom = irreducibles.get(seq[: i + 1])
+        if i_bottom is not None:
+            f_top = profiles[Path(seq[i:])].fixed
+            if f_top.dim:
+                terms.append(f_top.tensor(i_bottom))
     total = Subspace.span(field, ambient, terms)
     return total, total.dim == sum(t.dim for t in terms)
 
@@ -172,6 +176,8 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     gens = spec.generator_elements
     field = spec.field
     profiles: dict[Path, StringInvariants] = {}
+    # the live bottoms of composites: vertex tuple -> nonzero irreducible subspace
+    irreducibles: dict[tuple, Subspace] = {}
     pairs: dict[tuple, list] = {}
     uncertified = []
 
@@ -189,8 +195,10 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     for seq, (ambient, cur) in walk(quiver, start, max_degree, path_cap, step):
         path = Path(seq)
         fixed = _fixed(field, ambient, cur)
-        composite, direct = _composite(field, ambient, path, profiles)
+        composite, direct = _composite(field, ambient, seq, profiles, irreducibles)
         irreducible = composite.complement_in(fixed)
+        if irreducible.dim:
+            irreducibles[seq] = irreducible
         if not direct or irreducible.dim + composite.dim != fixed.dim:
             uncertified.append(path)
         profiles[path] = StringInvariants(

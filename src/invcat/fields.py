@@ -2,10 +2,11 @@
 
 Scalars are immutable values: ``fractions.Fraction`` for the rationals,
 :class:`CyclotomicElement` for Q(zeta_n) in the power basis reduced modulo
-the n-th cyclotomic polynomial, and :class:`PrimeFieldElement` for residues
-modulo a prime.  Every scalar is kept in a canonical form, so ``a == b``
-decides equality of field elements and hashing is safe.  There is no
-floating point anywhere in the package.
+the n-th cyclotomic polynomial (integer numerators over one denominator),
+and :class:`PrimeFieldElement` for residues modulo a prime.  Every scalar
+is kept in a canonical form, so ``a == b`` decides equality of field
+elements and hashing is safe.  There is no floating point anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldError(Exception):
@@ -34,8 +36,9 @@ class WrongFieldKind(FieldError):
 # the least strong pseudoprime to all the prime bases up to 41
 PRIME_LIMIT = 3317044064679887385961981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# power-basis arithmetic is quadratic in phi(n): one product of two dense
-# elements of Q(zeta_997) takes about 8 s
+# products are integer schoolbook, quadratic in phi(n): about 0.1 s for two
+# dense elements of Q(zeta_997); an inverse takes phi(n) - 1 products of
+# growing integers: 0.1 s for a dense element of Q(zeta_97), 1 s at n = 199
 MAX_CYCLOTOMIC_ORDER = 1000
 
 
@@ -105,52 +108,6 @@ def euler_phi(n: int) -> int:
     for p in _prime_factors(n):
         phi = phi // p * (p - 1)
     return phi
-
-
-# ---------------------------------------------------------------------------
-# Rational polynomials (ascending Fraction lists) for Q(zeta_n) arithmetic.
-
-
-def _ptrim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _psub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _ptrim(out)
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]):
-    """Euclidean division of Fraction polynomials, b nonzero."""
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    quot = [Fraction(0)] * max(len(rem) - db, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + db] if i + db < len(rem) else Fraction(0)
-        if c == 0:
-            continue
-        f = c / lead
-        quot[i] = f
-        for j, y in enumerate(b):
-            rem[i + j] -= f * y
-    return _ptrim(quot), _ptrim(rem)
 
 
 class PrimeFieldElement:
@@ -242,53 +199,63 @@ class PrimeFieldElement:
 
 
 class CyclotomicElement:
-    """An element of Q(zeta_n) in the power basis, reduced modulo Phi_n."""
+    """An element of Q(zeta_n): integer power-basis numerators over one denominator.
 
-    __slots__ = ("field", "coeffs")
+    ``coeffs`` holds the numerators of the coefficients of 1, z, ...,
+    z^(phi(n) - 1) and ``den`` their positive common denominator, in lowest
+    terms: no integer above 1 divides ``den`` and every numerator.  So equal
+    elements have equal representations, and +, - and * are integer work.
+    """
 
-    def __init__(self, field: "CyclotomicField", coeffs: tuple[Fraction, ...]):
-        # callers go through CyclotomicField.element(), which reduces
+    __slots__ = ("field", "coeffs", "den")
+
+    def __init__(self, field: "CyclotomicField", coeffs: tuple[int, ...], den: int = 1):
+        # callers pass reduced numerators in lowest terms; CyclotomicField.element() reduces
         self.field = field
         self.coeffs = coeffs
+        self.den = den
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(Fraction(other))
+            return self.field.from_rational(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        a, b = self.den, o.den
+        if a == b:
+            return self.field._lowest([x + y for x, y in zip(self.coeffs, o.coeffs)], a)
+        den = lcm(a, b)
+        ka, kb = den // a, den // b
+        return self.field._lowest([x * ka + y * kb for x, y in zip(self.coeffs, o.coeffs)], den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicElement(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o + -self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field.element(_pmul(list(self.coeffs), list(o.coeffs)))
+        b = o.coeffs
+        out = [0] * (2 * len(b) - 1)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return self.field._reduce(out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -307,21 +274,20 @@ class CyclotomicElement:
     def _inverse(self) -> "CyclotomicElement":
         if not self:
             raise DivisionByZero(f"division by zero in {self.field!r}")
-        # extended Euclid against the (irreducible) modulus: track r = s*self
-        mod = [Fraction(c) for c in self.field.modulus]
-        r0, r1 = mod, _ptrim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, rem = _pdivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        if len(r0) != 1:
-            raise ArithmeticError("modulus not coprime to element")
-        inv = [c / r0[0] for c in s0]
-        return self.field.element(inv)
+        # self times its other Galois conjugates z -> z^e is its norm, a nonzero rational
+        field, n = self.field, self.field.n
+        rest = field.one()
+        for e in range(2, n):
+            if gcd(e, n) == 1:
+                nums = [0] * n
+                for i, c in enumerate(self.coeffs):
+                    nums[i * e % n] += c
+                rest = rest * field._reduce(nums, self.den)
+        norm = self * rest
+        return rest * Fraction(norm.den, norm.coeffs[0])
 
     def __neg__(self):
-        return CyclotomicElement(self.field, tuple(-a for a in self.coeffs))
+        return CyclotomicElement(self.field, tuple(-x for x in self.coeffs), self.den)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -337,15 +303,20 @@ class CyclotomicElement:
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicElement):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return (
+                self.coeffs == other.coeffs
+                and self.den == other.den
+                and (self.field is other.field or self.field == other.field)
+            )
         if isinstance(other, (int, Fraction)):
-            return not any(self.coeffs[1:]) and self.coeffs[0] == other
+            return self == self.field.from_rational(other)
         return NotImplemented
 
     def __hash__(self):
+        # a rational element hashes like the int or Fraction it equals
         if any(self.coeffs[1:]):
-            return hash(self.coeffs)
-        return hash(self.coeffs[0])
+            return hash((self.coeffs, self.den))
+        return hash(Fraction(self.coeffs[0], self.den))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -365,6 +336,22 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+# whitespace may stand at the ends of a scalar and around its + and - signs only
+_SIGNS = re.compile(r"\s*([+-])\s*")
+
+
+def _signed_terms(text: str) -> list[tuple[str, str]]:
+    """The (sign, term) pairs of a scalar; an empty term is a ValueError."""
+    pieces = _SIGNS.split(text.strip())
+    # term, sign, term, ...: a leading sign leaves the first term empty
+    head = pieces.pop(0)
+    terms = [("+", head)] if head or not pieces else []
+    terms += zip(pieces[::2], pieces[1::2])
+    if not all(term for _, term in terms):
+        raise ValueError(f"cannot parse {text!r}: a sign needs a term on its right")
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # Field descriptors.  A field knows how to build, parse and format scalars;
 # the scalars themselves carry the arithmetic.
@@ -374,7 +361,7 @@ class RationalField:
     kind = "rationals"
     characteristic = 0
 
-    _RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+    _RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -391,10 +378,10 @@ class RationalField:
         raise FieldMismatch(f"{value!r} is not a rational scalar")
 
     def parse(self, text: str) -> Fraction:
-        text = text.strip()
-        if not self._RE.fullmatch(text):
+        terms = _signed_terms(text)
+        if len(terms) != 1 or not self._RE.fullmatch(terms[0][1]):
             raise ValueError(f"cannot parse {text!r} as a rational")
-        return _fraction(text)
+        return _fraction("".join(terms[0]))
 
     def format(self, value: Fraction) -> str:
         return str(value)
@@ -413,8 +400,8 @@ class CyclotomicField:
     kind = "cyclotomic"
     characteristic = 0
 
-    # a '*' only joins a coefficient to z
-    _TERM = re.compile(r"([+-]?)(?:([0-9]+(?:/[0-9]+)?)(?:\*(?=z))?)?(z(?:\^([0-9]+))?)?")
+    # a term after its sign; a '*' only joins a coefficient to z
+    _TERM = re.compile(r"(?:([0-9]+(?:/[0-9]+)?)(?:\*(?=z))?)?(z(?:\^([0-9]+))?)?")
 
     def __init__(self, n: int):
         if n < 2:
@@ -424,24 +411,47 @@ class CyclotomicField:
         self.n = n
         self.modulus = cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
+        # Phi_n is monic, so dividing by it needs only its lower nonzero coefficients
+        self._tail = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
+        self._pad = (0,) * (self.degree - 1)
         # elements are immutable, so zero and one are built once
-        self._zero = self.element([])
-        self._one = self.element([1])
+        self._zero = self.from_int(0)
+        self._one = self.from_int(1)
 
     def element(self, coeffs) -> CyclotomicElement:
-        """Build an element from arbitrary power-basis coefficients, reducing."""
-        c = [Fraction(x) for x in coeffs]
-        deg = self.degree
-        for i in range(len(c) - 1, deg - 1, -1):
-            f = c[i]
-            if f == 0:
-                continue
-            shift = i - deg
-            for j in range(deg + 1):
-                c[shift + j] -= f * self.modulus[j]
-        c = c[:deg]
-        c += [Fraction(0)] * (deg - len(c))
-        return CyclotomicElement(self, tuple(c))
+        """Build an element from rational power-basis coefficients of any length, reducing."""
+        values = [Fraction(x) for x in coeffs]
+        den = lcm(*(v.denominator for v in values))
+        return self._reduce([v.numerator * (den // v.denominator) for v in values], den)
+
+    def _reduce(self, nums: list[int], den: int) -> CyclotomicElement:
+        """The element sum(nums[k] z^k) / den; reduces nums in place.
+
+        Exponents are folded with z^n = 1 first, so a product of two reduced
+        elements needs at most n - phi(n) steps of the division by Phi_n.
+        """
+        n, deg = self.n, self.degree
+        for k in range(n, len(nums)):
+            nums[k % n] += nums[k]
+        del nums[n:]
+        for i in range(len(nums) - 1, deg - 1, -1):
+            c = nums[i]
+            if c:
+                shift = i - deg
+                for j, m in self._tail:
+                    nums[shift + j] -= c * m
+        del nums[deg:]
+        nums += [0] * (deg - len(nums))
+        return self._lowest(nums, den)
+
+    def _lowest(self, nums: list[int], den: int) -> CyclotomicElement:
+        """The element with reduced numerators nums over den, put in lowest terms."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
+        return CyclotomicElement(self, tuple(nums), den)
 
     def zero(self) -> CyclotomicElement:
         return self._zero
@@ -449,45 +459,36 @@ class CyclotomicField:
     def one(self) -> CyclotomicElement:
         return self._one
 
-    def from_int(self, k: int) -> CyclotomicElement:
-        return self.element([k])
+    def from_rational(self, q) -> CyclotomicElement:
+        """An int or a Fraction as an element (both carry numerator and denominator)."""
+        return CyclotomicElement(self, (q.numerator,) + self._pad, q.denominator)
 
-    def from_rational(self, q: Fraction) -> CyclotomicElement:
-        return self.element([q])
+    from_int = from_rational
 
     def zeta(self) -> CyclotomicElement:
         """The canonical primitive n-th root of unity."""
         return self.element([0, 1])
 
     def coerce(self, value) -> CyclotomicElement:
-        if isinstance(value, CyclotomicElement):
-            if value.field != self:
-                raise FieldMismatch(f"{value.field!r} vs {self!r}")
-            return value
-        if isinstance(value, (int, Fraction)):
-            return self.from_rational(Fraction(value))
-        raise FieldMismatch(f"{value!r} is not a {self!r} scalar")
+        x = self._zero._coerce(value)
+        if x is None:
+            raise FieldMismatch(f"{value!r} is not a {self!r} scalar")
+        return x
 
     def parse(self, text: str) -> CyclotomicElement:
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty scalar")
-        parts = re.findall(r"[+-]?[^+-]+", s)
-        if "".join(parts) != s:
-            raise ValueError(f"cannot parse {text!r} as a cyclotomic scalar")
         powers: dict[int, Fraction] = {}
-        for part in parts:
-            m = self._TERM.fullmatch(part)
-            if not m or (m.group(2) is None and m.group(3) is None):
-                raise ValueError(f"cannot parse term {part!r} in {text!r}")
-            coef = _fraction(m.group(2)) if m.group(2) is not None else Fraction(1)
-            if m.group(1) == "-":
+        for sign, term in _signed_terms(text):
+            m = self._TERM.fullmatch(term)
+            if not m or (m.group(1) is None and m.group(2) is None):
+                raise ValueError(f"cannot parse term {term!r} in {text!r}")
+            coef = _fraction(m.group(1)) if m.group(1) is not None else Fraction(1)
+            if sign == "-":
                 coef = -coef
-            if m.group(3) is None:
+            if m.group(2) is None:
                 power = 0
             else:
                 # z^n = 1, so only the exponent mod n matters
-                power = (int(m.group(4)) if m.group(4) is not None else 1) % self.n
+                power = (int(m.group(3)) if m.group(3) is not None else 1) % self.n
             powers[power] = powers.get(power, Fraction(0)) + coef
         coeffs = [Fraction(0)] * (max(powers) + 1)
         for k, v in powers.items():
@@ -497,9 +498,9 @@ class CyclotomicField:
     def format(self, value: CyclotomicElement) -> str:
         pieces = []
         for i in range(self.degree - 1, -1, -1):
-            c = value.coeffs[i]
-            if c == 0:
+            if not value.coeffs[i]:
                 continue
+            c = Fraction(value.coeffs[i], value.den)
             if i == 0:
                 body = str(abs(c))
             else:
@@ -528,7 +529,7 @@ class CyclotomicField:
 class PrimeField:
     kind = "prime"
 
-    _RE = re.compile(r"[+-]?[0-9]+")
+    _RE = re.compile(r"[0-9]+")
 
     def __init__(self, p: int):
         if p >= PRIME_LIMIT or not is_prime(p):
@@ -555,10 +556,10 @@ class PrimeField:
         raise FieldMismatch(f"{value!r} is not an F_{self.p} scalar")
 
     def parse(self, text: str) -> PrimeFieldElement:
-        text = text.strip()
-        if not self._RE.fullmatch(text):
+        terms = _signed_terms(text)
+        if len(terms) != 1 or not self._RE.fullmatch(terms[0][1]):
             raise ValueError(f"cannot parse {text!r} as an integer mod {self.p}")
-        return PrimeFieldElement(self.p, int(text))
+        return PrimeFieldElement(self.p, int("".join(terms[0])))
 
     def format(self, value: PrimeFieldElement) -> str:
         return str(value.value)

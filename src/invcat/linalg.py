@@ -282,6 +282,8 @@ def _dense(field, ncols: int, pivot: int, tail: dict) -> list:
 
 
 def _kernel_of_echelon(field, ncols: int, pivots: dict) -> "Subspace":
+    if len(pivots) in (0, ncols):  # no pivot or no free column
+        return _trivial(field, ncols, not pivots)
     # one kernel vector per free column f: e_f - sum over pivots p of R[p][f] e_p
     one = field.one()
     vectors = {f: {f: one} for f in range(ncols) if f not in pivots}
@@ -419,10 +421,12 @@ class Subspace:
         reduced echelon rows is itself in reduced echelon form.
         """
         self._check_compatible(whole)
-        if not self.is_subspace_of(whole):
-            raise NotASubspace("complement_in: first space is not inside the second")
         if self.dim == 0:
             return whole
+        if not self.is_subspace_of(whole):
+            raise NotASubspace("complement_in: first space is not inside the second")
+        if self.dim == whole.dim:
+            return Subspace.zero(self.field, self.ambient_dim)
         # self lies in whole, so each pivot of self is a pivot of whole
         position = {p: j for j, p in enumerate(whole.rows)}
         coords = [

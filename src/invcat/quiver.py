@@ -34,7 +34,8 @@ class PathCapExceeded(QuiverError):
     pass
 
 
-@dataclass(frozen=True)
+# slots: one instance per stored path; a __dict__ would add about 50 bytes to each
+@dataclass(frozen=True, slots=True)
 class Path:
     """A path (u_0, ..., u_n) from u_0 to u_n; n = 0 is the trivial path."""
 

@@ -3,8 +3,12 @@
 Written from the textbook definitions with field scalars only; it calls no
 invcat elimination, so the sparse kernel in ``invcat.linalg`` can be diffed
 against it.  Vectors and bases are tuples of scalars; a basis is the
-reduced row echelon form of its span, with zero rows dropped.
+reduced row echelon form of its span, with zero rows dropped.  Q(zeta_n)
+is modelled here too, as Fraction coefficient tuples reduced modulo Phi_n
+by long division, for diffing ``invcat.fields``.
 """
+
+from fractions import Fraction
 
 
 def rref(field, rows, ncols):
@@ -110,3 +114,31 @@ def cyclotomic_polynomial(n):
         assert not any(poly), "x^n - 1 is divisible by Phi_d"
         poly = quot
     return tuple(poly)
+
+
+def cyclotomic_reduce(n, coeffs):
+    """Fraction coefficients of a polynomial in z, reduced modulo Phi_n.
+
+    Long division by Phi_n over the rationals, with no use of z^n = 1;
+    returns a tuple of phi(n) Fractions.
+    """
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rem = [Fraction(c) for c in coeffs]
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j, m in enumerate(phi):
+                rem[i - deg + j] -= c * m
+    rem = rem[:deg]
+    return tuple(rem + [Fraction(0)] * (deg - len(rem)))
+
+
+def cyclotomic_mul(n, a, b):
+    """The product of two coefficient sequences in Q(zeta_n), reduced."""
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return cyclotomic_reduce(n, out)

@@ -404,6 +404,12 @@ def test_field_parameter_parsed_or_rejected_within_a_second(key, value):
     ({"kind": "cyclotomic", "n": 3}, "z+1/0"),
     ({"kind": "cyclotomic", "n": 3}, "3*"),
     ({"kind": "prime", "p": 5}, "٣"),
+    # a space inside a term: the cyclotomic parser used to read "1 2" as 12
+    ({"kind": "cyclotomic", "n": 3}, "1 2"),
+    ({"kind": "cyclotomic", "n": 12}, "z ^ 1 0"),
+    ({"kind": "cyclotomic", "n": 3}, "1/ 2"),
+    ({"kind": "rationals"}, "1 2"),
+    ({"kind": "prime", "p": 5}, "1 2"),
 ])
 def test_bad_scalar_entry_exits_one_with_key_path(tmp_path, capsys, field, entry):
     bad = _with(KRONECKER_TRIVIAL, ["field"], field)

@@ -531,19 +531,46 @@ def test_compute_profiles_path_cap():
         compute_profiles(q, spec, 7, path_cap=3)
 
 
-def test_composite_terms_match_full_fixed_products_on_random_instances():
-    # composites are built from F(top) (x) I(bottom); summing F(top) (x)
-    # F(bottom) one term at a time with Subspace.__add__ must give the same space
-    fields = [QQ, CyclotomicField(3), PrimeField(2), PrimeField(3)]
-    rng = random.Random(4711)
-    instances = paths = 0
-    while instances < 40:
-        field = fields[instances % 4]
-        q = random_quiver(rng, max_vertices=4, max_dim=3, extra_arrows=3)
-        drawn = random_action(q, field, rng, rng.randint(1, 2), 24)
+def _random_instance(rng, field):
+    q = random_quiver(rng, max_vertices=4, max_dim=3, extra_arrows=3)
+    drawn = random_action(q, field, rng, rng.randint(1, 2), 24)
+    return None if drawn is None else (q, drawn[0])
+
+
+def _fat_instance_in_a_fractional_basis(rng, field):
+    """A random instance with an arrow space of dimension > 1, in a basis with denominators."""
+    q = random_quiver(rng, max_vertices=4, max_dim=3, extra_arrows=3)
+    if all(q.dim(*e) == 1 for e in q.track_edges()):
+        return None
+    drawn = random_action(q, field, rng, rng.randint(1, 2), 24)
+    if drawn is None:
+        return None
+    spec = drawn[0]
+
+    def change(d):  # upper unitriangular but for the diagonal 1, 2, ..., d
+        return Matrix.from_rows(field, [[i + 1 if i == j else int(j > i) for j in range(d)] for i in range(d)])
+
+    gens = [
+        (name, {e: change(q.dim(*e)) * spec.edge_matrix(g, e) * change(q.dim(*e)).inverse() for e in spec.edges})
+        for name, g in zip(spec.generator_names, spec.generator_elements)
+    ]
+    return q, ActionSpec(q, field, gens)
+
+
+def _check_composites_against_full_fixed_products(draw, fields, rng, n_instances):
+    """Composites are built from F(top) (x) I(bottom); summing F(top) (x)
+    F(bottom) one term at a time with Subspace.__add__ must give the same space.
+
+    Returns the number of paths checked and of stored basis entries that are
+    cyclotomic with a denominator other than 1.
+    """
+    instances = paths = fractional = 0
+    while instances < n_instances:
+        field = fields[instances % len(fields)]
+        drawn = draw(rng, field)
         if drawn is None:
             continue
-        spec, _ = drawn
+        q, spec = drawn
         instances += 1
         table = compute_profiles(q, spec, rng.randint(2, 4))
         assert table.uncertified == []
@@ -553,6 +580,31 @@ def test_composite_terms_match_full_fixed_products_on_random_instances():
                 f_top = table.profile(path.segment(i, path.degree)).fixed
                 f_bottom = table.profile(path.segment(0, i)).fixed
                 expected = expected + f_top.tensor(f_bottom)
-            assert table.profile(path).composite == expected
+            stored = table.profile(path)
+            assert stored.composite == expected
+            fractional += sum(
+                getattr(x, "den", 1) != 1
+                for space in (stored.fixed, stored.composite, stored.irreducible)
+                for tail in space.rows.values()
+                for x in tail.values()
+            )
             paths += 1
+    return paths, fractional
+
+
+def test_composite_terms_match_full_fixed_products_on_random_instances():
+    fields = [QQ, CyclotomicField(3), PrimeField(2), PrimeField(3)]
+    paths, _ = _check_composites_against_full_fixed_products(
+        _random_instance, fields, random.Random(4711), 40
+    )
     assert paths > 100
+
+
+def test_composite_terms_match_on_non_schurian_instances_over_q_zeta4_and_q_zeta5():
+    # fat arrows over Q(i) and Q(zeta5) in a basis with denominators, so
+    # cyclotomic scalars with a denominator other than 1 go through elimination
+    paths, fractional = _check_composites_against_full_fixed_products(
+        _fat_instance_in_a_fractional_basis, [CyclotomicField(4), CyclotomicField(5)],
+        random.Random(4712), 16,
+    )
+    assert paths > 50 and fractional > 0

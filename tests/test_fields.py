@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,9 +167,23 @@ def test_parse_rejects_garbage():
         # a zero denominator, a dangling '*' and non-ASCII digits
         (QQ, "1/0"), (C3, "z+1/0"), (C3, "0/0*z"), (C3, "3*"), (C3, "z-3*"),
         (QQ, "\u0663"), (F5, "\u0663"), (C3, "\u0663"), (C3, "z^\u0663"),
+        # whitespace only at the ends and around signs: the cyclotomic parser
+        # deleted every space, reading "1 2" as 12 and "z ^ 1 0" as z^10
+        (C3, "1 2"), (C3, "z ^ 1 0"), (C3, "1/ 2"), (C3, "2 * z"), (C3, "z^ 2"),
+        (C3, "1 +"), (C3, "+ - z"), (QQ, "1 2"), (QQ, "1/ 2"), (QQ, "1 + 2"),
+        (F5, "1 2"), (F5, "- - 1"),
     ]:
         with pytest.raises(ValueError):
             field.parse(text)
+
+
+def test_whitespace_around_signs_parses_in_every_field():
+    z = C3.zeta()
+    assert C3.parse(" 1 + z ") == 1 + z
+    assert C3.parse("- z -\t1/2") == -z - Fraction(1, 2)
+    assert C3.parse("2*z^2 - 3") == 2 * z**2 - 3
+    assert QQ.parse(" - 3/4 ") == Fraction(-3, 4)
+    assert F5.parse("+ 7") == 2
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -234,3 +249,149 @@ def test_is_prime_matches_trial_division():
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
         assert not is_prime(n)
     assert is_prime(2 ** 61 - 1) and is_prime(10 ** 14 + 31)
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_n) against the Fraction-polynomial oracle in tests/oracle.py
+
+ORDERS = (3, 4, 5, 7, 8, 9, 12, 15, 97)
+FIELDS = {n: CyclotomicField(n) for n in ORDERS}
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def raw_element(n, max_terms):
+    """Rational coefficients of a polynomial in z with exponents below 2n.
+
+    Building an element from them folds exponents and divides by Phi_n.
+    """
+    return st.dictionaries(st.integers(0, 2 * n - 1), RATIONALS, max_size=max_terms).map(
+        lambda terms: [terms.get(k, Fraction(0)) for k in range(max(terms, default=-1) + 1)]
+    )
+
+
+@st.composite
+def cyclotomic_case(draw):
+    """(n, a, b): raw coefficients of two elements of Q(zeta_n).
+
+    Dense in the small fields; in Q(zeta_97) at most six terms each, which
+    keeps the Fraction oracle quick (products and inverses fill them in).
+    """
+    n = draw(st.sampled_from(ORDERS))
+    terms = 6 if n == 97 else 2 * n
+    return n, draw(raw_element(n, terms)), draw(raw_element(n, terms))
+
+
+def fractions_of(x):
+    """The coefficients of an element as Fractions, after checking its canonical form."""
+    assert len(x.coeffs) == x.field.degree and x.den > 0
+    assert gcd(x.den, *x.coeffs) == 1
+    return tuple(Fraction(c, x.den) for c in x.coeffs)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(cyclotomic_case())
+def test_cyclotomic_ring_operations_match_oracle(case):
+    n, ra, rb = case
+    field = FIELDS[n]
+    a, b = field.element(ra), field.element(rb)
+    oa, ob = oracle.cyclotomic_reduce(n, ra), oracle.cyclotomic_reduce(n, rb)
+    assert fractions_of(a) == oa and fractions_of(b) == ob
+    assert fractions_of(a + b) == tuple(x + y for x, y in zip(oa, ob))
+    assert fractions_of(a - b) == tuple(x - y for x, y in zip(oa, ob))
+    assert fractions_of(-a) == tuple(-x for x in oa)
+    assert fractions_of(a * b) == oracle.cyclotomic_mul(n, oa, ob)
+    assert bool(a) == any(oa)
+    assert (a == b) == (oa == ob)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cyclotomic_case(), st.integers(-3, 4))
+def test_cyclotomic_division_and_powers_match_oracle(case, k):
+    n, ra, rb = case
+    field = FIELDS[n]
+    a, b = field.element(ra), field.element(rb)
+    oa, ob = oracle.cyclotomic_reduce(n, ra), oracle.cyclotomic_reduce(n, rb)
+    one = oracle.cyclotomic_reduce(n, [1])
+    if not any(ob):
+        with pytest.raises(DivisionByZero):
+            a / b
+        return
+    # q = a / b exactly when q * b = a
+    assert oracle.cyclotomic_mul(n, fractions_of(a / b), ob) == oa
+    assert oracle.cyclotomic_mul(n, fractions_of(1 / b), ob) == one
+    power = one
+    for _ in range(abs(k)):
+        power = oracle.cyclotomic_mul(n, power, ob)
+    if k >= 0:
+        assert fractions_of(b**k) == power
+    else:
+        assert oracle.cyclotomic_mul(n, fractions_of(b**k), power) == one
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(ORDERS), RATIONALS, st.integers(-(10**20), 10**20))
+def test_cyclotomic_equality_and_hash_agree_with_rationals(n, q, k):
+    field = FIELDS[n]
+    z = field.zeta()
+    for value, x in [
+        (k, field.from_int(k)),
+        (q, field.from_rational(q)),
+        (q, field.parse(str(q))),
+        (q, (z + q) - z),
+        (k * q, field.from_int(k) * q),
+        (1, z**n),
+    ]:
+        assert x == value and value == x
+        assert hash(x) == hash(value)
+        assert {value: "found"}[x] == "found"
+    assert hash(field.from_int(2)) == hash(2) and hash(field.from_rational(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert z != 1 and z != field.from_int(1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cyclotomic_case())
+def test_cyclotomic_format_parse_round_trip(case):
+    n, ra, _ = case
+    field = FIELDS[n]
+    a = field.element(ra)
+    text = field.format(a)
+    assert field.parse(text) == a
+    assert field.parse(" " + text.replace("+", " + ").replace("-", " - ") + " ") == a
+
+
+def test_dense_product_in_the_largest_cyclotomic_field_is_fast():
+    # Fraction coefficients, a schoolbook product and a reduction step per
+    # exponent above phi(n) took 6.7 s for this product
+    n = 997
+    field = CyclotomicField(n)
+    rng = random.Random(n)
+    a, b = (field.element([rng.randint(-9, 9) for _ in range(field.degree)]) for _ in range(2))
+    start = time.perf_counter()
+    product = a * b
+    assert time.perf_counter() - start < 1.0
+    # check it through a ring map to F_p sending zeta to a root of Phi_n mod p
+    p = next(p for p in range(n + 1, 100 * n, n) if is_prime(p))
+    root = next(r for r in (pow(g, (p - 1) // n, p) for g in range(2, p)) if r != 1)
+
+    def image(x):
+        return sum(c * pow(root, i, p) for i, c in enumerate(x.coeffs)) * pow(x.den, -1, p) % p
+
+    assert image(product) == image(a) * image(b) % p
+
+
+def test_dense_inverse_in_q_zeta97_is_fast():
+    # the extended Euclidean algorithm over Q took 20 s for this inverse
+    field = CyclotomicField(97)
+    rng = random.Random(97)
+    a = field.element([rng.randint(-9, 9) for _ in range(field.degree)])
+    start = time.perf_counter()
+    inverse = 1 / a
+    assert time.perf_counter() - start < 1.0
+    assert inverse * a == 1
+
+
+def test_inverse_of_a_negative_rational_in_q_zeta2():
+    # Q(zeta_2) = Q has no other conjugates, so the norm is the element itself
+    field = CyclotomicField(2)
+    inverse = 1 / field.from_int(-3)
+    assert inverse == Fraction(-1, 3) and inverse.den == 3

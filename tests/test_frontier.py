@@ -1,13 +1,15 @@
-"""The degree frontier: letter-permutation actions at the largest tier-1 degrees.
+"""The degree frontier: the largest tier-1 degrees, each against a brute-force count.
 
 The invariants of a permutation module have the orbit sums as a basis in
 every characteristic, so the fixed dimension in degree d is the number of
-orbits of the group on words of length d, counted here by brute force.
+orbits of the group on words of length d, counted here by brute force.  On
+a Schurian quiver with a character action of Z/3 every path is an
+eigenvector, invariant exactly when its exponent sum is 0 mod 3.
 """
 
 import itertools
 
-from invcat.jobs import parse_job, run_pipeline
+from invcat.jobs import parse_job, report_to_dict, run_pipeline
 
 
 def orbit_counts(n_letters, generators, max_degree):
@@ -80,3 +82,58 @@ def test_swap_loop_over_f2_degree_twelve():
     # N = 2^12 = 4096 in degree 12, with freeness certified at every degree
     fixed = check_frontier({"kind": "prime", "p": 2}, 2, [(1, 0)], 12)
     assert fixed == [2 ** (d - 1) for d in range(1, 13)]
+
+
+# Z/3 acts on the arrow m_s -> m_t of a 4-vertex mesh by z^e
+MESH_EXPONENTS = {(0, 1): 0, (1, 2): 2, (2, 3): 0, (3, 0): 1,
+                  (0, 2): 0, (1, 3): 1, (2, 0): 1, (3, 1): 1}
+
+
+def mesh_oracle(max_degree):
+    """Hom series and generators from exponent sums, by walking every path.
+
+    A generator is an invariant path with no invariant proper prefix.
+    """
+    series = {f"m{t}<-m{s}": [int(s == t)] + [0] * max_degree for s in range(4) for t in range(4)}
+    generators = []
+    paths = 0
+    for source in range(4):
+        stack = [((source,), 0, False)]
+        while stack:
+            seq, total, tainted = stack.pop()
+            if len(seq) > max_degree:
+                continue
+            for (s, t), e in MESH_EXPONENTS.items():
+                if s == seq[-1]:
+                    ext, ext_total = seq + (t,), (total + e) % 3
+                    paths += 1
+                    if ext_total == 0:
+                        series[f"m{t}<-m{source}"][len(seq)] += 1
+                        if not tainted:
+                            generators.append([f"m{v}" for v in ext])
+                    stack.append((ext, ext_total, tainted or ext_total == 0))
+    return series, sorted(generators), paths
+
+
+def test_schurian_mesh_over_q_zeta3_degree_twelve():
+    # 32,760 paths, each with a 1-dimensional tensor space: bound by per-path cost
+    max_degree = 12
+    job = {
+        "field": {"kind": "cyclotomic", "n": 3},
+        "quiver": {
+            "vertices": [f"m{v}" for v in range(4)],
+            "arrows": [{"source": f"m{s}", "target": f"m{t}", "dim": 1} for s, t in MESH_EXPONENTS],
+        },
+        "action": {"generators": [{"name": "g", "matrices": {
+            f"m{t}<-m{s}": [[f"z^{e}"]] for (s, t), e in MESH_EXPONENTS.items()
+        }}]},
+        "options": {"max_degree": max_degree},
+    }
+    result = run_pipeline(parse_job(job))
+    report = report_to_dict(result)
+    series, generators, paths = mesh_oracle(max_degree)
+    assert paths == len(result.table.all_paths()) == 32760
+    assert report["hom_series"] == series
+    assert sorted(g["path"] for g in report["generators"]) == generators
+    assert all(g["multiplicity"] == 1 for g in report["generators"])
+    assert result.freeness.holds and result.schurian["agrees"]
