@@ -10,7 +10,6 @@ with the matrix for the last edge as the leftmost tensor factor.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .linalg import Matrix
 from .quiver import Path, Quiver
@@ -147,14 +146,16 @@ def act_on_path(spec: ActionSpec, element: GroupElement, path: Path) -> Matrix:
     return acc
 
 
-@dataclass
 class CharacterTable:
     """Per-edge scalar characters of a closed group on a Schurian quiver."""
 
-    field: object
-    edges: tuple
-    elements: tuple
-    values: dict
+    __slots__ = ("field", "edges", "elements", "values")
+
+    def __init__(self, field, edges: tuple, elements: tuple, values: dict):
+        self.field = field
+        self.edges = edges
+        self.elements = elements
+        self.values = values
 
     def value(self, edge, element_index: int):
         return self.values[edge][element_index]

@@ -12,7 +12,6 @@ comparison against the free category on the reported generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 from .action import ActionSpec, CharacterTable, require_schurian
 from .engine import ProfileTable, verify_decomposition
@@ -34,25 +33,45 @@ REASON_CROWN = "crown-bound"
 DEFAULT_VERIFY_DEPTH_CAP = 8
 
 
-@dataclass(frozen=True)
 class GeneratorEntry:
-    path: Path
-    multiplicity: int
+    __slots__ = ("path", "multiplicity")
+
+    def __init__(self, path: Path, multiplicity: int):
+        self.path = path
+        self.multiplicity = multiplicity
+
+    def __eq__(self, other):
+        if not isinstance(other, GeneratorEntry):
+            return NotImplemented
+        return self.path == other.path and self.multiplicity == other.multiplicity
 
 
-@dataclass(frozen=True)
 class Completeness:
-    status: str
-    reason: str | None = None
-    bound: int | None = None
+    __slots__ = ("status", "reason", "bound")
+
+    def __init__(self, status: str, reason: str | None = None, bound: int | None = None):
+        self.status = status
+        self.reason = reason
+        self.bound = bound
+
+    def __eq__(self, other):
+        if not isinstance(other, Completeness):
+            return NotImplemented
+        return (self.status, self.reason, self.bound) == (other.status, other.reason, other.bound)
+
+    def __repr__(self):
+        return f"Completeness(status={self.status!r}, reason={self.reason!r}, bound={self.bound!r})"
 
 
-@dataclass
 class InvariantQuiverReport:
-    vertices: tuple
-    generators: tuple
-    max_degree: int
-    completeness: Completeness
+    __slots__ = ("vertices", "generators", "max_degree", "completeness")
+
+    def __init__(self, vertices: tuple, generators: tuple, max_degree: int,
+                 completeness: Completeness):
+        self.vertices = vertices
+        self.generators = generators
+        self.max_degree = max_degree
+        self.completeness = completeness
 
 
 def _crown_cycle(quiver: Quiver, component) -> list | None:
@@ -162,22 +181,29 @@ def generator_quiver(report: InvariantQuiverReport) -> Quiver:
     return Quiver(report.vertices, dims)
 
 
-@dataclass
 class SeriesMismatch:
-    source: object
-    target: object
-    degree: int
-    invariant_dim: int
-    free_dim: int
+    __slots__ = ("source", "target", "degree", "invariant_dim", "free_dim")
+
+    def __init__(self, source, target, degree: int, invariant_dim: int, free_dim: int):
+        self.source = source
+        self.target = target
+        self.degree = degree
+        self.invariant_dim = invariant_dim
+        self.free_dim = free_dim
 
 
-@dataclass
 class FreenessVerdict:
-    holds: bool
-    verify_depth: int
-    checked_paths: int
-    decomposition_failures: list = dc_field(default_factory=list)
-    series_mismatches: list = dc_field(default_factory=list)
+    __slots__ = ("holds", "verify_depth", "checked_paths",
+                 "decomposition_failures", "series_mismatches")
+
+    def __init__(self, holds: bool, verify_depth: int, checked_paths: int,
+                 decomposition_failures: list | None = None,
+                 series_mismatches: list | None = None):
+        self.holds = holds
+        self.verify_depth = verify_depth
+        self.checked_paths = checked_paths
+        self.decomposition_failures = [] if decomposition_failures is None else decomposition_failures
+        self.series_mismatches = [] if series_mismatches is None else series_mismatches
 
 
 def free_category_dims(vertices, generators, max_degree: int):
@@ -245,21 +271,25 @@ def verify_freeness(table: ProfileTable, report: InvariantQuiverReport,
     )
 
 
-@dataclass
 class CleavingViolation:
-    invariant: Path
-    other: Path
-    composed: Path
+    __slots__ = ("invariant", "other", "composed")
+
+    def __init__(self, invariant: Path, other: Path, composed: Path):
+        self.invariant = invariant
+        self.other = other
+        self.composed = composed
 
 
-@dataclass
 class CleavingWitness:
     """Per hom-pair split into invariant paths and the complement family."""
 
-    holds: bool
-    max_degree: int
-    pair_counts: dict
-    violations: list
+    __slots__ = ("holds", "max_degree", "pair_counts", "violations")
+
+    def __init__(self, holds: bool, max_degree: int, pair_counts: dict, violations: list):
+        self.holds = holds
+        self.max_degree = max_degree
+        self.pair_counts = pair_counts
+        self.violations = violations
 
 
 def verify_cleaving_schurian(quiver: Quiver, chars: CharacterTable, max_degree: int,

@@ -3,23 +3,26 @@
 `compute_profiles` folds each path's sparse action rows over `quiver.walk`.
 For a path of degree n with tensor space V, the fixed subspace F is the
 simultaneous kernel of (action - identity) over the group; it never uses
-averaging, so every characteristic is supported.  The composite subspace C
-is the span of all products of invariants of complementary sub-paths, and
+averaging, so every characteristic is supported.  F depends on the action
+rows alone, so it is eliminated once per distinct action per degree and
+shared by the paths that carry that action.  The composite subspace C is
+the span of all products of invariants of complementary sub-paths, and
 the irreducible subspace I is the canonical pivot-extension complement of
-C inside F.  That the irreducible tensor chains along all 2^(n-1)
-compositions of n decompose F directly is certified per path, by induction
-on sub-paths: C is built as a sum over cut points that must be direct, and
-dim I + dim C = dim F.  Only live cuts, whose bottom has a nonzero I, add
-to that sum, so `compute_profiles` keeps those I by vertex tuple and finds
-the bottoms by tuple slices.  `verify_decomposition` checks it over all
-compositions, as the reference and to explain a failing path;
-`averaged_fixed_subspace` is the reference for F.  `schurian_generators`
-folds characters instead and stops the walk at invariant paths.
+C inside F; both stay per path.  That the irreducible tensor chains along
+all 2^(n-1) compositions of n decompose F directly is certified per path,
+by induction on sub-paths: C is built as a sum over cut points that must
+be direct, and dim I + dim C = dim F.  Only live cuts, whose bottom has a
+nonzero I, add to that sum, so `compute_profiles` keeps those I by vertex
+tuple and finds the bottoms by tuple slices.  `verify_decomposition`
+checks it over all compositions, as the reference and to explain a
+failing path; `averaged_fixed_subspace` is the reference for F.
+`schurian_generators` folds characters instead and stops the walk at
+invariant paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
 from .action import ActionSpec, CharacterTable, act_on_path
 from .linalg import Matrix, Subspace, kernel_of_rows, tensor_rows
@@ -34,16 +37,19 @@ class MissingSubPath(EngineError):
     pass
 
 
-# slots: one instance per path; a __dict__ would add about 40 bytes to each
-@dataclass(slots=True)
 class StringInvariants:
     """The three nested subspaces attached to one path."""
 
-    path: Path
-    space_dim: int
-    fixed: Subspace
-    composite: Subspace
-    irreducible: Subspace
+    # one instance per path; a __dict__ would add about 40 bytes to each
+    __slots__ = ("path", "space_dim", "fixed", "composite", "irreducible")
+
+    def __init__(self, path: Path, space_dim: int, fixed: Subspace,
+                 composite: Subspace, irreducible: Subspace):
+        self.path = path
+        self.space_dim = space_dim
+        self.fixed = fixed
+        self.composite = composite
+        self.irreducible = irreducible
 
 
 def compositions(n: int):
@@ -117,6 +123,34 @@ def _composite(field, ambient: int, seq: tuple, profiles, irreducibles):
     return total, total.dim == sum(t.dim for t in terms)
 
 
+class _Action:
+    """An interned path action: tensor width and sparse rows per generator.
+
+    Paths with equal actions share one record and so one fixed subspace;
+    that is sound because a `Subspace` is never edited.
+    """
+
+    __slots__ = ("degree", "width", "rows", "_fixed")
+
+    def __init__(self, degree: int, width: int, rows: list):
+        self.degree = degree
+        self.width = width
+        self.rows = rows
+        self._fixed = None
+
+    def fixed(self, field) -> Subspace:
+        if self._fixed is None:
+            self._fixed = _fixed(field, self.width, self.rows)
+        return self._fixed
+
+
+def _rows_hash(width: int, rows) -> int:
+    """A hash of (width, rows) that agrees on equal rows; it ignores dict order."""
+    return hash((width, *(
+        (len(g), sum(map(hash, chain.from_iterable(map(dict.items, g))))) for g in rows
+    )))
+
+
 class ProfileTable:
     """All path profiles of a quiver action up to a degree bound.
 
@@ -169,7 +203,8 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     subspaces are intersections over the generator tuples (which generate
     the same group as the closure, hence fix the same subspace), taken as
     the kernel of the stacked sparse rows of g - 1; the sparse action rows
-    are extended along path prefixes by one Kronecker factor per arrow.
+    are extended by one Kronecker factor per arrow, once per (prefix
+    action, arrow), and interned among the actions of their degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -185,16 +220,36 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
         edge: [spec.edge_matrix(g, edge).sparse_rows() for g in gens]
         for edge in spec.edges
     }
+    # both hold the actions of one degree only, and are cleared when it advances
+    steps: dict[tuple, _Action] = {}  # (prefix action, edge) -> action
+    interned: dict[int, list] = {}  # _rows_hash -> the actions with that hash
+    degree = 0
 
-    def step(state, edge):
-        width, prev_rows = state
-        cur = [tensor_rows(em, pm, width) for em, pm in zip(factors[edge], prev_rows)]
-        return width * quiver.dim(*edge), cur
+    def step(prev, edge):
+        nonlocal degree
+        if prev.degree != degree:
+            steps.clear()
+            interned.clear()
+            degree = prev.degree
+        action = steps.get((prev, edge))
+        if action is None:
+            width = prev.width * quiver.dim(*edge)
+            rows = [tensor_rows(em, pm, prev.width) for em, pm in zip(factors[edge], prev.rows)]
+            bucket = interned.setdefault(_rows_hash(width, rows), [])
+            # equal rows, compared exactly, never by hash alone
+            action = next((a for a in bucket if a.width == width and a.rows == rows), None)
+            if action is None:
+                action = _Action(degree + 1, width, rows)
+                bucket.append(action)
+            steps[prev, edge] = action
+        return action
 
-    start = [((source,), (1, [[{0: field.one()}] for _ in gens])) for source in quiver.vertices]
-    for seq, (ambient, cur) in walk(quiver, start, max_degree, path_cap, step):
+    start = _Action(0, 1, [[{0: field.one()}] for _ in gens])
+    for seq, action in walk(quiver, [((v,), start) for v in quiver.vertices],
+                            max_degree, path_cap, step):
         path = Path(seq)
-        fixed = _fixed(field, ambient, cur)
+        fixed = action.fixed(field)
+        ambient = action.width
         composite, direct = _composite(field, ambient, seq, profiles, irreducibles)
         irreducible = composite.complement_in(fixed)
         if irreducible.dim:
@@ -214,16 +269,19 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     return ProfileTable(quiver, spec, max_degree, profiles, pairs, uncertified)
 
 
-@dataclass
 class DecompositionVerdict:
     """Outcome of the per-path unique-decomposition check."""
 
-    path: Path
-    holds: bool
-    fixed_dim: int
-    composition_sum: int
-    failing_composition: tuple | None = None
-    detail: str | None = None
+    __slots__ = ("path", "holds", "fixed_dim", "composition_sum", "failing_composition", "detail")
+
+    def __init__(self, path: Path, holds: bool, fixed_dim: int, composition_sum: int,
+                 failing_composition: tuple | None = None, detail: str | None = None):
+        self.path = path
+        self.holds = holds
+        self.fixed_dim = fixed_dim
+        self.composition_sum = composition_sum
+        self.failing_composition = failing_composition
+        self.detail = detail
 
 
 def verify_decomposition(path: Path, table: ProfileTable) -> DecompositionVerdict:

@@ -37,8 +37,8 @@ class WrongFieldKind(FieldError):
 PRIME_LIMIT = 3317044064679887385961981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # products are integer schoolbook, quadratic in phi(n): about 0.1 s for two
-# dense elements of Q(zeta_997); an inverse takes phi(n) - 1 products of
-# growing integers: 0.1 s for a dense element of Q(zeta_97), 1 s at n = 199
+# dense elements of Q(zeta_997); an inverse takes O(log phi(n)) products of
+# growing integers (see CyclotomicElement._inverse)
 MAX_CYCLOTOMIC_ORDER = 1000
 
 
@@ -99,6 +99,34 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         for i in (range(size - 1, -1, -1) if mu == 1 else range(size)):
             poly[i] = (poly[i - d] if i >= d else 0) - poly[i]
     return tuple(poly)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_group_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """(generator, order) of cyclic factors whose direct product is (Z/n)^x.
+
+    A primitive root modulo each odd prime power p^k exactly dividing n, and
+    -1 (k >= 2) and 5 (k >= 3) modulo 2^k, each lifted to 1 modulo n / p^k.
+    """
+    out = []
+    for p in _prime_factors(n):
+        pk = p
+        while n % (pk * p) == 0:
+            pk *= p
+        if p == 2:
+            gens = [(pk - 1, 2)] if pk >= 4 else []
+            if pk >= 8:
+                gens.append((5, pk // 4))
+        else:
+            g = next(g for g in range(2, p)
+                     if all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1)))
+            if pk > p and pow(g, p - 1, p * p) == 1:
+                g += p  # then g + p is a primitive root modulo every power of p
+            gens = [(g, pk // p * (p - 1))]
+        rest = n // pk
+        lift = rest * pow(rest, -1, pk)  # 1 modulo pk, 0 modulo rest
+        out += [((g * lift + 1 - lift) % n, order) for g, order in gens]
+    return tuple(out)
 
 
 def euler_phi(n: int) -> int:
@@ -272,19 +300,39 @@ class CyclotomicElement:
         return o * self._inverse()
 
     def _inverse(self) -> "CyclotomicElement":
+        """R_1 ... R_r / b_r, a product of Galois conjugates over the norm.
+
+        For (Z/n)^x = <g_1> x ... x <g_r>, b_0 = self, R_i is the product of
+        the conjugates of b_(i-1) under g_i, ..., g_i^(order - 1), and
+        b_i = b_(i-1) R_i; b_r is the norm, a nonzero rational.
+        """
         if not self:
             raise DivisionByZero(f"division by zero in {self.field!r}")
-        # self times its other Galois conjugates z -> z^e is its norm, a nonzero rational
-        field, n = self.field, self.field.n
-        rest = field.one()
-        for e in range(2, n):
-            if gcd(e, n) == 1:
-                nums = [0] * n
-                for i, c in enumerate(self.coeffs):
-                    nums[i * e % n] += c
-                rest = rest * field._reduce(nums, self.den)
-        norm = self * rest
-        return rest * Fraction(norm.den, norm.coeffs[0])
+        out, b = self.field.one(), self
+        for g, order in _unit_group_factors(self.field.n):
+            rest = b._orbit_product(g, order - 1)
+            out = out * rest
+            b = b * rest
+        return out * Fraction(b.den, b.coeffs[0])
+
+    def _conjugate(self, e: int) -> "CyclotomicElement":
+        """The image under the automorphism z -> z^e (e prime to n)."""
+        nums = [0] * self.field.n
+        for i, c in enumerate(self.coeffs):
+            nums[i * e % self.field.n] += c
+        return self.field._reduce(nums, self.den)
+
+    def _orbit_product(self, g: int, count: int) -> "CyclotomicElement":
+        """The product of the conjugates under z -> z^(g^k) for k = 1..count, by doubling."""
+        n = self.field.n
+        acc, length = self._conjugate(g), 1  # acc: the product for k = 1..length
+        for bit in bin(count)[3:]:
+            acc = acc * acc._conjugate(pow(g, length, n))
+            length *= 2
+            if bit == "1":
+                length += 1
+                acc = acc * self._conjugate(pow(g, length, n))
+        return acc
 
     def __neg__(self):
         return CyclotomicElement(self.field, tuple(-x for x in self.coeffs), self.den)
@@ -316,6 +364,8 @@ class CyclotomicElement:
         # a rational element hashes like the int or Fraction it equals
         if any(self.coeffs[1:]):
             return hash((self.coeffs, self.den))
+        if self.den == 1:
+            return hash(self.coeffs[0])
         return hash(Fraction(self.coeffs[0], self.den))
 
     def __bool__(self):

@@ -10,7 +10,6 @@ Paths are identified with their vertex sequences.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 
 
 DEFAULT_PATH_CAP = 100_000
@@ -34,12 +33,22 @@ class PathCapExceeded(QuiverError):
     pass
 
 
-# slots: one instance per stored path; a __dict__ would add about 50 bytes to each
-@dataclass(frozen=True, slots=True)
 class Path:
     """A path (u_0, ..., u_n) from u_0 to u_n; n = 0 is the trivial path."""
 
-    vertices: tuple
+    # one instance per stored path; a __dict__ would add about 50 bytes to each
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: tuple):
+        self.vertices = vertices
+
+    def __eq__(self, other):
+        if not isinstance(other, Path):
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash(self.vertices)
 
     @property
     def degree(self) -> int:
@@ -238,15 +247,17 @@ def _topological_order(quiver: Quiver):
     return order
 
 
-@dataclass
 class Multigraph:
     """An undirected multigraph on indexed vertices; loops allowed.
 
     Edges are a multiset of index pairs (i, j) with i <= j; (i, i) is a loop.
     """
 
-    vertices: tuple
-    edges: Counter
+    __slots__ = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple, edges: Counter):
+        self.vertices = vertices
+        self.edges = edges
 
     def degree(self, i: int) -> int:
         d = 0

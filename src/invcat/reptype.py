@@ -10,7 +10,6 @@ heuristics; anything else is wild.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .action import ActionSpec
 from .engine import compute_profiles
@@ -34,11 +33,18 @@ class WrongShape(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class DiagramLabel:
-    family: str  # "A", "D", "E" or "other"
-    index: int | None = None
-    extended: bool = False
+    __slots__ = ("family", "index", "extended")
+
+    def __init__(self, family: str, index: int | None = None, extended: bool = False):
+        self.family = family  # "A", "D", "E" or "other"
+        self.index = index
+        self.extended = extended
+
+    def __eq__(self, other):
+        if not isinstance(other, DiagramLabel):
+            return NotImplemented
+        return (self.family, self.index, self.extended) == (other.family, other.index, other.extended)
 
     def __str__(self):
         if self.family == "other":
@@ -154,11 +160,13 @@ def recognize_component(graph: Multigraph) -> DiagramLabel:
     return OTHER
 
 
-@dataclass
 class Classification:
-    overall: str  # "finite" | "tame" | "wild"
-    components: tuple
-    finite_is_tame: bool = True  # convention: finite type counts as tame
+    __slots__ = ("overall", "components", "finite_is_tame")
+
+    def __init__(self, overall: str, components: tuple, finite_is_tame: bool = True):
+        self.overall = overall  # "finite" | "tame" | "wild"
+        self.components = components
+        self.finite_is_tame = finite_is_tame  # convention: finite type counts as tame
 
     @property
     def is_tame(self) -> bool:
@@ -183,10 +191,12 @@ def classify(quiver: Quiver) -> Classification:
     return classify_multigraph(underlying_multigraph(quiver))
 
 
-@dataclass
 class InvariantClassification:
-    classification: Classification
-    certified: bool  # False = the classification reflects the truncation only
+    __slots__ = ("classification", "certified")
+
+    def __init__(self, classification: Classification, certified: bool):
+        self.classification = classification
+        self.certified = certified  # False = the classification reflects the truncation only
 
 
 def classify_invariants(report) -> InvariantClassification:

@@ -141,6 +141,11 @@ def character_action(quiver: Quiver, order: int, rng: random.Random) -> ActionSp
     return ActionSpec(quiver, field, [("t", mats)])
 
 
+# Z/3 acts on the arrow m_s -> m_t of a 4-vertex mesh by z^e
+MESH_EXPONENTS = {(0, 1): 0, (1, 2): 2, (2, 3): 0, (3, 0): 1,
+                  (0, 2): 0, (1, 3): 1, (2, 0): 1, (3, 1): 1}
+
+
 def count_factorizations(vertices: tuple, invariant: set, irreducible: set) -> int:
     """Number of ways to cut a path into irreducible invariant blocks."""
     if len(vertices) == 1:

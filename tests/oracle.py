@@ -9,6 +9,7 @@ by long division, for diffing ``invcat.fields``.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def rref(field, rows, ncols):
@@ -142,3 +143,21 @@ def cyclotomic_mul(n, a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return cyclotomic_reduce(n, out)
+
+
+def cyclotomic_inverse(x):
+    """The inverse of a nonzero element of Q(zeta_n), one Galois conjugate at a time.
+
+    x times the product of its phi(n) - 1 other conjugates z -> z^e is its
+    norm, a nonzero rational; phi(n) - 1 products, so slow beyond n ~ 100.
+    """
+    field, n = x.field, x.field.n
+    rest = field.one()
+    for e in range(2, n):
+        if gcd(e, n) == 1:
+            conjugate = [Fraction(0)] * n
+            for i, c in enumerate(x.coeffs):
+                conjugate[i * e % n] += Fraction(c, x.den)
+            rest = rest * field.element(conjugate)
+    norm = x * rest
+    return rest * Fraction(norm.den, norm.coeffs[0])

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -426,3 +430,15 @@ def test_series_size_cap_in_file_and_flag(tmp_path, capsys):
     fragment = "options.max_degree: 111111 gives 1000008 hom series entries over 3 vertices"
     _rejected_in_file_and_flag(tmp_path, capsys, "max_degree", "--max-degree", 111_111, fragment)
     _rejected(_with(KRONECKER_TRIVIAL, ["options", "max_degree"], 10**6), "options.max_degree: ")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which every CLI
+    # process would compile and hold in memory
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, invcat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

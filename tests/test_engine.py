@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from invcat.action import ActionSpec, close_group, extract_characters
+from invcat import engine
+from invcat.action import ActionSpec, act_on_path, close_group, extract_characters
 from invcat.engine import (
     MissingSubPath,
     averaged_fixed_subspace,
@@ -19,6 +20,8 @@ from invcat.quiver import Path, PathCapExceeded, Quiver
 
 import oracle
 from instances import (
+    MESH_EXPONENTS,
+    _permutation_matrix,
     character_action,
     crown_quiver,
     random_action,
@@ -608,3 +611,114 @@ def test_composite_terms_match_on_non_schurian_instances_over_q_zeta4_and_q_zeta
         random.Random(4712), 16,
     )
     assert paths > 50 and fractional > 0
+
+
+# ---------------------------------------------------------------------------
+# One fixed-space elimination per distinct path action and degree
+
+
+@pytest.fixture
+def fixed_calls(monkeypatch):
+    """The ambient dimension of every fixed-space elimination, in call order."""
+    calls = []
+    eliminate = engine._fixed
+
+    def counted(field, ambient, actions):
+        calls.append(ambient)
+        return eliminate(field, ambient, actions)
+
+    monkeypatch.setattr(engine, "_fixed", counted)
+    return calls
+
+
+def _distinct_actions(spec, paths):
+    """Distinct (degree, action matrices of the generators) over paths, by dense matrices."""
+    return {
+        (path.degree, tuple(act_on_path(spec, g, path) for g in spec.generator_elements))
+        for path in paths
+    }
+
+
+def _nontrivially_shared(table):
+    """Paths whose fixed subspace, neither zero nor everything, is an earlier path's object."""
+    seen, shared = set(), 0
+    for path in table.all_paths():
+        fixed = table.profile(path).fixed
+        if 0 < fixed.dim < fixed.ambient_dim:
+            shared += id(fixed) in seen
+            seen.add(id(fixed))
+    return shared
+
+
+def test_shared_fixed_spaces_match_brute_force_on_random_suites(fixed_calls):
+    # over Q and F_2 most dimension-1 arrows act by 1 or -1, so many paths share
+    # an action; every stored F must still be the brute-force fixed space of
+    # its own path, and there is one elimination per distinct action
+    rng = random.Random(20261018)
+    fields = [QQ, CyclotomicField(3), PrimeField(2), PrimeField(3)]
+    done = shared = 0
+    while done < 16:
+        field = fields[done % len(fields)]
+        q = random_quiver(rng, max_vertices=4, max_dim=2, extra_arrows=3)
+        drawn = random_action(q, field, rng, rng.randint(1, 2), 24)
+        if drawn is None:
+            continue
+        spec, elements = drawn
+        del fixed_calls[:]
+        table = compute_profiles(q, spec, 4)
+        paths = table.all_paths()
+        for path in paths:
+            assert table.profile(path).fixed.basis == _brute_fixed(q, spec, elements, path)
+        assert len(fixed_calls) == len(_distinct_actions(spec, paths))
+        shared += _nontrivially_shared(table)
+        done += 1
+    assert shared > 10  # 20 paths share a nontrivial F with an earlier path
+
+
+def test_trivial_group_with_arrows_of_different_dims(fixed_calls):
+    # no generators: every action is an empty row list, told apart by its width only
+    q = Quiver(["a", "b", "c"], {("b", "a"): 2, ("c", "b"): 3, ("a", "c"): 1, ("b", "b"): 1})
+    table = compute_profiles(q, ActionSpec(q, QQ, []), 4)
+    widths = set()
+    for path in table.all_paths():
+        prof = table.profile(path)
+        assert prof.space_dim == q.path_space_dim(path)
+        assert prof.fixed == Subspace.full(QQ, prof.space_dim)
+        widths.add((path.degree, prof.space_dim))
+    assert len(fixed_calls) == len(widths)
+    assert len(widths) < len(table.all_paths())
+
+
+def mesh_spec():
+    field = CyclotomicField(3)
+    z = field.zeta()
+    q = Quiver([f"m{v}" for v in range(4)], {(f"m{t}", f"m{s}"): 1 for s, t in MESH_EXPONENTS})
+    mats = {(f"m{t}", f"m{s}"): Matrix(field, [[z**e]]) for (s, t), e in MESH_EXPONENTS.items()}
+    return q, ActionSpec(q, field, [("g", mats)])
+
+
+def test_equal_actions_share_the_fixed_space_but_not_the_composite():
+    q, spec = mesh_spec()
+    table = compute_profiles(q, spec, 2)
+    ones = table.profile(Path(("m0", "m2", "m3")))  # acts by 1 * 1
+    zetas = table.profile(Path(("m3", "m1", "m2")))  # acts by z * z^2
+    assert ones.fixed is zetas.fixed and ones.fixed.dim == 1
+    # m0 -> m2 is invariant, m3 -> m1 is not: only the first path is composite
+    assert ones.composite.dim == 1 and ones.irreducible.dim == 0
+    assert zetas.composite.dim == 0 and zetas.irreducible.dim == 1
+
+
+def test_fixed_eliminations_per_distinct_action(fixed_calls):
+    # the mesh has three actions per degree (z^0, z^1, z^2) among 8,184 paths
+    q, spec = mesh_spec()
+    table = compute_profiles(q, spec, 10)
+    assert len(table.all_paths()) == 8184
+    assert len(fixed_calls) == 30
+    # a one-loop job has one path, so one elimination, per degree
+    for field, n_letters, perms, degree in [(PrimeField(2), 2, [(1, 0)], 8),
+                                            (QQ, 3, [(1, 0, 2), (1, 2, 0)], 5)]:
+        q = Quiver(["v"], {("v", "v"): n_letters})
+        gens = [(f"g{i}", {("v", "v"): _permutation_matrix(field, p)}) for i, p in enumerate(perms)]
+        del fixed_calls[:]
+        compute_profiles(q, ActionSpec(q, field, gens), degree)
+        assert fixed_calls == [n_letters**d for d in range(1, degree + 1)]

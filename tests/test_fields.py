@@ -395,3 +395,33 @@ def test_inverse_of_a_negative_rational_in_q_zeta2():
     field = CyclotomicField(2)
     inverse = 1 / field.from_int(-3)
     assert inverse == Fraction(-1, 3) and inverse.den == 3
+
+
+INVERSE_ORDERS = (3, 5, 8, 12, 15, 97)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(INVERSE_ORDERS).flatmap(
+    lambda n: st.tuples(st.just(n), raw_element(n, 6 if n == 97 else 2 * n))
+))
+def test_inverse_by_cyclic_factors_matches_the_conjugate_loop(case):
+    # the inverse multiplies O(log phi(n)) conjugates over a cyclic
+    # decomposition of (Z/n)^x; the oracle multiplies all phi(n) - 1 of them
+    n, raw = case
+    a = FIELDS[n].element(raw)
+    if not a:
+        with pytest.raises(DivisionByZero):
+            1 / a
+        return
+    assert 1 / a == oracle.cyclotomic_inverse(a)
+
+
+def test_dense_inverse_in_q_zeta499_is_fast():
+    # multiplying the 497 other conjugates one at a time took 31 s here
+    field = CyclotomicField(499)
+    rng = random.Random(499)
+    a = field.element([rng.randint(-9, 9) for _ in range(field.degree)])
+    start = time.perf_counter()
+    inverse = 1 / a
+    assert time.perf_counter() - start < 3.0
+    assert inverse * a == 1

@@ -11,6 +11,8 @@ import itertools
 
 from invcat.jobs import parse_job, report_to_dict, run_pipeline
 
+from instances import MESH_EXPONENTS
+
 
 def orbit_counts(n_letters, generators, max_degree):
     """Orbits of the group generated by letter permutations on words of length 1..max_degree."""
@@ -84,11 +86,6 @@ def test_swap_loop_over_f2_degree_twelve():
     assert fixed == [2 ** (d - 1) for d in range(1, 13)]
 
 
-# Z/3 acts on the arrow m_s -> m_t of a 4-vertex mesh by z^e
-MESH_EXPONENTS = {(0, 1): 0, (1, 2): 2, (2, 3): 0, (3, 0): 1,
-                  (0, 2): 0, (1, 3): 1, (2, 0): 1, (3, 1): 1}
-
-
 def mesh_oracle(max_degree):
     """Hom series and generators from exponent sums, by walking every path.
 
@@ -115,9 +112,8 @@ def mesh_oracle(max_degree):
     return series, sorted(generators), paths
 
 
-def test_schurian_mesh_over_q_zeta3_degree_twelve():
-    # 32,760 paths, each with a 1-dimensional tensor space: bound by per-path cost
-    max_degree = 12
+def check_mesh(max_degree):
+    """The 4-vertex Schurian mesh through the whole pipeline, against the oracle."""
     job = {
         "field": {"kind": "cyclotomic", "n": 3},
         "quiver": {
@@ -132,8 +128,19 @@ def test_schurian_mesh_over_q_zeta3_degree_twelve():
     result = run_pipeline(parse_job(job))
     report = report_to_dict(result)
     series, generators, paths = mesh_oracle(max_degree)
-    assert paths == len(result.table.all_paths()) == 32760
+    assert paths == len(result.table.all_paths())
     assert report["hom_series"] == series
     assert sorted(g["path"] for g in report["generators"]) == generators
     assert all(g["multiplicity"] == 1 for g in report["generators"])
     assert result.freeness.holds and result.schurian["agrees"]
+    return paths
+
+
+def test_schurian_mesh_over_q_zeta3_degree_twelve():
+    # 32,760 paths, each with a 1-dimensional tensor space: bound by per-path cost
+    assert check_mesh(12) == 32760
+
+
+def test_schurian_mesh_over_q_zeta3_degree_thirteen():
+    # 65,528 paths sharing 39 actions: one fixed-space elimination per action
+    assert check_mesh(13) == 65528

@@ -1,0 +1,155 @@
+"""Malformed job files: one mutation of a demo job, rejected fast with a key path.
+
+Each case takes one of the job files in demos/inputs/ and breaks it in one
+place: a value of the wrong type, a required key deleted, a vertex nobody
+declared, or a matrix of the wrong shape.  `invcat compute` must exit 1
+(an input error, never 3) within a second, and its message must start
+with the key path of the broken place or of an enclosing object.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import time
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from invcat.cli import main
+
+DEMO_INPUTS = Path(__file__).resolve().parent.parent / "demos" / "inputs"
+JOBS = {p.name: json.loads(p.read_text()) for p in sorted(DEMO_INPUTS.glob("*.json"))}
+
+DELETE = object()
+WRONG = {
+    dict: [None, True, 1.5, "x", 7, []],
+    list: [None, True, 1.5, "x", 7, {}],
+    str: [None, True, 1.5, 7, [], {}],
+    int: [None, True, 1.5, "7", [], {}],
+    "entry": [None, True, 1.5, [], {}],  # strings and integers are valid entries
+}
+
+
+def typed_locations(job):
+    """(location, expected type) of every value the job grammar types."""
+    out = [(("field",), dict), (("field", "kind"), str), (("quiver",), dict),
+           (("quiver", "vertices"), list), (("quiver", "arrows"), list)]
+    out += [(("field", k), int) for k in ("n", "p") if k in job["field"]]
+    out += [(("quiver", "vertices", i), str) for i in range(len(job["quiver"]["vertices"]))]
+    for i, arrow in enumerate(job["quiver"]["arrows"]):
+        out += [(("quiver", "arrows", i), dict)]
+        out += [(("quiver", "arrows", i, k), int if k == "dim" else str) for k in arrow]
+    if "options" in job:
+        out += [(("options",), dict)] + [(("options", k), int) for k in job["options"]]
+    if "action" in job:
+        out += [(("action",), dict), (("action", "generators"), list)]
+        for g, gen in enumerate(job["action"]["generators"]):
+            base = ("action", "generators", g)
+            out += [(base, dict), (base + ("matrices",), dict)]
+            out += [(base + ("name",), str)] if "name" in gen else []
+            for key, rows in gen["matrices"].items():
+                out += [(base + ("matrices", key), list)]
+                for r, row in enumerate(rows):
+                    out += [(base + ("matrices", key, r), list)]
+                    out += [(base + ("matrices", key, r, c), "entry") for c in range(len(row))]
+    return out
+
+
+def matrices(job):
+    """(location, rows) of every generator matrix."""
+    return [
+        (("action", "generators", g, "matrices", key), rows)
+        for g, gen in enumerate(job.get("action", {}).get("generators", []))
+        for key, rows in gen["matrices"].items()
+    ]
+
+
+def mutations(job):
+    """Every single-place break of the job, as (location, new value or DELETE, renamed key)."""
+    out = [(loc, bad, None) for loc, kind in typed_locations(job) for bad in WRONG[kind]]
+    # required keys; options, action, generators and names have defaults
+    required = [("field",), ("field", "kind"), ("quiver",), ("quiver", "vertices"), ("quiver", "arrows")]
+    required += [("field", k) for k in ("n", "p") if k in job["field"]]
+    required += [("quiver", "arrows", i, k) for i in range(len(job["quiver"]["arrows"]))
+                 for k in ("source", "target", "dim")]
+    required += [loc[:-1] for loc, _ in matrices(job)]  # a generator's "matrices"
+    required += [loc for loc, _ in matrices(job)]  # one arrow's matrix
+    out += [(loc, DELETE, None) for loc in required]
+    # unknown vertices, in an arrow and in a matrix key
+    out += [(("quiver", "arrows", i, k), "nowhere", None)
+            for i in range(len(job["quiver"]["arrows"])) for k in ("source", "target")]
+    for loc, rows in matrices(job):
+        target, source = loc[-1].split("<-")
+        for key in (f"nowhere<-{source}", f"{target}<-nowhere", f"{target}{source}"):
+            out.append((loc[:-1] + (key,), rows, loc[-1]))
+    # matrices of the wrong shape
+    for loc, rows in matrices(job):
+        out += [(loc, shape, None) for shape in (
+            rows + [rows[0]], rows[:-1], [rows[0] + ["0"]] + rows[1:],
+            [rows[0][:-1]] + rows[1:], [], ["0"] * len(rows),
+        )]
+    return out
+
+
+def dotted(location):
+    """The key path as the job parser writes it."""
+    text = location[0]
+    for prev, part in zip(location, location[1:]):
+        if isinstance(part, int):
+            text += f"[{part}]"
+        elif prev == "matrices":
+            text += f"[{part!r}]"
+        else:
+            text += f".{part}"
+    return text
+
+
+def apply(job, location, value, renamed):
+    job = copy.deepcopy(job)
+    owner = job
+    for part in location[:-1]:
+        owner = owner[part]
+    if renamed is not None:
+        del owner[renamed]
+    if value is DELETE:
+        del owner[location[-1]]
+    else:
+        owner[location[-1]] = value
+    return job
+
+
+@st.composite
+def malformed_job(draw):
+    name = draw(st.sampled_from(sorted(JOBS)))
+    location, value, renamed = draw(st.sampled_from(mutations(JOBS[name])))
+    return name, location, apply(JOBS[name], location, value, renamed)
+
+
+def test_every_demo_job_has_mutations():
+    for name, job in JOBS.items():
+        assert mutations(job), name
+    assert len(JOBS) == 6
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(malformed_job())
+def test_malformed_demo_job_exits_one_with_a_key_path(tmp_path_factory, case):
+    name, location, job = case
+    directory = tmp_path_factory.mktemp("malformed")
+    path = directory / name
+    path.write_text(json.dumps(job), encoding="utf-8")
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["compute", "--input", str(path), "--out", str(directory / "report.json")])
+    assert time.perf_counter() - start < 1.0
+    message = err.getvalue()
+    assert code == 1, message
+    assert message.startswith("error: ") and "internal error" not in message, message
+    context = message[len("error: "):].split(": ", 1)[0]
+    where = dotted(location)
+    top_level = len(location) == 1 and context in ("job", f"job.{location[0]}")
+    assert top_level or where == context or where.startswith((context + ".", context + "[")), (
+        where, message)
+    assert not (directory / "report.json").exists()
