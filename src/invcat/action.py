@@ -9,7 +9,7 @@ with the matrix for the last edge as the leftmost tensor factor.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 
 from .linalg import Matrix
 from .quiver import Path, Quiver
@@ -146,16 +146,10 @@ def act_on_path(spec: ActionSpec, element: GroupElement, path: Path) -> Matrix:
     return acc
 
 
-class CharacterTable:
+class CharacterTable(namedtuple("CharacterTable", "field edges elements values")):
     """Per-edge scalar characters of a closed group on a Schurian quiver."""
 
-    __slots__ = ("field", "edges", "elements", "values")
-
-    def __init__(self, field, edges: tuple, elements: tuple, values: dict):
-        self.field = field
-        self.edges = edges
-        self.elements = elements
-        self.values = values
+    __slots__ = ()
 
     def value(self, edge, element_index: int):
         return self.values[edge][element_index]

@@ -12,6 +12,7 @@ comparison against the free category on the reported generators.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .action import ActionSpec, CharacterTable, require_schurian
 from .engine import ProfileTable, verify_decomposition
@@ -33,45 +34,11 @@ REASON_CROWN = "crown-bound"
 DEFAULT_VERIFY_DEPTH_CAP = 8
 
 
-class GeneratorEntry:
-    __slots__ = ("path", "multiplicity")
-
-    def __init__(self, path: Path, multiplicity: int):
-        self.path = path
-        self.multiplicity = multiplicity
-
-    def __eq__(self, other):
-        if not isinstance(other, GeneratorEntry):
-            return NotImplemented
-        return self.path == other.path and self.multiplicity == other.multiplicity
-
-
-class Completeness:
-    __slots__ = ("status", "reason", "bound")
-
-    def __init__(self, status: str, reason: str | None = None, bound: int | None = None):
-        self.status = status
-        self.reason = reason
-        self.bound = bound
-
-    def __eq__(self, other):
-        if not isinstance(other, Completeness):
-            return NotImplemented
-        return (self.status, self.reason, self.bound) == (other.status, other.reason, other.bound)
-
-    def __repr__(self):
-        return f"Completeness(status={self.status!r}, reason={self.reason!r}, bound={self.bound!r})"
-
-
-class InvariantQuiverReport:
-    __slots__ = ("vertices", "generators", "max_degree", "completeness")
-
-    def __init__(self, vertices: tuple, generators: tuple, max_degree: int,
-                 completeness: Completeness):
-        self.vertices = vertices
-        self.generators = generators
-        self.max_degree = max_degree
-        self.completeness = completeness
+GeneratorEntry = namedtuple("GeneratorEntry", "path multiplicity")
+Completeness = namedtuple("Completeness", "status reason bound", defaults=(None, None))
+InvariantQuiverReport = namedtuple(
+    "InvariantQuiverReport", "vertices generators max_degree completeness"
+)
 
 
 def _crown_cycle(quiver: Quiver, component) -> list | None:
@@ -181,29 +148,12 @@ def generator_quiver(report: InvariantQuiverReport) -> Quiver:
     return Quiver(report.vertices, dims)
 
 
-class SeriesMismatch:
-    __slots__ = ("source", "target", "degree", "invariant_dim", "free_dim")
-
-    def __init__(self, source, target, degree: int, invariant_dim: int, free_dim: int):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self.invariant_dim = invariant_dim
-        self.free_dim = free_dim
-
-
-class FreenessVerdict:
-    __slots__ = ("holds", "verify_depth", "checked_paths",
-                 "decomposition_failures", "series_mismatches")
-
-    def __init__(self, holds: bool, verify_depth: int, checked_paths: int,
-                 decomposition_failures: list | None = None,
-                 series_mismatches: list | None = None):
-        self.holds = holds
-        self.verify_depth = verify_depth
-        self.checked_paths = checked_paths
-        self.decomposition_failures = [] if decomposition_failures is None else decomposition_failures
-        self.series_mismatches = [] if series_mismatches is None else series_mismatches
+SeriesMismatch = namedtuple("SeriesMismatch", "source target degree invariant_dim free_dim")
+FreenessVerdict = namedtuple(
+    "FreenessVerdict",
+    "holds verify_depth checked_paths decomposition_failures series_mismatches",
+    defaults=((), ()),
+)
 
 
 def free_category_dims(vertices, generators, max_degree: int):
@@ -271,25 +221,9 @@ def verify_freeness(table: ProfileTable, report: InvariantQuiverReport,
     )
 
 
-class CleavingViolation:
-    __slots__ = ("invariant", "other", "composed")
-
-    def __init__(self, invariant: Path, other: Path, composed: Path):
-        self.invariant = invariant
-        self.other = other
-        self.composed = composed
-
-
-class CleavingWitness:
-    """Per hom-pair split into invariant paths and the complement family."""
-
-    __slots__ = ("holds", "max_degree", "pair_counts", "violations")
-
-    def __init__(self, holds: bool, max_degree: int, pair_counts: dict, violations: list):
-        self.holds = holds
-        self.max_degree = max_degree
-        self.pair_counts = pair_counts
-        self.violations = violations
+CleavingViolation = namedtuple("CleavingViolation", "invariant other composed")
+# per hom-pair split into invariant paths and the complement family
+CleavingWitness = namedtuple("CleavingWitness", "holds max_degree pair_counts violations")
 
 
 def verify_cleaving_schurian(quiver: Quiver, chars: CharacterTable, max_degree: int,
@@ -331,8 +265,8 @@ def verify_cleaving_schurian(quiver: Quiver, chars: CharacterTable, max_degree: 
             if flags[composed]:
                 violations.append(
                     CleavingViolation(
-                        invariant=Path(u if u_inv else w),
-                        other=Path(w if u_inv else u),
+                        invariant=u if u_inv else w,
+                        other=w if u_inv else u,
                         composed=Path(composed),
                     )
                 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 
@@ -27,10 +28,22 @@ from .reptype import classify
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Replace path with text at once.
+
+    An existing file keeps its mode; a new one gets 0o666 & ~umask, as
+    open() would give it.
+    """
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".invcat-", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), mode)  # mkstemp made it 0o600
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -22,6 +22,7 @@ invariant paths.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain
 
 from .action import ActionSpec, CharacterTable, act_on_path
@@ -37,19 +38,8 @@ class MissingSubPath(EngineError):
     pass
 
 
-class StringInvariants:
-    """The three nested subspaces attached to one path."""
-
-    # one instance per path; a __dict__ would add about 40 bytes to each
-    __slots__ = ("path", "space_dim", "fixed", "composite", "irreducible")
-
-    def __init__(self, path: Path, space_dim: int, fixed: Subspace,
-                 composite: Subspace, irreducible: Subspace):
-        self.path = path
-        self.space_dim = space_dim
-        self.fixed = fixed
-        self.composite = composite
-        self.irreducible = irreducible
+# the three nested subspaces attached to one path, in a tensor space of space_dim
+StringInvariants = namedtuple("StringInvariants", "space_dim fixed composite irreducible")
 
 
 def compositions(n: int):
@@ -116,7 +106,7 @@ def _composite(field, ambient: int, seq: tuple, profiles, irreducibles):
     for i in range(1, len(seq) - 1):
         i_bottom = irreducibles.get(seq[: i + 1])
         if i_bottom is not None:
-            f_top = profiles[Path(seq[i:])].fixed
+            f_top = profiles[seq[i:]].fixed
             if f_top.dim:
                 terms.append(f_top.tensor(i_bottom))
     total = Subspace.span(field, ambient, terms)
@@ -245,43 +235,29 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
         return action
 
     start = _Action(0, 1, [[{0: field.one()}] for _ in gens])
-    for seq, action in walk(quiver, [((v,), start) for v in quiver.vertices],
-                            max_degree, path_cap, step):
-        path = Path(seq)
+    for path, action in walk(quiver, [((v,), start) for v in quiver.vertices],
+                             max_degree, path_cap, step):
         fixed = action.fixed(field)
         ambient = action.width
-        composite, direct = _composite(field, ambient, seq, profiles, irreducibles)
+        composite, direct = _composite(field, ambient, path, profiles, irreducibles)
         irreducible = composite.complement_in(fixed)
         if irreducible.dim:
-            irreducibles[seq] = irreducible
+            irreducibles[path] = irreducible
         if not direct or irreducible.dim + composite.dim != fixed.dim:
             uncertified.append(path)
-        profiles[path] = StringInvariants(
-            path=path,
-            space_dim=ambient,
-            fixed=fixed,
-            composite=composite,
-            irreducible=irreducible,
-        )
-        pairs.setdefault((seq[0], seq[-1]), []).append(path)
+        profiles[path] = StringInvariants(ambient, fixed, composite, irreducible)
+        pairs.setdefault((path[0], path[-1]), []).append(path)
 
     pairs = {k: tuple(v) for k, v in pairs.items()}
     return ProfileTable(quiver, spec, max_degree, profiles, pairs, uncertified)
 
 
-class DecompositionVerdict:
-    """Outcome of the per-path unique-decomposition check."""
-
-    __slots__ = ("path", "holds", "fixed_dim", "composition_sum", "failing_composition", "detail")
-
-    def __init__(self, path: Path, holds: bool, fixed_dim: int, composition_sum: int,
-                 failing_composition: tuple | None = None, detail: str | None = None):
-        self.path = path
-        self.holds = holds
-        self.fixed_dim = fixed_dim
-        self.composition_sum = composition_sum
-        self.failing_composition = failing_composition
-        self.detail = detail
+# outcome of the per-path unique-decomposition check
+DecompositionVerdict = namedtuple(
+    "DecompositionVerdict",
+    "path holds fixed_dim composition_sum failing_composition detail",
+    defaults=(None, None),
+)
 
 
 def verify_decomposition(path: Path, table: ProfileTable) -> DecompositionVerdict:
@@ -360,7 +336,7 @@ def schurian_generators(quiver: Quiver, chars: CharacterTable, max_degree: int,
     # one source at a time keeps only that source's waves alive
     for source in quiver.vertices:
         start = [((source,), (ones, False))]
-        for seq, (_, invariant) in walk(quiver, start, max_degree, path_cap, step):
+        for path, (_, invariant) in walk(quiver, start, max_degree, path_cap, step):
             if invariant:
-                out.setdefault((source, seq[-1]), []).append(Path(seq))
+                out.setdefault((source, path[-1]), []).append(path)
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 
 from .action import DEFAULT_GROUP_CAP, ActionSpec, NotSchurian, close_group, extract_characters
 from .category import DEFAULT_VERIFY_DEPTH_CAP, build_invariant_quiver, verify_freeness
@@ -44,8 +45,25 @@ def _get(data, key, ctx, kind=None, required=True, default=None):
     return value
 
 
+def _only(data, keys, ctx):
+    """Reject an object holding a key outside keys: a misspelt key must not pass as absent."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{ctx}: expected an object")
+    for key in data:
+        if key not in keys:
+            raise ParseError(f"{ctx}: unknown key {key!r}")
+
+
+JOB_KEYS = ("field", "quiver", "action", "options")
+# the keys a field object may hold, by kind
+FIELD_KEYS = {"rationals": ("kind",), "cyclotomic": ("kind", "n"), "prime": ("kind", "p")}
+
+
 def field_from_dict(data, ctx="field"):
     kind = _get(data, "kind", ctx, str)
+    if kind not in FIELD_KEYS:
+        raise ParseError(f"{ctx}.kind: unknown field kind {kind!r}")
+    _only(data, FIELD_KEYS[kind], ctx)
     if kind == "rationals":
         return QQ
     if kind == "cyclotomic":
@@ -54,13 +72,11 @@ def field_from_dict(data, ctx="field"):
             return CyclotomicField(n)
         except ValueError as err:
             raise ParseError(f"{ctx}.n: {err}") from None
-    if kind == "prime":
-        p = _get(data, "p", ctx, int)
-        try:
-            return PrimeField(p)
-        except ValueError as err:
-            raise ParseError(f"{ctx}.p: {err}") from None
-    raise ParseError(f"{ctx}.kind: unknown field kind {kind!r}")
+    p = _get(data, "p", ctx, int)
+    try:
+        return PrimeField(p)
+    except ValueError as err:
+        raise ParseError(f"{ctx}.p: {err}") from None
 
 
 def field_to_dict(field):
@@ -72,6 +88,7 @@ def field_to_dict(field):
 
 
 def quiver_from_dict(data, ctx="quiver"):
+    _only(data, ("vertices", "arrows"), ctx)
     vertices = _get(data, "vertices", ctx, list)
     for i, v in enumerate(vertices):
         if not isinstance(v, str):
@@ -84,6 +101,7 @@ def quiver_from_dict(data, ctx="quiver"):
     dims = {}
     for i, arrow in enumerate(arrows):
         actx = f"{ctx}.arrows[{i}]"
+        _only(arrow, ("source", "target", "dim"), actx)
         source = _get(arrow, "source", actx, str)
         target = _get(arrow, "target", actx, str)
         dim = _get(arrow, "dim", actx, int)
@@ -135,6 +153,7 @@ def _parse_entry(field, value, ctx):
 
 
 def action_from_dict(data, quiver, field, ctx="action", group_cap=None):
+    _only(data, ("generators", "group_cap"), ctx)
     raw_generators = _get(data, "generators", ctx, list, required=False, default=[])
     cap = group_cap
     if cap is None:
@@ -144,6 +163,7 @@ def action_from_dict(data, quiver, field, ctx="action", group_cap=None):
     generators = []
     for i, gen in enumerate(raw_generators):
         gctx = f"{ctx}.generators[{i}]"
+        _only(gen, ("name", "matrices"), gctx)
         name = _get(gen, "name", gctx, str, required=False, default=f"g{i}")
         raw_mats = _get(gen, "matrices", gctx, dict)
         mats = {}
@@ -182,22 +202,18 @@ def action_to_dict(spec):
     return {"generators": generators, "group_cap": spec.group_cap}
 
 
-class JobSpec:
-    def __init__(self, field, quiver, action, max_degree, verify_depth, path_cap, group_cap):
-        self.field = field
-        self.quiver = quiver
-        self.action = action
-        self.max_degree = max_degree
-        self.verify_depth = verify_depth
-        self.path_cap = path_cap
-        self.group_cap = group_cap
+JobSpec = namedtuple(
+    "JobSpec", "field quiver action max_degree verify_depth path_cap group_cap"
+)
 
 
 def parse_job(data, overrides=None) -> JobSpec:
     overrides = overrides or {}
+    _only(data, JOB_KEYS, "job")
     field = field_from_dict(_get(data, "field", "job"), "field")
     quiver = quiver_from_dict(_get(data, "quiver", "job"), "quiver")
     options = _get(data, "options", "job", dict, required=False, default={})
+    _only(options, ("max_degree", "verify_depth", "path_cap", "group_cap"), "options")
     max_degree = overrides.get(
         "max_degree",
         _get(options, "max_degree", "options", int, required=False, default=DEFAULT_MAX_DEGREE),
@@ -264,6 +280,7 @@ def load_job(path, overrides=None) -> JobSpec:
 def load_quiver(path) -> Quiver:
     """The quiver of a job file, for commands that need nothing else."""
     data = load_json(path)
+    _only(data, JOB_KEYS, "job")
     return quiver_from_dict(_get(data, "quiver", "job"), "quiver")
 
 
@@ -279,10 +296,6 @@ def job_echo(job: JobSpec) -> dict:
             "group_cap": job.group_cap,
         },
     }
-
-
-def _path_to_list(path):
-    return list(path.vertices)
 
 
 def _classification_to_dict(classification):
@@ -308,7 +321,7 @@ def schurian_diff(quiver, elements, field, report, max_degree, path_cap):
     index = quiver.vertex_index
     universe = sorted(
         fast_paths | set(engine_paths),
-        key=lambda p: (p.degree, tuple(index(v) for v in p.vertices)),
+        key=lambda p: (p.degree, tuple(map(index, p))),
     )
     for path in universe:
         mult = engine_paths.get(path, 0)
@@ -316,7 +329,7 @@ def schurian_diff(quiver, elements, field, report, max_degree, path_cap):
         if (mult == 1 and in_fast) or (mult == 0 and not in_fast):
             continue
         first_difference = {
-            "path": _path_to_list(path),
+            "path": list(path),
             "engine_multiplicity": mult,
             "character_irreducible": in_fast,
         }
@@ -328,18 +341,12 @@ def schurian_diff(quiver, elements, field, report, max_degree, path_cap):
     }
 
 
-class PipelineResult:
-    def __init__(self, job, elements, table, report, freeness, input_classification,
-                 invariant_classification, schurian, elapsed):
-        self.job = job
-        self.elements = elements
-        self.table = table
-        self.report = report
-        self.freeness = freeness
-        self.input_classification = input_classification
-        self.invariant_classification = invariant_classification
-        self.schurian = schurian
-        self.elapsed = elapsed
+class PipelineResult(namedtuple(
+    "PipelineResult",
+    "job elements table report freeness input_classification"
+    " invariant_classification schurian elapsed",
+)):
+    __slots__ = ()
 
     @property
     def verified(self) -> bool:
@@ -388,7 +395,7 @@ def report_to_dict(result: PipelineResult) -> dict:
             series[edge_key((y, x))] = result.table.hom_dims(x, y)
     generators = [
         {
-            "path": _path_to_list(entry.path),
+            "path": list(entry.path),
             "source": entry.path.source,
             "target": entry.path.target,
             "degree": entry.path.degree,
@@ -406,7 +413,7 @@ def report_to_dict(result: PipelineResult) -> dict:
         "verify_depth": result.freeness.verify_depth,
         "checked_paths": result.freeness.checked_paths,
         "decomposition_failures": [
-            {"path": _path_to_list(v.path), "detail": v.detail}
+            {"path": list(v.path), "detail": v.detail}
             for v in result.freeness.decomposition_failures
         ],
         "series_mismatches": [

@@ -9,7 +9,7 @@ Paths are identified with their vertex sequences.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 
 
 DEFAULT_PATH_CAP = 100_000
@@ -33,46 +33,41 @@ class PathCapExceeded(QuiverError):
     pass
 
 
-class Path:
-    """A path (u_0, ..., u_n) from u_0 to u_n; n = 0 is the trivial path."""
+class Path(tuple):
+    """A path (u_0, ..., u_n) from u_0 to u_n; n = 0 is the trivial path.
 
-    # one instance per stored path; a __dict__ would add about 50 bytes to each
-    __slots__ = ("vertices",)
+    A path is its vertex tuple: it equals and hashes like that tuple, so a
+    plain tuple slice looks up a path-keyed table.
+    """
 
-    def __init__(self, vertices: tuple):
-        self.vertices = vertices
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if not isinstance(other, Path):
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
+    @property
+    def vertices(self) -> tuple:
+        return tuple(self)
 
     @property
     def degree(self) -> int:
-        return len(self.vertices) - 1
+        return len(self) - 1
 
     @property
     def source(self):
-        return self.vertices[0]
+        return self[0]
 
     @property
     def target(self):
-        return self.vertices[-1]
+        return self[-1]
 
     def edges(self):
         """Edges as (target, source) pairs in path order."""
-        vs = self.vertices
-        return [(vs[i + 1], vs[i]) for i in range(len(vs) - 1)]
+        return [(self[i + 1], self[i]) for i in range(len(self) - 1)]
 
     def segment(self, start: int, stop: int) -> "Path":
         """The sub-path through vertices u_start .. u_stop."""
-        return Path(self.vertices[start : stop + 1])
+        return Path(self[start : stop + 1])
 
     def __str__(self):
-        return " -> ".join(str(v) for v in self.vertices)
+        return " -> ".join(str(v) for v in self)
 
 
 class Quiver:
@@ -162,9 +157,9 @@ def walk(quiver: Quiver, start, max_degree: int, path_cap: int, step):
     """Paths of degree 1..max_degree extending the start wave, with a folded state.
 
     `start` is the degree-0 wave, a list of (vertex tuple, state) in
-    lexicographic vertex-index order.  Yields (vertex tuple, state) one
-    degree wave at a time; each wave is extended in `out_neighbors` order,
-    so within a degree the paths stay in lexicographic order.  A path's
+    lexicographic vertex-index order.  Yields (Path, state) one degree wave
+    at a time; each wave is extended in `out_neighbors` order, so within a
+    degree the paths stay in lexicographic order.  A path's
     state is step(prefix state, (target, source)) for its last edge; a step
     that returns PRUNE drops the path, which is then neither yielded, nor
     extended, nor counted.  Counts per (source, target) pair are capped;
@@ -187,7 +182,7 @@ def walk(quiver: Quiver, start, max_degree: int, path_cap: int, step):
                     raise PathCapExceeded(
                         f"more than {path_cap} paths from {seq[0]!r} to {w!r}"
                     )
-                ext = seq + (w,)
+                ext = Path(seq + (w,))
                 if degree < max_degree:  # the last wave is never extended
                     new[ext] = ext_state
                 yield ext, ext_state
@@ -207,7 +202,7 @@ def enumerate_paths(quiver: Quiver, source, target, max_degree: int,
     quiver.vertex_index(target)
     result = [Path((source,))] if source == target else []
     walked = walk(quiver, [((source,), None)], max_degree, path_cap, lambda *_: None)
-    return result + [Path(seq) for seq, _ in walked if seq[-1] == target]
+    return result + [path for path, _ in walked if path[-1] == target]
 
 
 def is_acyclic(quiver: Quiver) -> bool:
@@ -247,17 +242,13 @@ def _topological_order(quiver: Quiver):
     return order
 
 
-class Multigraph:
+class Multigraph(namedtuple("Multigraph", "vertices edges")):
     """An undirected multigraph on indexed vertices; loops allowed.
 
     Edges are a multiset of index pairs (i, j) with i <= j; (i, i) is a loop.
     """
 
-    __slots__ = ("vertices", "edges")
-
-    def __init__(self, vertices: tuple, edges: Counter):
-        self.vertices = vertices
-        self.edges = edges
+    __slots__ = ()
 
     def degree(self, i: int) -> int:
         d = 0

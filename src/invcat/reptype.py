@@ -10,10 +10,11 @@ heuristics; anything else is wild.
 
 from __future__ import annotations
 
+from collections import namedtuple
 
 from .action import ActionSpec
 from .engine import compute_profiles
-from .quiver import Multigraph, Path, Quiver, underlying_multigraph
+from .quiver import Multigraph, Quiver, underlying_multigraph
 
 
 FINITE = "finite"
@@ -33,18 +34,10 @@ class WrongShape(Exception):
     pass
 
 
-class DiagramLabel:
-    __slots__ = ("family", "index", "extended")
+class DiagramLabel(namedtuple("DiagramLabel", "family index extended", defaults=(None, False))):
+    """A diagram name: family "A", "D", "E" or "other", index, and extended or not."""
 
-    def __init__(self, family: str, index: int | None = None, extended: bool = False):
-        self.family = family  # "A", "D", "E" or "other"
-        self.index = index
-        self.extended = extended
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagramLabel):
-            return NotImplemented
-        return (self.family, self.index, self.extended) == (other.family, other.index, other.extended)
+    __slots__ = ()
 
     def __str__(self):
         if self.family == "other":
@@ -160,13 +153,15 @@ def recognize_component(graph: Multigraph) -> DiagramLabel:
     return OTHER
 
 
-class Classification:
-    __slots__ = ("overall", "components", "finite_is_tame")
+class Classification(
+    namedtuple("Classification", "overall components finite_is_tame", defaults=(True,))
+):
+    """Overall type ("finite" | "tame" | "wild") and one label per component.
 
-    def __init__(self, overall: str, components: tuple, finite_is_tame: bool = True):
-        self.overall = overall  # "finite" | "tame" | "wild"
-        self.components = components
-        self.finite_is_tame = finite_is_tame  # convention: finite type counts as tame
+    finite_is_tame records the convention that finite type counts as tame.
+    """
+
+    __slots__ = ()
 
     @property
     def is_tame(self) -> bool:
@@ -191,12 +186,8 @@ def classify(quiver: Quiver) -> Classification:
     return classify_multigraph(underlying_multigraph(quiver))
 
 
-class InvariantClassification:
-    __slots__ = ("classification", "certified")
-
-    def __init__(self, classification: Classification, certified: bool):
-        self.classification = classification
-        self.certified = certified  # False = the classification reflects the truncation only
+# certified False: the classification reflects the truncation only
+InvariantClassification = namedtuple("InvariantClassification", "classification certified")
 
 
 def classify_invariants(report) -> InvariantClassification:
@@ -227,8 +218,7 @@ def kronecker_invariants(spec: ActionSpec) -> str:
     ):
         raise WrongShape("expected two vertices joined by one 2-dimensional arrow space")
     target, source = edges[0]
-    path = Path((source, target))
-    fixed = compute_profiles(quiver, spec, 1).profile(path).fixed
+    fixed = compute_profiles(quiver, spec, 1).profile((source, target)).fixed
     if fixed.dim == 2:
         return KRONECKER_AGAIN
     if fixed.dim == 1:

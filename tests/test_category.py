@@ -7,6 +7,9 @@ from invcat.action import ActionSpec, NotSchurian, close_group, extract_characte
 from invcat.category import (
     CERTIFIED,
     TRUNCATED,
+    Completeness,
+    FreenessVerdict,
+    GeneratorEntry,
     build_invariant_quiver,
     completeness_bound,
     free_category_dims,
@@ -55,6 +58,33 @@ def test_build_crown_report():
     assert report.completeness.status == CERTIFIED
     assert report.completeness.reason == "crown-bound"
     assert report.completeness.bound == 3
+
+
+def test_completeness_repr_is_unchanged():
+    # three demos print it
+    assert repr(Completeness("certified", "crown-bound", 3)) == (
+        "Completeness(status='certified', reason='crown-bound', bound=3)"
+    )
+    assert repr(Completeness(status="truncated")) == (
+        "Completeness(status='truncated', reason=None, bound=None)"
+    )
+
+
+def test_result_records_are_immutable_values():
+    job = pathlib.Path(__file__).resolve().parent.parent / "demos" / "inputs" / "crown3.json"
+    result = run_pipeline(load_job(str(job)))
+    report, table = result.report, result.table
+    records = [
+        result, result.job, report, report.generators[0], report.completeness,
+        result.freeness, result.input_classification, result.input_classification.components[0],
+        result.invariant_classification, table.profiles[report.generators[0].path],
+    ]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        assert record == type(record)(*record)
+    assert report.generators[0] == GeneratorEntry(("t0", "t1", "t2", "t0"), 1)
+    assert FreenessVerdict(True, 1, 1) == (True, 1, 1, (), ())
 
 
 def test_trivial_group_recovers_the_quiver():

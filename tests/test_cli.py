@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -382,6 +383,50 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert main(["compute", "--input", job, "--out", str(tmp_path / "missing" / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "internal error" not in err
+
+
+def test_report_mode_follows_the_umask_or_the_existing_file(tmp_path):
+    # the report used to be written as 0o600 whatever the umask, and
+    # rewriting an existing 0o644 report reset it to 0o600
+    job = write_job(tmp_path, CROWN3)
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o027, 0o640), (0o002, 0o664)):
+            os.umask(umask)
+            out = tmp_path / f"new-{umask:o}.json"
+            assert main(["compute", "--input", job, "--out", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == mode
+        os.umask(0o077)
+        out = tmp_path / "existing.json"
+        for mode in (0o644, 0o604, 0o600):
+            out.write_text("{}")
+            out.chmod(mode)
+            assert main(["compute", "--input", job, "--out", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == mode
+            assert json.loads(out.read_text())["group_size"] == 3
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".invcat-")) == []
+
+
+@pytest.mark.parametrize("path, fragment", [
+    (["options", "max_degre"], "options: unknown key 'max_degre'"),
+    (["quiver", "arrows", 0, "dimm"], "quiver.arrows[0]: unknown key 'dimm'"),
+    (["extra"], "job: unknown key 'extra'"),
+    (["field", "p"], "field: unknown key 'p'"),
+    (["action", "generators", 0, "nmae"], "action.generators[0]: unknown key 'nmae'"),
+    (["action", "group_capp"], "action: unknown key 'group_capp'"),
+    (["quiver", "labels"], "quiver: unknown key 'labels'"),
+])
+def test_unknown_job_key_exits_one_with_key_path(tmp_path, capsys, path, fragment):
+    # unknown keys used to be ignored: "max_degre": 12 ran at the default degree 6
+    bad = _with(CROWN3, path, 12)
+    _rejected(bad, fragment)
+    assert _compute_exit(tmp_path, bad) == 1
+    assert capsys.readouterr().err == f"error: {fragment}\n"
+    if path[0] in ("extra", "quiver"):  # the parts of a job that classify reads
+        assert main(["classify", "--input", write_job(tmp_path, bad)]) == 1
+        assert capsys.readouterr().err == f"error: {fragment}\n"
 
 
 @pytest.mark.parametrize("key, value", [

@@ -11,9 +11,13 @@ import pytest
 from invcat import category
 from invcat.cli import main
 from invcat.engine import verify_decomposition
+from invcat.jobs import dump_report, load_job, report_to_dict, run_pipeline
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = DEMOS.parent / "src"
+# one report per demo input, timing dropped; rewrite one only on purpose,
+# when a change is meant to alter the report
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
@@ -45,6 +49,14 @@ def test_demo_job_computes(job, tmp_path, monkeypatch):
     assert main(["compute", "--input", str(DEMOS / "inputs" / job), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["freeness"]["holds"] is True
     assert calls == []
+
+
+@pytest.mark.parametrize("job", sorted(p.name for p in (DEMOS / "inputs").glob("*.json")))
+def test_demo_job_report_matches_golden(job):
+    # reports must stay byte-identical apart from the timing block
+    data = report_to_dict(run_pipeline(load_job(str(DEMOS / "inputs" / job))))
+    del data["timing"]
+    assert dump_report(data) == (GOLDEN / job).read_text(encoding="utf-8")
 
 
 # the other inputs have an arrow space of dimension 2

@@ -223,6 +223,17 @@ def test_profiles_closed_under_subpaths():
                 assert path.segment(a, b) in table.profiles
 
 
+def test_profiles_look_up_by_plain_tuple_slices():
+    q, _, spec = crown_spec(3)
+    table = compute_profiles(q, spec, 5)
+    for path in table.all_paths():
+        seq = tuple(path)
+        for i in range(len(seq) - 1):  # trivial paths are not stored
+            assert type(seq[i:]) is tuple
+            assert table.profiles[seq[i:]] is table.profiles[path.segment(i, path.degree)]
+            assert table.profile(seq[: i + 2]) is table.profiles[path.segment(0, i + 1)]
+
+
 def test_direct_sum_invariant_random():
     rng = random.Random(77)
     fields = [QQ, CyclotomicField(3), PrimeField(2), PrimeField(3)]

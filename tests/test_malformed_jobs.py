@@ -1,8 +1,8 @@
 """Malformed job files: one mutation of a demo job, rejected fast with a key path.
 
 Each case takes one of the job files in demos/inputs/ and breaks it in one
-place: a value of the wrong type, a required key deleted, a vertex nobody
-declared, or a matrix of the wrong shape.  `invcat compute` must exit 1
+place: a value of the wrong type, a required key deleted, an unknown key
+inserted, a vertex nobody declared, or a matrix of the wrong shape.  `invcat compute` must exit 1
 (an input error, never 3) within a second, and its message must start
 with the key path of the broken place or of an enclosing object.
 """
@@ -76,6 +76,20 @@ def mutations(job):
     required += [loc[:-1] for loc, _ in matrices(job)]  # a generator's "matrices"
     required += [loc for loc, _ in matrices(job)]  # one arrow's matrix
     out += [(loc, DELETE, None) for loc in required]
+    # unknown keys: a misspelling of each key present, another field kind's parameter
+    objects = [(), ("field",), ("quiver",)]
+    objects += [("quiver", "arrows", i) for i in range(len(job["quiver"]["arrows"]))]
+    if "options" in job:
+        objects.append(("options",))
+    if "action" in job:
+        objects.append(("action",))
+        objects += [("action", "generators", g) for g in range(len(job["action"]["generators"]))]
+    for loc in objects:
+        owner = job
+        for part in loc:
+            owner = owner[part]
+        out += [(loc + (key,), 1, None) for key in ["extra"] + [k[:-1] for k in owner]]
+    out += [(("field", k), 5, None) for k in ("n", "p") if k not in job["field"]]
     # unknown vertices, in an arrow and in a matrix key
     out += [(("quiver", "arrows", i, k), "nowhere", None)
             for i in range(len(job["quiver"]["arrows"])) for k in ("source", "target")]

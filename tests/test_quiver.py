@@ -72,6 +72,23 @@ def test_unknown_vertex():
         q.path(["u0", "zzz"])
 
 
+def test_path_is_its_vertex_tuple():
+    path = Path(("a", "b"))
+    assert path == ("a", "b") and ("a", "b") == path
+    assert hash(path) == hash(("a", "b"))
+    assert {("a", "b"): 1}[path] == 1 and {path: 2}[("a", "b")] == 2
+    assert path != ("a", "b", "c") and path.segment(0, 0) == ("a",)
+    assert (path.degree, path.source, path.target, str(path)) == (1, "a", "b", "a -> b")
+
+
+def test_walk_yields_paths():
+    q = crown_quiver(3)
+    walked = list(walk(q, [((v,), None) for v in q.vertices], 4, 100, lambda *_: None))
+    assert len(walked) == 12
+    assert all(type(path) is Path for path, _ in walked)
+    assert all(type(path) is Path for path in enumerate_paths(q, "t0", "t0", 6))
+
+
 def test_path_validation_and_dims():
     q = Quiver(["x", "y"], {("y", "x"): 3})
     p = q.path(["x", "y"])
