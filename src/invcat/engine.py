@@ -8,10 +8,11 @@ rows alone, so it is eliminated once per distinct action per degree and
 shared by the paths that carry that action.  The composite subspace C is
 the span of all products of invariants of complementary sub-paths, and
 the irreducible subspace I is the canonical pivot-extension complement of
-C inside F; both stay per path.  That the irreducible tensor chains along
-all 2^(n-1) compositions of n decompose F directly is certified per path,
-by induction on sub-paths: C is built as a sum over cut points that must
-be direct, and dim I + dim C = dim F.  Only live cuts, whose bottom has a
+C inside F; both stay per path, from one elimination in F's coordinates,
+where C is kept.  That the irreducible tensor chains along all 2^(n-1)
+compositions of n decompose F directly is certified per path, by
+induction on sub-paths: C is built as a sum over cut points that must be
+direct, and dim I + dim C = dim F.  Only live cuts, whose bottom has a
 nonzero I, add to that sum, so `compute_profiles` keeps those I by vertex
 tuple and finds the bottoms by tuple slices.  `verify_decomposition`
 checks it over all compositions, as the reference and to explain a
@@ -38,7 +39,7 @@ class MissingSubPath(EngineError):
     pass
 
 
-# the three nested subspaces attached to one path, in a tensor space of space_dim
+# one path's subspaces: fixed and irreducible in k^space_dim, composite in k^(dim fixed)
 StringInvariants = namedtuple("StringInvariants", "space_dim fixed composite irreducible")
 
 
@@ -94,13 +95,14 @@ def averaged_fixed_subspace(spec: ActionSpec, elements, path: Path) -> Subspace:
     )
 
 
-def _composite(field, ambient: int, seq: tuple, profiles, irreducibles):
-    """C as the sum of F(top) (x) I(bottom) over cut points, and whether it is direct.
+def _composite(fixed: Subspace, seq: tuple, profiles, irreducibles):
+    """C and I from the sum of F(top) (x) I(bottom) over cut points, and whether it is direct.
 
     No freeness is assumed: F(bottom) = I(bottom) + C(bottom), and F(top) (x)
     C(bottom) lies in the terms with shorter bottoms (invariants multiply).
     Only cuts whose bottom is in `irreducibles` (vertex tuple -> nonzero I)
-    contribute, so the top is looked up only there.
+    contribute, so the top is looked up only there.  The terms lie in F:
+    `Subspace.split` sums them in F's coordinates and reads I off that sum.
     """
     terms = []
     for i in range(1, len(seq) - 1):
@@ -109,8 +111,8 @@ def _composite(field, ambient: int, seq: tuple, profiles, irreducibles):
             f_top = profiles[seq[i:]].fixed
             if f_top.dim:
                 terms.append(f_top.tensor(i_bottom))
-    total = Subspace.span(field, ambient, terms)
-    return total, total.dim == sum(t.dim for t in terms)
+    composite, irreducible = fixed.split(terms)
+    return composite, irreducible, composite.dim == sum(t.dim for t in terms)
 
 
 class _Action:
@@ -238,14 +240,12 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     for path, action in walk(quiver, [((v,), start) for v in quiver.vertices],
                              max_degree, path_cap, step):
         fixed = action.fixed(field)
-        ambient = action.width
-        composite, direct = _composite(field, ambient, path, profiles, irreducibles)
-        irreducible = composite.complement_in(fixed)
+        composite, irreducible, direct = _composite(fixed, path, profiles, irreducibles)
         if irreducible.dim:
             irreducibles[path] = irreducible
         if not direct or irreducible.dim + composite.dim != fixed.dim:
             uncertified.append(path)
-        profiles[path] = StringInvariants(ambient, fixed, composite, irreducible)
+        profiles[path] = StringInvariants(action.width, fixed, composite, irreducible)
         pairs.setdefault((path[0], path[-1]), []).append(path)
 
     pairs = {k: tuple(v) for k, v in pairs.items()}

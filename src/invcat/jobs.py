@@ -54,16 +54,27 @@ def _only(data, keys, ctx):
             raise ParseError(f"{ctx}: unknown key {key!r}")
 
 
+# the keys each object of a job may hold; a field's depend on its kind
 JOB_KEYS = ("field", "quiver", "action", "options")
-# the keys a field object may hold, by kind
 FIELD_KEYS = {"rationals": ("kind",), "cyclotomic": ("kind", "n"), "prime": ("kind", "p")}
+QUIVER_KEYS = ("vertices", "arrows")
+ARROW_KEYS = ("source", "target", "dim")
+ACTION_KEYS = ("generators", "group_cap")
+GENERATOR_KEYS = ("name", "matrices")
+OPTION_KEYS = ("max_degree", "verify_depth", "path_cap", "group_cap")
 
 
-def field_from_dict(data, ctx="field"):
+def _field_kind(data, ctx):
+    """The field's kind, once its keys are checked against that kind's."""
     kind = _get(data, "kind", ctx, str)
     if kind not in FIELD_KEYS:
         raise ParseError(f"{ctx}.kind: unknown field kind {kind!r}")
     _only(data, FIELD_KEYS[kind], ctx)
+    return kind
+
+
+def field_from_dict(data, ctx="field"):
+    kind = _field_kind(data, ctx)
     if kind == "rationals":
         return QQ
     if kind == "cyclotomic":
@@ -88,7 +99,7 @@ def field_to_dict(field):
 
 
 def quiver_from_dict(data, ctx="quiver"):
-    _only(data, ("vertices", "arrows"), ctx)
+    _only(data, QUIVER_KEYS, ctx)
     vertices = _get(data, "vertices", ctx, list)
     for i, v in enumerate(vertices):
         if not isinstance(v, str):
@@ -101,7 +112,7 @@ def quiver_from_dict(data, ctx="quiver"):
     dims = {}
     for i, arrow in enumerate(arrows):
         actx = f"{ctx}.arrows[{i}]"
-        _only(arrow, ("source", "target", "dim"), actx)
+        _only(arrow, ARROW_KEYS, actx)
         source = _get(arrow, "source", actx, str)
         target = _get(arrow, "target", actx, str)
         dim = _get(arrow, "dim", actx, int)
@@ -152,9 +163,17 @@ def _parse_entry(field, value, ctx):
     raise ParseError(f"{ctx}: matrix entries must be strings or integers")
 
 
+def _generators(data, ctx):
+    """The raw generator objects of an action, once every key in it is checked."""
+    _only(data, ACTION_KEYS, ctx)
+    generators = _get(data, "generators", ctx, list, required=False, default=[])
+    for i, gen in enumerate(generators):
+        _only(gen, GENERATOR_KEYS, f"{ctx}.generators[{i}]")
+    return generators
+
+
 def action_from_dict(data, quiver, field, ctx="action", group_cap=None):
-    _only(data, ("generators", "group_cap"), ctx)
-    raw_generators = _get(data, "generators", ctx, list, required=False, default=[])
+    raw_generators = _generators(data, ctx)
     cap = group_cap
     if cap is None:
         cap = _get(data, "group_cap", ctx, int, required=False, default=DEFAULT_GROUP_CAP)
@@ -163,7 +182,6 @@ def action_from_dict(data, quiver, field, ctx="action", group_cap=None):
     generators = []
     for i, gen in enumerate(raw_generators):
         gctx = f"{ctx}.generators[{i}]"
-        _only(gen, ("name", "matrices"), gctx)
         name = _get(gen, "name", gctx, str, required=False, default=f"g{i}")
         raw_mats = _get(gen, "matrices", gctx, dict)
         mats = {}
@@ -213,7 +231,7 @@ def parse_job(data, overrides=None) -> JobSpec:
     field = field_from_dict(_get(data, "field", "job"), "field")
     quiver = quiver_from_dict(_get(data, "quiver", "job"), "quiver")
     options = _get(data, "options", "job", dict, required=False, default={})
-    _only(options, ("max_degree", "verify_depth", "path_cap", "group_cap"), "options")
+    _only(options, OPTION_KEYS, "options")
     max_degree = overrides.get(
         "max_degree",
         _get(options, "max_degree", "options", int, required=False, default=DEFAULT_MAX_DEGREE),
@@ -278,10 +296,20 @@ def load_job(path, overrides=None) -> JobSpec:
 
 
 def load_quiver(path) -> Quiver:
-    """The quiver of a job file, for commands that need nothing else."""
+    """The quiver of a job file, for commands that need nothing else.
+
+    Only the quiver is required.  Every key of the job is checked as
+    `parse_job` checks it, but outside the quiver only the field's kind is
+    read, so no action is built.
+    """
     data = load_json(path)
     _only(data, JOB_KEYS, "job")
-    return quiver_from_dict(_get(data, "quiver", "job"), "quiver")
+    if "field" in data:
+        _field_kind(data["field"], "field")
+    quiver = quiver_from_dict(_get(data, "quiver", "job"), "quiver")
+    _only(_get(data, "options", "job", dict, required=False, default={}), OPTION_KEYS, "options")
+    _generators(_get(data, "action", "job", dict, required=False, default={}), "action")
+    return quiver
 
 
 def job_echo(job: JobSpec) -> dict:

@@ -7,10 +7,12 @@ pivots, normalised and back-substituted, so the work follows the nonzeros
 `Matrix` is a small dense grid, kept for per-arrow generator matrices; its
 rref, rank, inverse and kernel run on the sparse kernel.  A subspace of k^n
 is stored as its unique reduced row echelon basis in sparse form, so
-subspace equality is literal equality of the stored rows.  Tensor products
-use one fixed basis-ordering convention throughout the package: the left
-factor is the major index (the slot for the later composition factor comes
-first).
+subspace equality is literal equality of the stored rows, and its vectors
+are fixed by their pivot entries: so `Subspace.split` sums subspaces of it
+in its own coordinates, and reads a complement off that elimination.
+Tensor products use one fixed basis-ordering convention throughout the
+package: the left factor is the major index (the slot for the later
+composition factor comes first).
 """
 
 from __future__ import annotations
@@ -368,26 +370,17 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch(f"k^{self.ambient_dim} vs k^{other.ambient_dim}")
 
-    @classmethod
-    def span(cls, field, ambient_dim, spaces) -> "Subspace":
-        """The sum of a sequence of subspaces, inserted into the largest one's pivots."""
-        big = cls.zero(field, ambient_dim)
-        for space in spaces:
-            big._check_compatible(space)
-            if space.dim > big.dim:
-                big = space
+    def __add__(self, other: "Subspace") -> "Subspace":
+        """The sum, with the smaller space's rows inserted into the larger one's pivots."""
+        self._check_compatible(other)
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
         pivots = {p: dict(tail) for p, tail in big.rows.items()}
-        one = field.one()
-        for space in spaces:
-            if space is not big:
-                for row in space._sparse_rows():
-                    _insert(pivots, row, one)
+        one = self.field.one()
+        for row in small._sparse_rows():
+            _insert(pivots, row, one)
         if len(pivots) == big.dim:
             return big
-        return cls._canonical(field, ambient_dim, dict(sorted(pivots.items())))
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return Subspace.span(self.field, self.ambient_dim, (self, other))
+        return Subspace._canonical(self.field, self.ambient_dim, dict(sorted(pivots.items())))
 
     def annihilator(self) -> "Subspace":
         """All functionals (as coordinate vectors) vanishing on this subspace."""
@@ -413,29 +406,33 @@ class Subspace:
         return not any(_reduce(other.rows, row) for row in self._sparse_rows())
 
     def complement_in(self, whole: "Subspace") -> "Subspace":
-        """A canonical complement c with self (+) c = whole.
-
-        Rows of `whole`'s echelon basis are kept when their pivot position,
-        in the coordinates `whole` induces, is not a pivot of `self`
-        re-expressed in those coordinates (pivot extension).  A subset of
-        reduced echelon rows is itself in reduced echelon form.
-        """
+        """A canonical complement c with self (+) c = whole (see `split`)."""
         self._check_compatible(whole)
-        if self.dim == 0:
-            return whole
-        if not self.is_subspace_of(whole):
-            raise NotASubspace("complement_in: first space is not inside the second")
-        if self.dim == whole.dim:
-            return Subspace.zero(self.field, self.ambient_dim)
-        # self lies in whole, so each pivot of self is a pivot of whole
-        position = {p: j for j, p in enumerate(whole.rows)}
-        coords = [
-            {position[k]: x for k, x in row.items() if k in position}
-            for row in self._sparse_rows()
-        ]
+        return whole.split((self,))[1]
+
+    def split(self, spaces):
+        """(S, c): the sum S of subspaces of self, in k^(dim self), and a complement.
+
+        Each row of the spaces is restricted to self's pivot columns and
+        eliminated there once; c is the rows of self whose position is no
+        pivot of S (pivot extension).  The restriction is exact only inside
+        self, so each row is also reduced against self: NotASubspace if not.
+        """
+        if not spaces:
+            return Subspace.zero(self.field, self.dim), self
+        position = {p: j for j, p in enumerate(self.rows)}
+        coords = []
+        for space in spaces:
+            for row in space._sparse_rows():
+                coords.append({position[k]: x for k, x in row.items() if k in position})
+                if _reduce(self.rows, row):
+                    raise NotASubspace("split: a space is not inside the whole")
         used = _echelon(self.field, coords)
-        keep = {p: tail for j, (p, tail) in enumerate(whole.rows.items()) if j not in used}
-        return Subspace._canonical(self.field, self.ambient_dim, keep)
+        keep = {p: tail for j, (p, tail) in enumerate(self.rows.items()) if j not in used}
+        return (
+            Subspace._canonical(self.field, self.dim, used),
+            Subspace._canonical(self.field, self.ambient_dim, keep),
+        )
 
     def tensor(self, other: "Subspace") -> "Subspace":
         """Span of all pairwise tensors of basis vectors, left factor major.

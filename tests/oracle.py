@@ -95,6 +95,21 @@ def complement(field, part, whole, ncols):
     return tuple(row for j, row in enumerate(whole) if j not in used)
 
 
+def lift(field, coords, whole, ncols):
+    """The ambient rows sum_j c_j * whole[j] of rows c given in whole's coordinates.
+
+    Entry j of a lifted row, read at whole's j-th pivot, is c_j, since
+    whole's rows are reduced; so lifted reduced echelon rows stay reduced.
+    """
+    out = []
+    for row in coords:
+        v = [field.zero()] * ncols
+        for c, w in zip(row, whole):
+            v = [x + c * y for x, y in zip(v, w)]
+        out.append(tuple(v))
+    return tuple(out)
+
+
 def cyclotomic_polynomial(n):
     """Phi_n by dividing x^n - 1 by Phi_d for every proper divisor d of n.
 

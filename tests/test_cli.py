@@ -378,6 +378,20 @@ def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
+def test_composite_term_outside_the_fixed_space_exits_three(tmp_path, capsys, monkeypatch):
+    # a product of invariants that is not invariant is a fault of the
+    # program, not of the input: the composite's containment check names it
+    from invcat.linalg import Subspace
+
+    def full(self, other):
+        return Subspace.full(self.field, self.ambient_dim * other.ambient_dim)
+
+    monkeypatch.setattr(Subspace, "tensor", full)
+    job = Path(__file__).resolve().parent.parent / "demos" / "inputs" / "swap_loop.json"
+    assert main(["compute", "--input", str(job), "--out", str(tmp_path / "r.json")]) == 3
+    assert "internal error: NotASubspace: " in capsys.readouterr().err
+
+
 def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     job = write_job(tmp_path, CROWN3)
     assert main(["compute", "--input", job, "--out", str(tmp_path / "missing" / "r.json")]) == 1
@@ -424,9 +438,8 @@ def test_unknown_job_key_exits_one_with_key_path(tmp_path, capsys, path, fragmen
     _rejected(bad, fragment)
     assert _compute_exit(tmp_path, bad) == 1
     assert capsys.readouterr().err == f"error: {fragment}\n"
-    if path[0] in ("extra", "quiver"):  # the parts of a job that classify reads
-        assert main(["classify", "--input", write_job(tmp_path, bad)]) == 1
-        assert capsys.readouterr().err == f"error: {fragment}\n"
+    assert main(["classify", "--input", write_job(tmp_path, bad)]) == 1
+    assert capsys.readouterr().err == f"error: {fragment}\n"
 
 
 @pytest.mark.parametrize("key, value", [

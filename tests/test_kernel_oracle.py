@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from invcat.fields import CyclotomicField, PrimeField, QQ
-from invcat.linalg import Matrix, Subspace
+from invcat.linalg import Matrix, NotASubspace, Subspace
 
 
 FIELDS = [QQ, CyclotomicField(5), PrimeField(2), PrimeField(3)]
@@ -141,6 +141,44 @@ def test_hypothesis_matrices_match_oracle(data):
     check_matrix(field, rows, ncols)
     vector = [scalar(field, draw_int) for _ in range(ncols)]
     check_pair(field, rows, draw_rows(), ncols, vector)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_split_matches_span_and_complement(field):
+    rng = random.Random(f"split-{field!r}")
+    part_kinds = [kind for kind in KINDS if kind != "full"]
+    proper = outside = 0
+    for _ in range(20):
+        ncols = rng.randint(1, 6)
+        kind = rng.choice(("deficient", "dense", "two_per_row"))
+        whole = subspace(field, make_rows(field, kind, rng.randint(1, 6), ncols, rng.randint), ncols)
+        total, rest = whole.split(())  # nothing to sum: nothing is built
+        assert total is Subspace.zero(field, whole.dim) and rest is whole
+        # spaces inside whole: spans of a few combinations of its basis rows
+        spaces = [
+            subspace(field, oracle.lift(field, coords, whole.basis, ncols), ncols)
+            for coords in (
+                make_rows(field, rng.choice(part_kinds), rng.randint(0, 2), whole.dim, rng.randint)
+                if whole.dim else []
+                for _ in range(rng.randint(1, 3))
+            )
+        ]
+        total, rest = whole.split(spaces)
+        summed = oracle.span(field, [row for space in spaces for row in space.basis], ncols)
+        assert total.ambient_dim == whole.dim
+        assert oracle.lift(field, total.basis, whole.basis, ncols) == summed
+        assert rest.basis == oracle.complement(field, summed, whole.basis, ncols)
+        proper += bool(total.dim and rest.dim)
+        # a vector of whole is fixed by its pivot entries, so one that differs
+        # from a row of whole (or from 0) only at a free column is outside it
+        free = [c for c in range(ncols) if c not in whole.pivots]
+        if free:
+            vector = list(whole.basis[0]) if whole.dim else [field.zero()] * ncols
+            vector[free[-1]] = vector[free[-1]] + field.one()
+            with pytest.raises(NotASubspace):
+                whole.split(spaces + [subspace(field, [vector], ncols)])
+            outside += 1
+    assert proper and outside
 
 
 def test_monomial_action_fixed_space_matches_oracle():
