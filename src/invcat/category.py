@@ -118,8 +118,8 @@ def completeness_bound(quiver: Quiver, spec: ActionSpec) -> Completeness | None:
 def build_invariant_quiver(table: ProfileTable) -> InvariantQuiverReport:
     """One generator entry per path with a nonzero irreducible subspace."""
     generators = []
-    for path in table.all_paths():
-        mult = table.profiles[path].irreducible.dim
+    for path, prof in table.profiles.items():
+        mult = prof.irreducible.dim
         if mult > 0:
             generators.append(GeneratorEntry(path=path, multiplicity=mult))
     certificate = completeness_bound(table.quiver, table.spec)
@@ -191,7 +191,7 @@ def verify_freeness(table: ProfileTable, report: InvariantQuiverReport,
         verify_depth = min(max_degree, DEFAULT_VERIFY_DEPTH_CAP)
     verify_depth = min(verify_depth, max_degree)
 
-    checked = sum(1 for path in table.all_paths() if path.degree <= verify_depth)
+    checked = sum(table.path_counts[: verify_depth + 1])
     failures = [verify_decomposition(p, table) for p in table.uncertified if p.degree <= verify_depth]
 
     gens = [

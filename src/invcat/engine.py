@@ -8,14 +8,17 @@ rows alone, so it is eliminated once per distinct action per degree and
 shared by the paths that carry that action.  The composite subspace C is
 the span of all products of invariants of complementary sub-paths, and
 the irreducible subspace I is the canonical pivot-extension complement of
-C inside F; both stay per path, from one elimination in F's coordinates,
-where C is kept.  That the irreducible tensor chains along all 2^(n-1)
-compositions of n decompose F directly is certified per path, by
-induction on sub-paths: C is built as a sum over cut points that must be
-direct, and dim I + dim C = dim F.  Only live cuts, whose bottom has a
-nonzero I, add to that sum, so `compute_profiles` keeps those I by vertex
-tuple and finds the bottoms by tuple slices.  `verify_decomposition`
-checks it over all compositions, as the reference and to explain a
+C inside F, from one elimination in F's coordinates, where C is kept.
+That the irreducible tensor chains along all 2^(n-1) compositions of n
+decompose F directly is certified by induction on sub-paths: C is built
+as a sum over cut points that must be direct, and dim I + dim C = dim F.
+Only live cuts, whose bottom has a nonzero I, add to that sum; each wave
+hands its live cuts on to the next, so a path looks up only the tops of
+its own live cuts.  C, I and the certificate are functions of F and the
+live terms alone, so one record is made per distinct (F, terms) and
+shared by the paths that have them; the hom series and the path counts
+by degree are tallied during the walk.  `verify_decomposition` checks the
+decomposition over all compositions, as the reference and to explain a
 failing path; `averaged_fixed_subspace` is the reference for F.
 `schurian_generators` folds characters instead and stops the walk at
 invariant paths.
@@ -95,24 +98,21 @@ def averaged_fixed_subspace(spec: ActionSpec, elements, path: Path) -> Subspace:
     )
 
 
-def _composite(fixed: Subspace, seq: tuple, profiles, irreducibles):
-    """C and I from the sum of F(top) (x) I(bottom) over cut points, and whether it is direct.
+def _split(key) -> tuple:
+    """The shared record of key = (F, F(top), I(bottom), ...) and whether it is certified.
 
     No freeness is assumed: F(bottom) = I(bottom) + C(bottom), and F(top) (x)
-    C(bottom) lies in the terms with shorter bottoms (invariants multiply).
-    Only cuts whose bottom is in `irreducibles` (vertex tuple -> nonzero I)
-    contribute, so the top is looked up only there.  The terms lie in F:
+    C(bottom) lies in the terms with shorter bottoms (invariants multiply), so
+    C is the sum of the terms F(top) (x) I(bottom), which lie in F:
     `Subspace.split` sums them in F's coordinates and reads I off that sum.
+    The record is certified when that sum is direct and dim I + dim C = dim F.
     """
-    terms = []
-    for i in range(1, len(seq) - 1):
-        i_bottom = irreducibles.get(seq[: i + 1])
-        if i_bottom is not None:
-            f_top = profiles[seq[i:]].fixed
-            if f_top.dim:
-                terms.append(f_top.tensor(i_bottom))
+    fixed = key[0]
+    terms = [key[j].tensor(key[j + 1]) for j in range(1, len(key), 2)]
     composite, irreducible = fixed.split(terms)
-    return composite, irreducible, composite.dim == sum(t.dim for t in terms)
+    certified = (composite.dim == sum(t.dim for t in terms)
+                 and irreducible.dim + composite.dim == fixed.dim)
+    return StringInvariants(fixed.ambient_dim, fixed, composite, irreducible), certified
 
 
 class _Action:
@@ -147,15 +147,17 @@ class ProfileTable:
     """All path profiles of a quiver action up to a degree bound.
 
     Closed under contiguous sub-paths by construction: the profile of any
-    sub-path of a stored path is stored too.
+    sub-path of a stored path is stored too.  Paths with equal inputs share
+    one profile record.
     """
 
-    def __init__(self, quiver, spec, max_degree, profiles, pairs, uncertified):
+    def __init__(self, quiver, spec, max_degree, profiles, series, path_counts, uncertified):
         self.quiver = quiver
         self.spec = spec
         self.max_degree = max_degree
         self.profiles = profiles
-        self._pairs = pairs
+        self._series = series  # hom-pair -> sum of dim F by degree, tallied by the walk
+        self.path_counts = path_counts  # stored paths by degree 0..max_degree
         self.uncertified = uncertified  # paths failing the freeness certificate, in walk order
 
     @property
@@ -170,19 +172,17 @@ class ProfileTable:
 
     def paths_between(self, source, target):
         """Degree >= 1 paths for one hom-pair, by (degree, lexicographic) order."""
-        return self._pairs.get((source, target), ())
+        return tuple(p for p in self.profiles if p[0] == source and p[-1] == target)
 
     def all_paths(self):
         """Every stored path, ordered by (degree, lexicographic vertex indices)."""
         return tuple(self.profiles)
 
     def hom_dims(self, source, target):
-        """Invariant dimension by degree 0..max_degree for one hom-pair."""
-        out = [0] * (self.max_degree + 1)
+        """Invariant dimension by degree 0..max_degree for one hom-pair, as a fresh list."""
+        out = list(self._series.get((source, target)) or [0] * (self.max_degree + 1))
         if source == target:
             out[0] = 1
-        for path in self.paths_between(source, target):
-            out[path.degree] += self.profiles[path].fixed.dim
         return out
 
 
@@ -196,17 +196,24 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     the same group as the closure, hence fix the same subspace), taken as
     the kernel of the stacked sparse rows of g - 1; the sparse action rows
     are extended by one Kronecker factor per arrow, once per (prefix
-    action, arrow), and interned among the actions of their degree.
+    action, arrow), and interned among the actions of their degree.  A
+    path's live cuts are its prefix's plus the prefix itself when that has
+    a nonzero I, and its record is shared by every path with the same F and
+    the same live terms.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     gens = spec.generator_elements
     field = spec.field
     profiles: dict[Path, StringInvariants] = {}
-    # the live bottoms of composites: vertex tuple -> nonzero irreducible subspace
-    irreducibles: dict[tuple, Subspace] = {}
-    pairs: dict[tuple, list] = {}
+    splits: dict[tuple, tuple] = {}  # (F, F(top), I(bottom), ...) -> (record, certified)
+    series: dict[tuple, list] = {}
+    counts = [0] * (max_degree + 1)
     uncertified = []
+    # path -> the live cuts (position, I(bottom)) its extensions inherit, for
+    # the previous degree and the current one
+    inherited: dict[tuple, tuple] = {}
+    passing: dict[tuple, tuple] = {}
 
     factors = {
         edge: [spec.edge_matrix(g, edge).sparse_rows() for g in gens]
@@ -239,17 +246,33 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     start = _Action(0, 1, [[{0: field.one()}] for _ in gens])
     for path, action in walk(quiver, [((v,), start) for v in quiver.vertices],
                              max_degree, path_cap, step):
+        n = len(path) - 1
+        if not counts[n]:  # the first path of a degree wave
+            inherited, passing = passing, {}
         fixed = action.fixed(field)
-        composite, irreducible, direct = _composite(fixed, path, profiles, irreducibles)
-        if irreducible.dim:
-            irreducibles[path] = irreducible
-        if not direct or irreducible.dim + composite.dim != fixed.dim:
+        cuts = inherited.get(path[:-1], ())
+        key = [fixed]
+        for i, i_bottom in cuts:
+            f_top = profiles[path[i:]].fixed
+            if f_top.dim:
+                key += (f_top, i_bottom)
+        key = tuple(key)
+        entry = splits.get(key)
+        if entry is None:
+            entry = splits[key] = _split(key)
+        record, certified = entry
+        if not certified:
             uncertified.append(path)
-        profiles[path] = StringInvariants(action.width, fixed, composite, irreducible)
-        pairs.setdefault((path[0], path[-1]), []).append(path)
+        profiles[path] = record
+        if n < max_degree:
+            passing[path] = cuts + ((n, record.irreducible),) if record.irreducible.dim else cuts
+        counts[n] += 1
+        hom = series.get((path[0], path[-1]))
+        if hom is None:
+            hom = series[path[0], path[-1]] = [0] * (max_degree + 1)
+        hom[n] += fixed.dim
 
-    pairs = {k: tuple(v) for k, v in pairs.items()}
-    return ProfileTable(quiver, spec, max_degree, profiles, pairs, uncertified)
+    return ProfileTable(quiver, spec, max_degree, profiles, series, counts, uncertified)
 
 
 # outcome of the per-path unique-decomposition check

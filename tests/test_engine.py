@@ -6,6 +6,7 @@ import pytest
 
 from invcat import engine
 from invcat.action import ActionSpec, act_on_path, close_group, extract_characters
+from invcat.category import build_invariant_quiver, verify_freeness
 from invcat.engine import (
     MissingSubPath,
     averaged_fixed_subspace,
@@ -530,6 +531,13 @@ def test_hom_dims_diagonal_degree_zero():
     table = compute_profiles(q, spec, 6)
     assert table.hom_dims("t0", "t0") == [1, 0, 0, 1, 0, 0, 1]
     assert table.hom_dims("t0", "t1") == [0] * 7
+    # each call returns a fresh list: a caller's edit leaves the next call as it was
+    for pair in (("t0", "t0"), ("t0", "t1")):
+        series = table.hom_dims(*pair)
+        expected = list(series)
+        series[0] += 5
+        series.append(1)
+        assert table.hom_dims(*pair) == expected
 
 
 def test_all_paths_in_degree_then_lex_order():
@@ -744,3 +752,113 @@ def test_fixed_eliminations_per_distinct_action(fixed_calls):
         del fixed_calls[:]
         compute_profiles(q, ActionSpec(q, field, gens), degree)
         assert fixed_calls == [n_letters**d for d in range(1, degree + 1)]
+
+
+# ---------------------------------------------------------------------------
+# One profile record per distinct (F, live terms)
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The whole subspace of every Subspace.split, in call order."""
+    calls = []
+    split = Subspace.split
+
+    def counted(self, spaces):
+        calls.append(self)
+        return split(self, spaces)
+
+    monkeypatch.setattr(Subspace, "split", counted)
+    return calls
+
+
+@pytest.mark.parametrize("max_degree, paths", [(10, 8184), (13, 65528)])
+def test_one_split_and_one_record_per_distinct_input_on_the_mesh(split_calls, max_degree, paths):
+    # every arrow space is a line, so F is 0 or everything and a path has at
+    # most one live cut (its shortest invariant prefix): the inputs are F = 0,
+    # an invariant path with no invariant proper prefix, and one with
+    q, spec = mesh_spec()
+    table = compute_profiles(q, spec, max_degree)
+    assert len(table.all_paths()) == sum(table.path_counts) == paths
+    assert len(split_calls) == 3
+    assert len({id(record) for record in table.profiles.values()}) == 3
+
+
+def _memo_free_split(table, path):
+    """A path's live terms (F(top), I(bottom)), C, I and certificate, from its own slices."""
+    seq = tuple(path)
+    terms = []
+    for i in range(1, len(seq) - 1):
+        i_bottom = table.profiles[seq[: i + 1]].irreducible
+        f_top = table.profiles[seq[i:]].fixed
+        if i_bottom.dim and f_top.dim:
+            terms.append((f_top, i_bottom))
+    fixed = table.profiles[seq].fixed
+    composite, irreducible = fixed.split([top.tensor(bottom) for top, bottom in terms])
+    direct = composite.dim == sum(top.dim * bottom.dim for top, bottom in terms)
+    return terms, composite, irreducible, direct and irreducible.dim + composite.dim == fixed.dim
+
+
+def test_shared_records_match_a_memo_free_split_of_each_path():
+    # non-Schurian multi-vertex instances over Q(i), Q(zeta5), F_5 and F_7
+    # with arrow spaces of dimension up to 3
+    rng = random.Random(4713)
+    fields = [CyclotomicField(4), CyclotomicField(5), PrimeField(5), PrimeField(7)]
+    done = paths = 0
+    while done < 16:
+        drawn = _fat_instance_in_a_fractional_basis(rng, fields[done % len(fields)])
+        if drawn is None:
+            continue
+        q, spec = drawn
+        done += 1
+        table = compute_profiles(q, spec, 4)
+        for path in table.all_paths():
+            record = table.profile(path)
+            _, composite, irreducible, certified = _memo_free_split(table, path)
+            assert record.composite == composite and record.irreducible == irreducible
+            assert certified == (path not in table.uncertified)
+            paths += 1
+    assert paths > 100
+
+
+def test_terms_equal_in_value_but_distinct_objects_share_one_record():
+    # the loop acts by 1, so the tops v -> w and v -> v -> w fix the same line
+    # of k^2; their fixed spaces come from actions of different degrees, so
+    # they are distinct objects, and the record is shared by value
+    q = Quiver(["v", "w"], {("v", "v"): 1, ("w", "v"): 2})
+    mats = {("v", "v"): Matrix.from_rows(QQ, [[1]]), ("w", "v"): Matrix.from_rows(QQ, [[0, 1], [1, 0]])}
+    table = compute_profiles(q, ActionSpec(q, QQ, [("s", mats)]), 3)
+    short, long = Path(("v", "v", "w")), Path(("v", "v", "v", "w"))
+    [(top_short, bottom_short)] = _memo_free_split(table, short)[0]
+    [(top_long, bottom_long)] = _memo_free_split(table, long)[0]
+    assert top_short == top_long and top_short is not top_long
+    assert bottom_short is bottom_long  # I(v -> v), the only live bottom of both
+    assert table.profile(long) is table.profile(short)
+    assert table.profile(short).irreducible.dim == 0
+
+
+def test_tallied_series_and_checked_paths_match_a_recount_on_random_suites():
+    rng = random.Random(4714)
+    fields = [QQ, CyclotomicField(3), PrimeField(2), PrimeField(3)]
+    done = 0
+    while done < 12:
+        drawn = _random_instance(rng, fields[done % len(fields)])
+        if drawn is None:
+            continue
+        q, spec = drawn
+        done += 1
+        table = compute_profiles(q, spec, rng.randint(1, 4))
+        # the hom series and the path counts by degree, counted again over all_paths()
+        series = {(x, y): [int(x == y)] + [0] * table.max_degree
+                  for x in q.vertices for y in q.vertices}
+        counts = [0] * (table.max_degree + 1)
+        for path in table.all_paths():
+            series[path[0], path[-1]][path.degree] += table.profile(path).fixed.dim
+            counts[path.degree] += 1
+        assert table.path_counts == counts
+        for (x, y), dims in series.items():
+            assert table.hom_dims(x, y) == dims
+        report = build_invariant_quiver(table)
+        for depth in range(table.max_degree + 1):
+            checked = verify_freeness(table, report, depth).checked_paths
+            assert checked == sum(counts[: depth + 1])
