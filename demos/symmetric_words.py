@@ -6,8 +6,9 @@ generated by a transposition and a 3-cycle.  Fixed spaces in degree d are
 spanned by orbit sums of words, so their dimensions count word orbits: 1,
 2, 5, 14, ...  The engine finds the irreducible generators hiding inside
 (1, 1, 2, 5, ... per degree), checks the direct-sum decomposition of every
-fixed space, and cross-checks the kernel computation against the averaging
-projector, which is available here because 6 is invertible in Q.
+fixed space, and cross-checks the kernel computation against the span of
+the orbit sums, which is the image of the averaging projector of this
+permutation action.
 """
 
 from itertools import permutations, product
@@ -17,7 +18,7 @@ from invcat import (
     Matrix,
     QQ,
     Quiver,
-    averaged_fixed_subspace,
+    Subspace,
     build_invariant_quiver,
     close_group,
     compute_profiles,
@@ -38,17 +39,19 @@ table = compute_profiles(quiver, spec, max_degree)
 print(f"\n{'degree':>6} {'orbits':>7} {'dim fixed':>9} {'dim irreducible':>15}")
 for path in table.all_paths():
     d = path.degree
-    # combinatorial oracle: orbits of the letter permutations on words
-    seen, orbits = set(), 0
+    # combinatorial oracle: orbits of the letter permutations on words, and
+    # their orbit sums in the tensor basis (first letter the major index)
+    seen, sums = set(), []
     for word in product(range(3), repeat=d):
         if word in seen:
             continue
-        orbits += 1
-        for g in permutations(range(3)):
-            seen.add(tuple(g[i] for i in word))
+        orbit = {tuple(g[i] for i in word) for g in permutations(range(3))}
+        seen |= orbit
+        sums.append([QQ.one() if w in orbit else QQ.zero() for w in product(range(3), repeat=d)])
+    orbits = len(sums)
     prof = table.profile(path)
     assert prof.fixed.dim == orbits
-    assert averaged_fixed_subspace(spec, elements, path) == prof.fixed
+    assert Subspace.from_vectors(QQ, 3**d, sums) == prof.fixed
     assert verify_decomposition(path, table).holds
     print(f"{d:>6} {orbits:>7} {prof.fixed.dim:>9} {prof.irreducible.dim:>15}")
 

@@ -18,10 +18,8 @@ from .fields import (
     PrimeFieldElement,
     QQ,
     RationalField,
-    WrongFieldKind,
     cyclotomic_polynomial,
     euler_phi,
-    primitive_root,
 )
 from .linalg import (
     AmbientMismatch,
@@ -30,7 +28,6 @@ from .linalg import (
     NotASubspace,
     ShapeMismatch,
     Subspace,
-    tensor_vector,
 )
 from .quiver import (
     CyclicQuiver,
@@ -41,7 +38,6 @@ from .quiver import (
     Quiver,
     QuiverError,
     UnknownVertex,
-    enumerate_paths,
     is_acyclic,
     longest_path_degree,
     underlying_multigraph,
@@ -55,7 +51,6 @@ from .action import (
     GroupElement,
     NonInvertibleGenerator,
     NotSchurian,
-    act_on_path,
     close_group,
     extract_characters,
 )
@@ -65,7 +60,6 @@ from .engine import (
     MissingSubPath,
     ProfileTable,
     StringInvariants,
-    averaged_fixed_subspace,
     compositions,
     compute_profiles,
     schurian_generators,

@@ -4,7 +4,9 @@ The acting group is materialized as the closure of the generator tuples
 under componentwise matrix multiplication, i.e. the image of the abstract
 group inside the product of general linear groups; invariants only depend
 on this image.  The action extends to a path's tensor space diagonally,
-with the matrix for the last edge as the leftmost tensor factor.
+with the matrix for the last edge as the leftmost tensor factor; the
+engine builds it as sparse rows, and the dense reference `act_on_path`
+(like character values along a path) is in the tests, in `tests/oracle.py`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 
 from .linalg import Matrix
-from .quiver import Path, Quiver
+from .quiver import Quiver
 
 
 DEFAULT_GROUP_CAP = 1024
@@ -130,22 +132,6 @@ def close_group(spec: ActionSpec) -> list[GroupElement]:
     return elements
 
 
-def act_on_path(spec: ActionSpec, element: GroupElement, path: Path) -> Matrix:
-    """The diagonal action on the path's tensor space.
-
-    Factors are ordered with the matrix of the last edge leftmost, matching
-    the tensor basis convention of the linear algebra layer.  On a trivial
-    path the action is the 1x1 identity.
-    """
-    edges = path.edges()
-    if not edges:
-        return Matrix.identity(spec.field, 1)
-    acc = spec.edge_matrix(element, edges[-1])
-    for edge in reversed(edges[:-1]):
-        acc = acc.tensor(spec.edge_matrix(element, edge))
-    return acc
-
-
 class CharacterTable(namedtuple("CharacterTable", "field edges elements values")):
     """Per-edge scalar characters of a closed group on a Schurian quiver."""
 
@@ -157,16 +143,6 @@ class CharacterTable(namedtuple("CharacterTable", "field edges elements values")
     def extend(self, values, edge):
         """The character values of a path followed by one more edge."""
         return tuple(a * b for a, b in zip(values, self.values[edge]))
-
-    def path_values(self, path: Path):
-        """Componentwise product of the edge characters along a path."""
-        out = tuple(self.field.one() for _ in self.elements)
-        for edge in path.edges():
-            out = self.extend(out, edge)
-        return out
-
-    def is_invariant(self, path: Path) -> bool:
-        return all(v == 1 for v in self.path_values(path))
 
 
 def require_schurian(quiver: Quiver) -> None:

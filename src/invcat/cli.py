@@ -16,6 +16,7 @@ import tempfile
 from .action import ActionError, ClosureCapExceeded, require_schurian
 from .fields import FieldError
 from .jobs import (
+    OPTION_KEYS,
     ParseError,
     dump_report,
     load_job,
@@ -54,7 +55,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _overrides(args) -> dict:
     out = {}
-    for key in ("max_degree", "verify_depth", "path_cap", "group_cap"):
+    for key in OPTION_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             out[key] = value

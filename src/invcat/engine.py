@@ -18,8 +18,9 @@ its own live cuts.  C, I and the certificate are functions of F and the
 live terms alone, so one record is made per distinct (F, terms) and
 shared by the paths that have them; the hom series and the path counts
 by degree are tallied during the walk.  `verify_decomposition` checks the
-decomposition over all compositions, as the reference and to explain a
-failing path; `averaged_fixed_subspace` is the reference for F.
+decomposition over all compositions, to explain a failing path.  The
+references for F (the averaging projector's image, the dense path action)
+are in the tests, in `tests/oracle.py`.
 `schurian_generators` folds characters instead and stops the walk at
 invariant paths.
 """
@@ -29,8 +30,8 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain
 
-from .action import ActionSpec, CharacterTable, act_on_path
-from .linalg import Matrix, Subspace, kernel_of_rows, tensor_rows
+from .action import ActionSpec, CharacterTable
+from .linalg import Subspace, kernel_of_rows, tensor_rows
 from .quiver import DEFAULT_PATH_CAP, PRUNE, Path, Quiver, walk
 
 
@@ -73,29 +74,6 @@ def _fixed(field, ambient: int, actions) -> Subspace:
             if delta:
                 deltas.append(delta)
     return kernel_of_rows(field, ambient, deltas)
-
-
-def averaged_fixed_subspace(spec: ActionSpec, elements, path: Path) -> Subspace:
-    """Optional cross-check via the averaging projector.
-
-    Only valid when the characteristic does not divide the group order;
-    the image of the averaged action equals the fixed subspace then.  The
-    engine itself never averages.
-    """
-    elements = list(elements)
-    order = len(elements)
-    field = spec.field
-    if field.characteristic and order % field.characteristic == 0:
-        raise ValueError("averaging needs the group order invertible in the field")
-    ambient = spec.quiver.path_space_dim(path)
-    total = Matrix.zeros(field, ambient, ambient)
-    for g in elements:
-        total = total + act_on_path(spec, g, path)
-    inv_order = field.one() / field.from_int(order)
-    projector = total * inv_order
-    return Subspace.from_vectors(
-        field, ambient, projector.transpose().entries
-    )
 
 
 def _split(key) -> tuple:
@@ -169,10 +147,6 @@ class ProfileTable:
             return self.profiles[path]
         except KeyError:
             raise MissingSubPath(str(path)) from None
-
-    def paths_between(self, source, target):
-        """Degree >= 1 paths for one hom-pair, by (degree, lexicographic) order."""
-        return tuple(p for p in self.profiles if p[0] == source and p[-1] == target)
 
     def all_paths(self):
         """Every stored path, ordered by (degree, lexicographic vertex indices)."""

@@ -29,10 +29,6 @@ class DivisionByZero(FieldError, ZeroDivisionError):
     """Division by the zero scalar of an exact field."""
 
 
-class WrongFieldKind(FieldError):
-    """The requested operation needs a different kind of field."""
-
-
 # the least strong pseudoprime to all the prime bases up to 41
 PRIME_LIMIT = 3317044064679887385961981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -625,10 +621,3 @@ class PrimeField:
 
 
 QQ = RationalField()
-
-
-def primitive_root(field) -> CyclotomicElement:
-    """The canonical primitive root of unity of a cyclotomic field."""
-    if not isinstance(field, CyclotomicField):
-        raise WrongFieldKind("primitive roots of unity require a cyclotomic field")
-    return field.zeta()

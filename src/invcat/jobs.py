@@ -174,11 +174,12 @@ def _generators(data, ctx):
 
 def action_from_dict(data, quiver, field, ctx="action", group_cap=None):
     raw_generators = _generators(data, ctx)
-    cap = group_cap
-    if cap is None:
-        cap = _get(data, "group_cap", ctx, int, required=False, default=DEFAULT_GROUP_CAP)
-        if cap < 1:
-            raise ParseError(f"{ctx}.group_cap: must be at least 1, got {cap}")
+    # checked even when an override replaces it
+    cap = _get(data, "group_cap", ctx, int, required=False, default=DEFAULT_GROUP_CAP)
+    if cap < 1:
+        raise ParseError(f"{ctx}.group_cap: must be at least 1, got {cap}")
+    if group_cap is not None:
+        cap = group_cap
     generators = []
     for i, gen in enumerate(raw_generators):
         gctx = f"{ctx}.generators[{i}]"
@@ -281,12 +282,24 @@ def parse_job(data, overrides=None) -> JobSpec:
     )
 
 
+def _unique_keys(pairs):
+    """An object's dict, rejecting a repeated key, which json.load would silently drop."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from None
+    except ParseError as err:
+        raise ParseError(f"{path}: {err}") from None
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from None
 

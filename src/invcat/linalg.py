@@ -117,16 +117,6 @@ class Matrix:
     def __neg__(self):
         return Matrix(self.field, [[-a for a in row] for row in self.entries])
 
-    def __pow__(self, k: int):
-        if self.nrows != self.ncols:
-            raise ShapeMismatch("powers need a square matrix")
-        if k < 0:
-            raise ValueError("negative matrix powers are not supported")
-        out = Matrix.identity(self.field, self.nrows)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def transpose(self):
         return Matrix(self.field, list(zip(*self.entries)) if self.entries else [])
 
@@ -190,11 +180,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
-
-
-def tensor_vector(u, v):
-    """Coordinates of u (x) v in the left-major lexicographic tensor basis."""
-    return tuple(a * b for a in u for b in v)
 
 
 def tensor_rows(left, right, right_ncols: int):
@@ -381,23 +366,6 @@ class Subspace:
         if len(pivots) == big.dim:
             return big
         return Subspace._canonical(self.field, self.ambient_dim, dict(sorted(pivots.items())))
-
-    def annihilator(self) -> "Subspace":
-        """All functionals (as coordinate vectors) vanishing on this subspace."""
-        return _kernel_of_echelon(self.field, self.ambient_dim, self.rows)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return (self.annihilator() + other.annihilator()).annihilator()
-
-    def reduce(self, vector):
-        """Remainder of a vector after elimination against the basis."""
-        zero = self.field.zero()
-        row = _reduce(self.rows, _sparse_vector(vector, self.ambient_dim))
-        return [row.get(i, zero) for i in range(self.ambient_dim)]
-
-    def contains(self, vector) -> bool:
-        return not _reduce(self.rows, _sparse_vector(vector, self.ambient_dim))
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_compatible(other)

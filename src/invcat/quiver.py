@@ -191,20 +191,6 @@ def walk(quiver: Quiver, start, max_degree: int, path_cap: int, step):
         wave = new
 
 
-def enumerate_paths(quiver: Quiver, source, target, max_degree: int,
-                    path_cap: int = DEFAULT_PATH_CAP):
-    """All paths from source to target of degree <= max_degree.
-
-    Ordered by (degree, lexicographic vertex sequence); the trivial path is
-    included exactly when source == target.
-    """
-    quiver.vertex_index(source)
-    quiver.vertex_index(target)
-    result = [Path((source,))] if source == target else []
-    walked = walk(quiver, [((source,), None)], max_degree, path_cap, lambda *_: None)
-    return result + [path for path, _ in walked if path[-1] == target]
-
-
 def is_acyclic(quiver: Quiver) -> bool:
     order = _topological_order(quiver)
     return order is not None

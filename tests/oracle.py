@@ -1,15 +1,21 @@
-"""A dense Gauss-Jordan oracle for the linear algebra layer.
+"""Slow references that the tests diff the production code against.
 
-Written from the textbook definitions with field scalars only; it calls no
-invcat elimination, so the sparse kernel in ``invcat.linalg`` can be diffed
+A dense Gauss-Jordan oracle for the linear algebra layer, written from the
+textbook definitions with field scalars only; it calls no invcat
+elimination, so the sparse kernel in ``invcat.linalg`` can be diffed
 against it.  Vectors and bases are tuples of scalars; a basis is the
 reduced row echelon form of its span, with zero rows dropped.  Q(zeta_n)
 is modelled here too, as Fraction coefficient tuples reduced modulo Phi_n
-by long division, for diffing ``invcat.fields``.
+by long division, for diffing ``invcat.fields``.  Path-level references
+follow: the dense diagonal action on a path's tensor space, the averaging
+projector's image, character values along a path, and path enumeration.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from invcat.linalg import Matrix
+from invcat.quiver import DEFAULT_PATH_CAP, Path, walk
 
 
 def rref(field, rows, ncols):
@@ -176,3 +182,62 @@ def cyclotomic_inverse(x):
             rest = rest * field.element(conjugate)
     norm = x * rest
     return rest * Fraction(norm.den, norm.coeffs[0])
+
+
+def act_on_path(spec, element, path):
+    """The diagonal action on the path's tensor space, as a dense Matrix.
+
+    Factors are ordered with the matrix of the last edge leftmost, matching
+    the tensor basis convention of the linear algebra layer.  On a trivial
+    path the action is the 1x1 identity.
+    """
+    edges = path.edges()
+    if not edges:
+        return Matrix.identity(spec.field, 1)
+    acc = spec.edge_matrix(element, edges[-1])
+    for edge in reversed(edges[:-1]):
+        acc = acc.tensor(spec.edge_matrix(element, edge))
+    return acc
+
+
+def averaged_fixed_subspace(spec, elements, path):
+    """The basis of the image of the averaging projector: the fixed subspace.
+
+    Only valid when the characteristic does not divide the group order.
+    """
+    elements = list(elements)
+    order = len(elements)
+    field = spec.field
+    if field.characteristic and order % field.characteristic == 0:
+        raise ValueError("averaging needs the group order invertible in the field")
+    ambient = spec.quiver.path_space_dim(path)
+    total = Matrix.zeros(field, ambient, ambient)
+    for g in elements:
+        total = total + act_on_path(spec, g, path)
+    projector = total * (field.one() / field.from_int(order))
+    return span(field, projector.transpose().entries, ambient)
+
+
+def path_values(chars, path):
+    """Componentwise product of the edge characters along a path."""
+    out = tuple(chars.field.one() for _ in chars.elements)
+    for edge in path.edges():
+        out = tuple(a * b for a, b in zip(out, chars.values[edge]))
+    return out
+
+
+def is_invariant(chars, path):
+    return all(v == 1 for v in path_values(chars, path))
+
+
+def enumerate_paths(quiver, source, target, max_degree, path_cap=DEFAULT_PATH_CAP):
+    """All paths from source to target of degree <= max_degree, through `walk`.
+
+    Ordered by (degree, lexicographic vertex sequence); the trivial path is
+    included exactly when source == target.
+    """
+    quiver.vertex_index(source)
+    quiver.vertex_index(target)
+    result = [Path((source,))] if source == target else []
+    walked = walk(quiver, [((source,), None)], max_degree, path_cap, lambda *_: None)
+    return result + [path for path, _ in walked if path[-1] == target]

@@ -21,7 +21,7 @@ from invcat.category import (
 from invcat.engine import compute_profiles, schurian_generators, verify_decomposition
 from invcat.fields import CyclotomicField, PrimeField, QQ
 from invcat.linalg import Matrix
-from invcat.quiver import Multigraph, Quiver, enumerate_paths
+from invcat.quiver import Multigraph, Quiver
 from invcat.reptype import (
     FINITE,
     KRONECKER_AGAIN,
@@ -42,6 +42,7 @@ from instances import (
     random_action,
     random_quiver,
 )
+from oracle import enumerate_paths, is_invariant
 from test_reptype import diagram_table, to_networkx
 
 
@@ -181,7 +182,7 @@ def test_criterion_4_schurian_dual_oracle():
         for x in q.vertices:
             for y in q.vertices:
                 for path in enumerate_paths(q, x, y, max_degree):
-                    if path.degree == 0 or not chars.is_invariant(path):
+                    if path.degree == 0 or not is_invariant(chars, path):
                         continue
                     n_fact = count_factorizations(path.vertices, {path.vertices}, irreducible)
                     assert n_fact == 1, f"path {path} has {n_fact} factorizations"

@@ -7,7 +7,6 @@ from invcat.action import (
     ClosureCapExceeded,
     NonInvertibleGenerator,
     NotSchurian,
-    act_on_path,
     close_group,
     extract_characters,
 )
@@ -16,6 +15,7 @@ from invcat.linalg import Matrix
 from invcat.quiver import Path, Quiver
 
 from instances import crown_quiver, finite_order_matrix, random_quiver
+from oracle import act_on_path
 
 
 def crown_spec(n, power=1):

@@ -25,6 +25,7 @@ from invcat.linalg import Matrix, Subspace
 from invcat.quiver import Quiver
 
 from instances import character_action, crown_quiver, random_acyclic_quiver
+from oracle import enumerate_paths
 
 
 def crown_spec(n):
@@ -282,8 +283,6 @@ def test_cleaving_crown():
     assert witness.holds
     # complement paths are exactly the ones whose length is not divisible by 3
     for (x, y), (n_inv, n_other) in witness.pair_counts.items():
-        from invcat.quiver import enumerate_paths
-
         lengths = [p.degree for p in enumerate_paths(q, x, y, 4)]
         assert n_inv == sum(1 for d in lengths if d % 3 == 0)
         assert n_other == sum(1 for d in lengths if d % 3 != 0)

@@ -15,8 +15,8 @@ from invcat.jobs import dump_report, load_job, report_to_dict, run_pipeline
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = DEMOS.parent / "src"
-# one report per demo input, timing dropped; rewrite one only on purpose,
-# when a change is meant to alter the report
+# one report per demo input, timing dropped, and the stdout of each demo
+# script; rewrite one only on purpose, when a change is meant to alter it
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -31,7 +31,7 @@ def test_demo_script_runs(script):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout
+    assert done.stdout == (GOLDEN / "demos" / script).with_suffix(".txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("job", sorted(p.name for p in (DEMOS / "inputs").glob("*.json")))

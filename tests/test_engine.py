@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from invcat import engine
-from invcat.action import ActionSpec, act_on_path, close_group, extract_characters
+from invcat.action import ActionSpec, close_group, extract_characters
 from invcat.category import build_invariant_quiver, verify_freeness
 from invcat.engine import (
     MissingSubPath,
-    averaged_fixed_subspace,
     compositions,
     compute_profiles,
     schurian_generators,
@@ -127,8 +126,8 @@ def test_averaging_cross_check_agrees_with_kernels():
         table = compute_profiles(q, spec, 3)
         for path in table.all_paths():
             kernel_route = table.profile(path).fixed
-            average_route = averaged_fixed_subspace(spec, elements, path)
-            assert kernel_route == average_route
+            average_route = oracle.averaged_fixed_subspace(spec, elements, path)
+            assert kernel_route.basis == average_route
         done += 1
 
 
@@ -138,7 +137,7 @@ def test_averaging_rejects_modular_case():
     swap = Matrix.from_rows(f2, [[0, 1], [1, 0]])
     spec = ActionSpec(q, f2, [("s", {("v", "v"): swap})])
     with pytest.raises(ValueError):
-        averaged_fixed_subspace(spec, close_group(spec), q.path(["v", "v"]))
+        oracle.averaged_fixed_subspace(spec, close_group(spec), q.path(["v", "v"]))
 
 
 def test_composite_degree_one_is_zero():
@@ -262,7 +261,7 @@ def test_direct_sum_invariant_random():
             assert composite.is_subspace_of(prof.fixed)
             assert prof.irreducible.is_subspace_of(prof.fixed)
             assert composite + prof.irreducible == prof.fixed
-            assert composite.intersect(prof.irreducible).dim == 0
+            assert (composite + prof.irreducible).dim == composite.dim + prof.irreducible.dim
         done += 1
 
 
@@ -282,9 +281,7 @@ def test_verify_decomposition_swap_degree_three():
     assert verdict.holds
     # brute force: the fixed space of the full degree-3 action
     g = spec.generator_elements[0]
-    from invcat.action import act_on_path
-
-    big = act_on_path(spec, g, path)
+    big = oracle.act_on_path(spec, g, path)
     assert (big - Matrix.identity(QQ, 8)).kernel().dim == 4
     assert verdict.fixed_dim == 4
     assert verdict.composition_sum == 4  # 1 + 1 + 1 + 1 over the four compositions
@@ -343,7 +340,9 @@ def _brute_schurian_generators(q, chars, max_degree):
             if not all(q.dim(b, a) for a, b in zip(seq, seq[1:])):
                 continue
             prefixes = [Path(seq[: i + 1]) for i in range(1, d + 1)]
-            if chars.is_invariant(prefixes[-1]) and not any(map(chars.is_invariant, prefixes[:-1])):
+            if oracle.is_invariant(chars, prefixes[-1]) and not any(
+                oracle.is_invariant(chars, p) for p in prefixes[:-1]
+            ):
                 out.setdefault((seq[0], seq[-1]), []).append(Path(seq))
     return out
 
@@ -558,7 +557,8 @@ def test_compute_profiles_path_cap():
     q, _, spec = crown_spec(2)
     # t0 -> t1 has one path in each odd degree, t0 -> t0 in each even one
     table = compute_profiles(q, spec, 6, path_cap=3)
-    assert len(table.paths_between("t0", "t1")) == len(table.paths_between("t0", "t0")) == 3
+    ends = [(p[0], p[-1]) for p in table.profiles if len(p) > 1]
+    assert ends.count(("t0", "t1")) == ends.count(("t0", "t0")) == 3
     with pytest.raises(PathCapExceeded, match="more than 3 paths from 't0' to 't1'"):
         compute_profiles(q, spec, 7, path_cap=3)
 
@@ -664,7 +664,7 @@ def fixed_calls(monkeypatch):
 def _distinct_actions(spec, paths):
     """Distinct (degree, action matrices of the generators) over paths, by dense matrices."""
     return {
-        (path.degree, tuple(act_on_path(spec, g, path) for g in spec.generator_elements))
+        (path.degree, tuple(oracle.act_on_path(spec, g, path) for g in spec.generator_elements))
         for path in paths
     }
 

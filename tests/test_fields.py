@@ -12,11 +12,9 @@ from invcat.fields import (
     FieldMismatch,
     PrimeField,
     QQ,
-    WrongFieldKind,
     cyclotomic_polynomial,
     euler_phi,
     is_prime,
-    primitive_root,
 )
 
 import oracle
@@ -75,7 +73,7 @@ def test_cyclotomic_polynomial_table():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12])
 def test_zeta_is_primitive(n):
     field = CyclotomicField(n)
-    z = primitive_root(field)
+    z = field.zeta()
     assert z**n == 1
     for m in range(1, n):
         assert z**m != 1
@@ -84,13 +82,6 @@ def test_zeta_is_primitive(n):
     for c in reversed(field.modulus):
         acc = acc * z + c
     assert acc == 0
-
-
-def test_primitive_root_wrong_kind():
-    with pytest.raises(WrongFieldKind):
-        primitive_root(QQ)
-    with pytest.raises(WrongFieldKind):
-        primitive_root(F5)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)

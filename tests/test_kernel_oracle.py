@@ -98,9 +98,8 @@ def check_pair(field, a_rows, b_rows, ncols, vector):
     b = subspace(field, b_rows, ncols)
     ab, bb = oracle.span(field, a_rows, ncols), oracle.span(field, b_rows, ncols)
     assert (a + b).basis == oracle.add(field, ab, bb, ncols)
-    assert a.intersect(b).basis == oracle.intersect(field, ab, bb, ncols)
-    assert a.reduce(vector) == oracle.reduce(ab, vector)
-    assert a.contains(vector) == all(x == 0 for x in oracle.reduce(ab, vector))
+    in_a = all(x == 0 for x in oracle.reduce(ab, vector))
+    assert subspace(field, [vector], ncols).is_subspace_of(a) == in_a
     inside = all(all(x == 0 for x in oracle.reduce(bb, row)) for row in ab)
     assert a.is_subspace_of(b) == inside
     whole = a + b
@@ -210,14 +209,10 @@ def test_trivial_subspaces_are_shared_and_never_mutated(field):
         for t in (zero, full, mid):
             s + t
             t + s
-            s.intersect(t)
-            t.intersect(s)
-            s.annihilator()
             s.tensor(t)
             s.tensor(one_dim)
             s.is_subspace_of(full)
             s.complement_in(full)
-            s.reduce([field.one()] * n)
     mid.complement_in(full)
     zero.complement_in(mid)
     assert (zero.rows, full.rows) == before

@@ -4,7 +4,9 @@ Each case takes one of the job files in demos/inputs/ and breaks it in one
 place: a value of the wrong type, a required key deleted, an unknown key
 inserted, a vertex nobody declared, or a matrix of the wrong shape.  `invcat compute` must exit 1
 (an input error, never 3) within a second, and its message must start
-with the key path of the broken place or of an enclosing object.
+with the key path of the broken place or of an enclosing object.  Repeated
+keys, and a bad `action.group_cap` that an override replaces, are checked
+on crown3.json.
 """
 
 import contextlib
@@ -14,9 +16,11 @@ import json
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from invcat.cli import main
+from invcat.jobs import ParseError, parse_job
 
 DEMO_INPUTS = Path(__file__).resolve().parent.parent / "demos" / "inputs"
 JOBS = {p.name: json.loads(p.read_text()) for p in sorted(DEMO_INPUTS.glob("*.json"))}
@@ -167,3 +171,58 @@ def test_malformed_demo_job_exits_one_with_a_key_path(tmp_path_factory, case):
     assert top_level or where == context or where.startswith((context + ".", context + "[")), (
         where, message)
     assert not (directory / "report.json").exists()
+
+
+CROWN_TEXT = (DEMO_INPUTS / "crown3.json").read_text(encoding="utf-8")
+
+
+def run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"options": {"max_degree": 6}\n}', '"options": {"max_degree": 6},\n  "options": {"max_degree": 2}\n}',
+     "options"),
+    ('"max_degree": 6', '"max_degree": 6, "max_degree": 2', "max_degree"),
+    ('"t0<-t2": [["z"]]', '"t0<-t2": [["z"]], "t0<-t2": [["1"]]', "t0<-t2"),
+], ids=["top-level", "option", "arrow-key"])
+def test_repeated_key_exits_one_naming_it(tmp_path, old, new, key):
+    # json.load keeps the last of two equal keys; a job file must not say two things
+    assert CROWN_TEXT.count(old) == 1
+    path = tmp_path / "crown3.json"
+    path.write_text(CROWN_TEXT.replace(old, new), encoding="utf-8")
+    out = tmp_path / "report.json"
+    for argv in (["compute", "--input", str(path), "--out", str(out)], ["classify", "--input", str(path)]):
+        code, message = run_quietly(argv)
+        assert code == 1 and f"duplicate key {key!r}" in message, (argv, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["x", 0, -1, True, 2.5, None])
+@pytest.mark.parametrize("override", ["options", "flag"])
+def test_bad_action_group_cap_is_rejected_under_an_override(tmp_path, bad, override):
+    job = copy.deepcopy(JOBS["crown3.json"])
+    job["action"]["group_cap"] = bad
+    argv = []
+    if override == "options":
+        job["options"]["group_cap"] = 10
+    else:
+        argv = ["--group-cap", "10"]
+    with pytest.raises(ParseError, match=r"^action\.group_cap: "):
+        parse_job(job, {"group_cap": 10} if override == "flag" else None)
+    path = tmp_path / "crown3.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, message = run_quietly(["compute", "--input", str(path), "--out", str(tmp_path / "r.json")] + argv)
+    assert code == 1 and message.startswith("error: action.group_cap: "), message
+
+
+def test_group_cap_override_still_wins():
+    job = copy.deepcopy(JOBS["crown3.json"])
+    job["action"]["group_cap"] = 2
+    assert parse_job(job).group_cap == 2
+    assert parse_job(job, {"group_cap": 10}).group_cap == 10
+    job["options"]["group_cap"] = 7
+    assert parse_job(job).group_cap == 7
