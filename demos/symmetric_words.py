@@ -5,10 +5,11 @@ on the letters a, b, c.  The full symmetric group permutes the letters,
 generated by a transposition and a 3-cycle.  Fixed spaces in degree d are
 spanned by orbit sums of words, so their dimensions count word orbits: 1,
 2, 5, 14, ...  The engine finds the irreducible generators hiding inside
-(1, 1, 2, 5, ... per degree), checks the direct-sum decomposition of every
-fixed space, and cross-checks the kernel computation against the span of
-the orbit sums, which is the image of the averaging projector of this
-permutation action.
+(1, 1, 2, 5, ... per degree), checks that every fixed space passed the
+direct-sum certificate and that the irreducible chains along all
+compositions account for its dimension, and cross-checks the kernel
+computation against the span of the orbit sums, which is the image of
+the averaging projector of this permutation action.
 """
 
 from itertools import permutations, product

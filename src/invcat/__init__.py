@@ -60,7 +60,6 @@ from .engine import (
     MissingSubPath,
     ProfileTable,
     StringInvariants,
-    compositions,
     compute_profiles,
     schurian_generators,
     verify_decomposition,

@@ -137,9 +137,6 @@ class CharacterTable(namedtuple("CharacterTable", "field edges elements values")
 
     __slots__ = ()
 
-    def value(self, edge, element_index: int):
-        return self.values[edge][element_index]
-
     def extend(self, values, edge):
         """The character values of a path followed by one more edge."""
         return tuple(a * b for a, b in zip(values, self.values[edge]))

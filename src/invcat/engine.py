@@ -17,10 +17,12 @@ hands its live cuts on to the next, so a path looks up only the tops of
 its own live cuts.  C, I and the certificate are functions of F and the
 live terms alone, so one record is made per distinct (F, terms) and
 shared by the paths that have them; the hom series and the path counts
-by degree are tallied during the walk.  `verify_decomposition` checks the
-decomposition over all compositions, to explain a failing path.  The
-references for F (the averaging projector's image, the dense path action)
-are in the tests, in `tests/oracle.py`.
+by degree are tallied during the walk.  `verify_decomposition` explains a
+failing path from stored dimensions alone: the chains have total dimension
+e(p) = sum over k of dim I(first k edges) * e(rest), to set against dim F.
+The references for F (the averaging projector's image, the dense path
+action) and the enumeration of the compositions with their chain sums are
+in the tests, in `tests/oracle.py`.
 `schurian_generators` folds characters instead and stops the walk at
 invariant paths.
 """
@@ -45,16 +47,6 @@ class MissingSubPath(EngineError):
 
 # one path's subspaces: fixed and irreducible in k^space_dim, composite in k^(dim fixed)
 StringInvariants = namedtuple("StringInvariants", "space_dim fixed composite irreducible")
-
-
-def compositions(n: int):
-    """Ordered compositions of n, parts listed source-side first."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first,) + rest
 
 
 def _fixed(field, ambient: int, actions) -> Subspace:
@@ -251,63 +243,35 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
 
 # outcome of the per-path unique-decomposition check
 DecompositionVerdict = namedtuple(
-    "DecompositionVerdict",
-    "path holds fixed_dim composition_sum failing_composition detail",
-    defaults=(None, None),
+    "DecompositionVerdict", "path holds fixed_dim composition_sum detail", defaults=(None,)
 )
 
 
 def verify_decomposition(path: Path, table: ProfileTable) -> DecompositionVerdict:
-    """Check that irreducible tensor chains decompose the fixed subspace.
+    """Explain a path's freeness certificate from the stored dimensions.
 
-    For each composition (n_1, ..., n_l) of the path degree, the chain is
-    the tensor of the irreducible subspaces of the blocks (later blocks as
-    the left factors).  Verifies both the dimension identity
-    dim F = sum over compositions of the product of block dimensions, and
-    that the chains sum to F with dimensions adding exactly.
+    The irreducible tensor chains along the compositions of the path have
+    total dimension e(path), where e(empty) = 1 and e(p) is the sum over
+    k of dim I(first k edges of p) * e(rest), from O(n^2) stored profiles.
+    The path holds when e = dim F and it passed the certificate; chains
+    from correct sub-paths span I + C = F, so with a correct split a path
+    fails the certificate exactly when e != dim F.
     """
     prof = table.profile(path)
     n = path.degree
-    field = table.field
-    fixed = prof.fixed
-    total = Subspace.zero(field, prof.space_dim)
-    expected = 0
-    overlap: tuple | None = None
-    for comp in compositions(n):
-        chain = None
-        start = 0
-        dead = False
-        for part in comp:
-            block = path.segment(start, start + part)
-            irr = table.profile(block).irreducible
-            if irr.dim == 0:
-                dead = True
-                break
-            chain = irr if chain is None else irr.tensor(chain)
-            start += part
-        if dead:
-            continue
-        expected += chain.dim
-        before = total.dim
-        total = total + chain
-        if overlap is None and total.dim - before < chain.dim:
-            overlap = comp
-    holds = expected == fixed.dim and total == fixed and overlap is None
+    # chains[s] = e(path[s:]), filled from the target end
+    chains = [0] * n + [1]
+    for s in range(n - 1, -1, -1):
+        chains[s] = sum(table.profiles[path[s : t + 1]].irreducible.dim * chains[t]
+                        for t in range(s + 1, n + 1))
+    fixed, expected = prof.fixed.dim, chains[0]
     detail = None
-    if expected != fixed.dim:
-        detail = f"dimension identity fails: sum {expected}, fixed {fixed.dim}"
-    elif overlap is not None:
-        detail = f"chains overlap at composition {overlap}"
-    elif total != fixed:
-        detail = "chains do not span the fixed subspace"
-    return DecompositionVerdict(
-        path=path,
-        holds=holds,
-        fixed_dim=fixed.dim,
-        composition_sum=expected,
-        failing_composition=overlap,
-        detail=detail,
-    )
+    if expected != fixed:
+        detail = f"dimension identity fails: sum {expected}, fixed {fixed}"
+    elif path in table.uncertified:
+        detail = (f"certificate fails: dim I {prof.irreducible.dim} "
+                  f"+ dim C {prof.composite.dim}, fixed {fixed}")
+    return DecompositionVerdict(path, detail is None, fixed, expected, detail)
 
 
 def schurian_generators(quiver: Quiver, chars: CharacterTable, max_degree: int,

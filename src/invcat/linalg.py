@@ -117,9 +117,6 @@ class Matrix:
     def __neg__(self):
         return Matrix(self.field, [[-a for a in row] for row in self.entries])
 
-    def transpose(self):
-        return Matrix(self.field, list(zip(*self.entries)) if self.entries else [])
-
     def tensor(self, other: "Matrix") -> "Matrix":
         """Kronecker product; the left factor is the major index."""
         if self.field != other.field:

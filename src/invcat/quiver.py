@@ -121,12 +121,6 @@ class Quiver:
                 raise ValueError(f"no arrow space {a!r} -> {b!r}")
         return Path(vs)
 
-    def path_space_dim(self, path: Path) -> int:
-        d = 1
-        for target, source in path.edges():
-            d *= self.dim(target, source)
-        return d
-
     def restricted(self, vertices) -> "Quiver":
         keep = [v for v in self.vertices if v in set(vertices)]
         dims = {
@@ -235,18 +229,6 @@ class Multigraph(namedtuple("Multigraph", "vertices edges")):
     """
 
     __slots__ = ()
-
-    def degree(self, i: int) -> int:
-        d = 0
-        for (a, b), m in self.edges.items():
-            if a == i:
-                d += m
-            if b == i:
-                d += m
-        return d
-
-    def loops_at(self, i: int) -> int:
-        return self.edges.get((i, i), 0)
 
     def component_index_sets(self):
         n = len(self.vertices)

@@ -153,19 +153,11 @@ def recognize_component(graph: Multigraph) -> DiagramLabel:
     return OTHER
 
 
-class Classification(
-    namedtuple("Classification", "overall components finite_is_tame", defaults=(True,))
-):
-    """Overall type ("finite" | "tame" | "wild") and one label per component.
-
-    finite_is_tame records the convention that finite type counts as tame.
-    """
-
-    __slots__ = ()
-
-    @property
-    def is_tame(self) -> bool:
-        return self.overall in (FINITE, TAME)
+# overall type ("finite" | "tame" | "wild") and one label per component;
+# finite_is_tame records the convention that finite type counts as tame
+Classification = namedtuple(
+    "Classification", "overall components finite_is_tame", defaults=(True,)
+)
 
 
 def classify_multigraph(graph: Multigraph) -> Classification:

@@ -8,13 +8,16 @@ reduced row echelon form of its span, with zero rows dropped.  Q(zeta_n)
 is modelled here too, as Fraction coefficient tuples reduced modulo Phi_n
 by long division, for diffing ``invcat.fields``.  Path-level references
 follow: the dense diagonal action on a path's tensor space, the averaging
-projector's image, character values along a path, and path enumeration.
+projector's image, character values along a path, path enumeration, and
+the decomposition of a fixed space into irreducible chains, checked over
+every composition of the path's degree.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from invcat.linalg import Matrix
+from invcat.engine import DecompositionVerdict
+from invcat.linalg import Matrix, Subspace
 from invcat.quiver import DEFAULT_PATH_CAP, Path, walk
 
 
@@ -184,6 +187,11 @@ def cyclotomic_inverse(x):
     return rest * Fraction(norm.den, norm.coeffs[0])
 
 
+def space_dim(quiver, path):
+    """The dimension of a path's tensor space: the product of its arrow-space dims."""
+    return prod(quiver.dim(*e) for e in path.edges())
+
+
 def act_on_path(spec, element, path):
     """The diagonal action on the path's tensor space, as a dense Matrix.
 
@@ -210,12 +218,12 @@ def averaged_fixed_subspace(spec, elements, path):
     field = spec.field
     if field.characteristic and order % field.characteristic == 0:
         raise ValueError("averaging needs the group order invertible in the field")
-    ambient = spec.quiver.path_space_dim(path)
+    ambient = space_dim(spec.quiver, path)
     total = Matrix.zeros(field, ambient, ambient)
     for g in elements:
         total = total + act_on_path(spec, g, path)
     projector = total * (field.one() / field.from_int(order))
-    return span(field, projector.transpose().entries, ambient)
+    return span(field, list(zip(*projector.entries)), ambient)
 
 
 def path_values(chars, path):
@@ -241,3 +249,66 @@ def enumerate_paths(quiver, source, target, max_degree, path_cap=DEFAULT_PATH_CA
     result = [Path((source,))] if source == target else []
     walked = walk(quiver, [((source,), None)], max_degree, path_cap, lambda *_: None)
     return result + [path for path, _ in walked if path[-1] == target]
+
+
+def compositions(n: int):
+    """Ordered compositions of n, parts listed source-side first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def verify_decomposition(path, table):
+    """Check that irreducible tensor chains decompose the fixed subspace.
+
+    For each composition (n_1, ..., n_l) of the path degree, the chain is
+    the tensor of the irreducible subspaces of the blocks (later blocks as
+    the left factors).  Verifies both the dimension identity
+    dim F = sum over compositions of the product of block dimensions, and
+    that the chains sum to F with dimensions adding exactly; 2^(n-1)
+    compositions, each a subspace sum.
+    """
+    prof = table.profile(path)
+    n = path.degree
+    field = table.field
+    fixed = prof.fixed
+    total = Subspace.zero(field, prof.space_dim)
+    expected = 0
+    overlap = None
+    for comp in compositions(n):
+        chain = None
+        start = 0
+        dead = False
+        for part in comp:
+            block = path.segment(start, start + part)
+            irr = table.profile(block).irreducible
+            if irr.dim == 0:
+                dead = True
+                break
+            chain = irr if chain is None else irr.tensor(chain)
+            start += part
+        if dead:
+            continue
+        expected += chain.dim
+        before = total.dim
+        total = total + chain
+        if overlap is None and total.dim - before < chain.dim:
+            overlap = comp
+    holds = expected == fixed.dim and total == fixed and overlap is None
+    detail = None
+    if expected != fixed.dim:
+        detail = f"dimension identity fails: sum {expected}, fixed {fixed.dim}"
+    elif overlap is not None:
+        detail = f"chains overlap at composition {overlap}"
+    elif total != fixed:
+        detail = "chains do not span the fixed subspace"
+    return DecompositionVerdict(
+        path=path,
+        holds=holds,
+        fixed_dim=fixed.dim,
+        composition_sum=expected,
+        detail=detail,
+    )

@@ -35,6 +35,7 @@ from invcat.reptype import (
     recognize_component,
 )
 
+import oracle
 from instances import (
     character_action,
     count_factorizations,
@@ -133,10 +134,12 @@ def test_criterion_3_decomposition_property_suite():
             f2_even_order += 1
         table = compute_profiles(spec.quiver, spec, max_degree)
         for path in table.all_paths():
-            verdict = verify_decomposition(path, table)
+            verdict = oracle.verify_decomposition(path, table)
             assert verdict.holds, (
                 f"decomposition falsified on {path} over {spec.field!r}: {verdict.detail}"
             )
+            # the production recurrence over stored dims agrees with the enumeration
+            assert verify_decomposition(path, table).composition_sum == verdict.composition_sum
             paths_checked += 1
 
     assert len(work) >= 100

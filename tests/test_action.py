@@ -143,8 +143,8 @@ def test_extract_characters_crown():
     z = field.zeta()
     t_index = elements.index(spec.generator_elements[0])
     for edge in q.track_edges():
-        assert chars.value(edge, t_index) == z
-        assert chars.value(edge, 0) == 1
+        assert chars.values[edge][t_index] == z
+        assert chars.values[edge][0] == 1
 
 
 def test_characters_multiplicative():
@@ -157,7 +157,7 @@ def test_characters_multiplicative():
         g, h = rng.choice(elements), rng.choice(elements)
         gi, hi, ghi = lookup[g], lookup[h], lookup[g * h]
         for edge in q.track_edges():
-            assert chars.value(edge, ghi) == chars.value(edge, gi) * chars.value(edge, hi)
+            assert chars.values[edge][ghi] == chars.values[edge][gi] * chars.values[edge][hi]
 
 
 def test_characters_trivial_group():
@@ -165,7 +165,7 @@ def test_characters_trivial_group():
     spec = ActionSpec(q, QQ, [])
     chars = extract_characters(q, close_group(spec), QQ)
     for edge in q.track_edges():
-        assert chars.value(edge, 0) == 1
+        assert chars.values[edge][0] == 1
 
 
 def test_not_schurian():

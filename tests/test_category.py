@@ -1,3 +1,4 @@
+import json
 import pathlib
 import random
 
@@ -274,6 +275,29 @@ def test_failed_certificate_is_explained_by_the_composition_check(monkeypatch, t
         for d in range(2, 7)
     ]
     assert main(["compute", "--input", str(job), "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_failed_certificate_is_explained_without_elimination(monkeypatch, tmp_path):
+    # the same broken complement to degree 11: each failure is explained from
+    # the stored dimensions, with no subspace sum
+    def no_sum(self, other):
+        raise AssertionError("explaining a failure must not sum subspaces")
+
+    split = Subspace.split
+    monkeypatch.setattr(Subspace, "split", lambda self, spaces: (split(self, spaces)[0], self))
+    monkeypatch.setattr(Subspace, "__add__", no_sum)
+    job = pathlib.Path(__file__).resolve().parent.parent / "demos" / "inputs" / "swap_loop.json"
+    out = tmp_path / "r.json"
+    args = ["--max-degree", "11", "--verify-depth", "11"]
+    assert main(["compute", "--input", str(job), "--out", str(out), *args]) == 2
+    freeness = json.loads(out.read_text())["freeness"]
+    assert freeness["decomposition_failures"] == [
+        {
+            "path": ["v"] * (d + 1),
+            "detail": f"dimension identity fails: sum {3 ** (d - 1)}, fixed {2 ** (d - 1)}",
+        }
+        for d in range(2, 12)
+    ]
 
 
 def test_cleaving_crown():

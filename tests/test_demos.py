@@ -36,8 +36,8 @@ def test_demo_script_runs(script):
 
 @pytest.mark.parametrize("job", sorted(p.name for p in (DEMOS / "inputs").glob("*.json")))
 def test_demo_job_computes(job, tmp_path, monkeypatch):
-    # on a passing run the freeness certificate suffices: the composition
-    # enumeration runs only to explain a failing path
+    # on a passing run the freeness certificate suffices:
+    # verify_decomposition runs only to explain a failing path
     calls = []
 
     def counted(path, table):

@@ -9,7 +9,6 @@ from invcat.action import ActionSpec, close_group, extract_characters
 from invcat.category import build_invariant_quiver, verify_freeness
 from invcat.engine import (
     MissingSubPath,
-    compositions,
     compute_profiles,
     schurian_generators,
     verify_decomposition,
@@ -66,7 +65,7 @@ def bit_flip_fixed_dim(n):
 
 def test_compositions():
     for n in range(1, 8):
-        comps = list(compositions(n))
+        comps = list(oracle.compositions(n))
         assert len(comps) == 2 ** (n - 1)
         assert all(sum(c) == n for c in comps)
         assert len(set(comps)) == len(comps)
@@ -420,7 +419,7 @@ def _brute_fixed(q, spec, elements, path):
     for g in elements:
         for r, row in enumerate(_brute_action_matrix(q, spec, g, path).entries):
             deltas.append([x - field.one() if c == r else x for c, x in enumerate(row)])
-    return oracle.kernel(field, deltas, q.path_space_dim(path))
+    return oracle.kernel(field, deltas, oracle.space_dim(q, path))
 
 
 def test_profiles_match_independent_brute_force():
@@ -445,12 +444,12 @@ def test_profiles_match_independent_brute_force():
             for i in range(1, n):
                 bottom = path.segment(0, i)
                 top = path.segment(i, n)
-                bdim = q.path_space_dim(bottom)
+                bdim = oracle.space_dim(q, bottom)
                 f_b = _brute_fixed(q, spec, elements, bottom)
                 f_t = _brute_fixed(q, spec, elements, top)
                 for u in f_t:
                     for v in f_b:
-                        vec = [spec.field.zero()] * (bdim * q.path_space_dim(top))
+                        vec = [spec.field.zero()] * (bdim * oracle.space_dim(q, top))
                         for a, ua in enumerate(u):
                             for b, vb in enumerate(v):
                                 vec[a * bdim + b] = ua * vb
@@ -712,7 +711,7 @@ def test_trivial_group_with_arrows_of_different_dims(fixed_calls):
     widths = set()
     for path in table.all_paths():
         prof = table.profile(path)
-        assert prof.space_dim == q.path_space_dim(path)
+        assert prof.space_dim == oracle.space_dim(q, path)
         assert prof.fixed == Subspace.full(QQ, prof.space_dim)
         widths.add((path.degree, prof.space_dim))
     assert len(fixed_calls) == len(widths)

@@ -163,7 +163,6 @@ def test_classify_examples():
     assert classify(two_loops).overall == "wild"
     assert classify(crown_quiver(5)).overall == TAME
     assert classify(a3).finite_is_tame
-    assert classify(a3).is_tame  # the convention: finite counts as tame
 
 
 def test_classify_multigraph_aggregation():
