@@ -117,11 +117,10 @@ def completeness_bound(quiver: Quiver, spec: ActionSpec) -> Completeness | None:
 
 def build_invariant_quiver(table: ProfileTable) -> InvariantQuiverReport:
     """One generator entry per path with a nonzero irreducible subspace."""
-    generators = []
-    for path, prof in table.profiles.items():
-        mult = prof.irreducible.dim
-        if mult > 0:
-            generators.append(GeneratorEntry(path=path, multiplicity=mult))
+    generators = [
+        GeneratorEntry(path=path, multiplicity=table.profile(path).irreducible.dim)
+        for path in table.generators
+    ]
     certificate = completeness_bound(table.quiver, table.spec)
     if certificate is not None and table.max_degree >= certificate.bound:
         completeness = certificate

@@ -1,35 +1,42 @@
 """Per-path invariant profiles: fixed, composite and irreducible subspaces.
 
-`compute_profiles` folds each path's sparse action rows over `quiver.walk`.
-For a path of degree n with tensor space V, the fixed subspace F is the
-simultaneous kernel of (action - identity) over the group; it never uses
-averaging, so every characteristic is supported.  F depends on the action
-rows alone, so it is eliminated once per distinct action per degree and
-shared by the paths that carry that action.  The composite subspace C is
-the span of all products of invariants of complementary sub-paths, and
-the irreducible subspace I is the canonical pivot-extension complement of
-C inside F, from one elimination in F's coordinates, where C is kept.
+`compute_profiles` runs the degree waves as a state machine with path
+counts (the transfer-matrix method).  For a path of degree n with tensor
+space V, the fixed subspace F is the simultaneous kernel of (action -
+identity) over the group; it never uses averaging, so every
+characteristic is supported.  F depends on the action rows alone, so it
+is eliminated once per distinct action per degree and shared by the
+paths that carry that action.  The composite subspace C is the span of
+all products of invariants of complementary sub-paths, and the
+irreducible subspace I is the canonical pivot-extension complement of C
+inside F, from one elimination in F's coordinates, where C is kept.
 That the irreducible tensor chains along all 2^(n-1) compositions of n
 decompose F directly is certified by induction on sub-paths: C is built
 as a sum over cut points that must be direct, and dim I + dim C = dim F.
-Only live cuts, whose bottom has a nonzero I, add to that sum; each wave
-hands its live cuts on to the next, so a path looks up only the tops of
-its own live cuts.  C, I and the certificate are functions of F and the
-live terms alone, so one record is made per distinct (F, terms) and
-shared by the paths that have them; the hom series and the path counts
-by degree are tallied during the walk.  `verify_decomposition` explains a
-failing path from stored dimensions alone: the chains have total dimension
-e(p) = sum over k of dim I(first k edges) * e(rest), to set against dim F.
-The references for F (the averaging projector's image, the dense path
-action) and the enumeration of the compositions with their chain sums are
-in the tests, in `tests/oracle.py`.
+Only live cuts, whose bottom has a nonzero I, add to that sum.  C, I and
+the certificate are functions of F and the live terms alone, so one
+record is made per distinct (F, terms) and shared by the paths that have
+them.  A path's walk state is its action plus its live cuts (top action,
+I(bottom)); its profile depends on the state alone, and the state of an
+extension is a function of (state, edge), built once.  So each wave maps
+(source, end vertex, state) to a path count, which gives the hom series,
+the path counts by degree and the path cap, and only the paths with a
+nonzero I or a failed certificate are listed.  `profiles` is a lazy
+mapping that follows a path's edges through the states.
+`verify_decomposition` explains a failing path from stored dimensions
+alone: the chains have total dimension e(p) = sum over k of dim I(first k
+edges) * e(rest), to set against dim F.  The references for F (the
+averaging projector's image, the dense path action), the profiles folded
+one path at a time, and the enumeration of the compositions with their
+chain sums are in the tests, in `tests/oracle.py`.
 `schurian_generators` folds characters instead and stops the walk at
 invariant paths.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
+from collections.abc import Mapping
 from itertools import chain
 
 from .action import ActionSpec, CharacterTable
@@ -86,24 +93,42 @@ def _split(key) -> tuple:
 
 
 class _Action:
-    """An interned path action: tensor width and sparse rows per generator.
+    """An interned path action: its degree, tensor width, fixed subspace and links.
 
     Paths with equal actions share one record and so one fixed subspace;
-    that is sound because a `Subspace` is never edited.
+    that is sound because a `Subspace` is never edited.  `next` maps an
+    edge to the action of the extension.  The sparse rows live only while
+    the action's degree is built and stepped (see `compute_profiles`).
     """
 
-    __slots__ = ("degree", "width", "rows", "_fixed")
+    __slots__ = ("degree", "width", "fixed", "next")
 
-    def __init__(self, degree: int, width: int, rows: list):
+    def __init__(self, degree: int, width: int, fixed):
         self.degree = degree
         self.width = width
-        self.rows = rows
-        self._fixed = None
+        self.fixed = fixed
+        self.next = {}
 
-    def fixed(self, field) -> Subspace:
-        if self._fixed is None:
-            self._fixed = _fixed(field, self.width, self.rows)
-        return self._fixed
+
+class _Node:
+    """A walk state: what a path's profile and its extensions' profiles depend on.
+
+    `cuts` are the live cuts, (top action, I(bottom)) in cut order; `entry`
+    is the shared (record, certified) of (F, live terms), None for the
+    trivial paths; `next` maps an edge to the state of the extension.
+    """
+
+    __slots__ = ("action", "cuts", "entry", "next")
+
+    def __init__(self, action: _Action, cuts: tuple, entry):
+        self.action = action
+        self.cuts = cuts
+        self.entry = entry
+        self.next = {}
+
+
+def _follow(node: _Node, edge) -> _Node:
+    return node.next[edge]
 
 
 def _rows_hash(width: int, rows) -> int:
@@ -111,6 +136,40 @@ def _rows_hash(width: int, rows) -> int:
     return hash((width, *(
         (len(g), sum(map(hash, chain.from_iterable(map(dict.items, g))))) for g in rows
     )))
+
+
+class PathProfiles(Mapping):
+    """Read-only path -> profile record, for every path of degree 1..max_degree.
+
+    No path is stored: a lookup follows the path's edges through the walk
+    states, iteration walks every path in (degree, lexicographic) order,
+    and the length is the sum of the counted paths.  Keys are vertex tuples.
+    """
+
+    def __init__(self, quiver: Quiver, start: _Node, max_degree: int, size: int):
+        self._quiver = quiver
+        self._start = start
+        self._max_degree = max_degree
+        self._size = size
+
+    def __getitem__(self, path) -> StringInvariants:
+        if not isinstance(path, tuple) or len(path) < 2:
+            raise KeyError(path)
+        node = self._start
+        for edge in zip(path[1:], path):
+            node = node.next.get(edge)
+            if node is None:
+                raise KeyError(path)
+        return node.entry[0]
+
+    def __iter__(self):
+        start = [((v,), self._start) for v in self._quiver.vertices]
+        # no pair holds more paths than there are in all, so the cap never trips
+        for path, _ in walk(self._quiver, start, self._max_degree, self._size, _follow):
+            yield path
+
+    def __len__(self) -> int:
+        return self._size
 
 
 class ProfileTable:
@@ -121,13 +180,15 @@ class ProfileTable:
     one profile record.
     """
 
-    def __init__(self, quiver, spec, max_degree, profiles, series, path_counts, uncertified):
+    def __init__(self, quiver, spec, max_degree, profiles, series, path_counts,
+                 generators, uncertified):
         self.quiver = quiver
         self.spec = spec
         self.max_degree = max_degree
-        self.profiles = profiles
-        self._series = series  # hom-pair -> sum of dim F by degree, tallied by the walk
+        self.profiles = profiles  # a PathProfiles mapping
+        self._series = series  # hom-pair -> sum of dim F by degree, counted by the waves
         self.path_counts = path_counts  # stored paths by degree 0..max_degree
+        self.generators = generators  # paths with a nonzero I, in walk order
         self.uncertified = uncertified  # paths failing the freeness certificate, in walk order
 
     @property
@@ -156,89 +217,139 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
                      path_cap: int = DEFAULT_PATH_CAP) -> ProfileTable:
     """Profiles for every path of every hom-pair up to the degree bound.
 
-    Walks all sources in one pass of degree waves, so every proper sub-path
-    profile (of any source) exists when a path is processed.  Fixed
-    subspaces are intersections over the generator tuples (which generate
-    the same group as the closure, hence fix the same subspace), taken as
-    the kernel of the stacked sparse rows of g - 1; the sparse action rows
-    are extended by one Kronecker factor per arrow, once per (prefix
-    action, arrow), and interned among the actions of their degree.  A
-    path's live cuts are its prefix's plus the prefix itself when that has
-    a nonzero I, and its record is shared by every path with the same F and
-    the same live terms.
+    A path's profile depends only on its walk state (`_Node`): its action
+    and its live cuts.  The state of an extension is a function of (state,
+    edge), built once on the first miss, so the degree waves run on
+    (source, end vertex, state) with a path count each, walking all
+    sources at once; the hom series, the path counts by degree and the
+    per-pair `path_cap` come from those counts.  Fixed subspaces are
+    intersections over the generator tuples (which generate the same
+    group as the closure, hence fix the same subspace), taken as the
+    kernel of the stacked sparse rows of g - 1; the sparse action rows are
+    extended by one Kronecker factor per arrow, once per (prefix action,
+    arrow), interned among the actions of their degree, and dropped once
+    that degree is stepped.  A state's live cuts are its prefix's, each
+    top stepped by the edge, plus the prefix itself when that has a
+    nonzero I, and its record is shared by every state with the same F
+    and the same live terms.  Only the paths that must be named, those
+    with a nonzero I and the uncertified ones, are listed: one walk prunes
+    every extension whose state reaches none of them within the degree
+    bound.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     gens = spec.generator_elements
     field = spec.field
-    profiles: dict[Path, StringInvariants] = {}
     splits: dict[tuple, tuple] = {}  # (F, F(top), I(bottom), ...) -> (record, certified)
-    series: dict[tuple, list] = {}
-    counts = [0] * (max_degree + 1)
-    uncertified = []
-    # path -> the live cuts (position, I(bottom)) its extensions inherit, for
-    # the previous degree and the current one
-    inherited: dict[tuple, tuple] = {}
-    passing: dict[tuple, tuple] = {}
-
     factors = {
         edge: [spec.edge_matrix(g, edge).sparse_rows() for g in gens]
         for edge in spec.edges
     }
-    # both hold the actions of one degree only, and are cleared when it advances
-    steps: dict[tuple, _Action] = {}  # (prefix action, edge) -> action
+    start = _Node(_Action(0, 1, None), (), None)
+    # the sparse rows of the actions being stepped and of those being built,
+    # and the interned actions and states of the degree being built
+    stepped = {start.action: [[{0: field.one()}] for _ in gens]}
+    built: dict[_Action, list] = {}
     interned: dict[int, list] = {}  # _rows_hash -> the actions with that hash
-    degree = 0
+    nodes: dict[tuple, _Node] = {}  # (action, cuts) -> state
 
     def step(prev, edge):
-        nonlocal degree
-        if prev.degree != degree:
-            steps.clear()
-            interned.clear()
-            degree = prev.degree
-        action = steps.get((prev, edge))
+        action = prev.next.get(edge)
         if action is None:
             width = prev.width * quiver.dim(*edge)
-            rows = [tensor_rows(em, pm, prev.width) for em, pm in zip(factors[edge], prev.rows)]
+            rows = [tensor_rows(em, pm, prev.width) for em, pm in zip(factors[edge], stepped[prev])]
             bucket = interned.setdefault(_rows_hash(width, rows), [])
             # equal rows, compared exactly, never by hash alone
-            action = next((a for a in bucket if a.width == width and a.rows == rows), None)
+            action = next((a for a in bucket if a.width == width and built[a] == rows), None)
             if action is None:
-                action = _Action(degree + 1, width, rows)
+                action = _Action(prev.degree + 1, width, _fixed(field, width, rows))
                 bucket.append(action)
-            steps[prev, edge] = action
+                built[action] = rows
+            prev.next[edge] = action
         return action
 
-    start = _Action(0, 1, [[{0: field.one()}] for _ in gens])
-    for path, action in walk(quiver, [((v,), start) for v in quiver.vertices],
-                             max_degree, path_cap, step):
-        n = len(path) - 1
-        if not counts[n]:  # the first path of a degree wave
-            inherited, passing = passing, {}
-        fixed = action.fixed(field)
-        cuts = inherited.get(path[:-1], ())
-        key = [fixed]
-        for i, i_bottom in cuts:
-            f_top = profiles[path[i:]].fixed
-            if f_top.dim:
-                key += (f_top, i_bottom)
-        key = tuple(key)
-        entry = splits.get(key)
-        if entry is None:
-            entry = splits[key] = _split(key)
-        record, certified = entry
+    def advance(node, edge):
+        nxt = node.next.get(edge)
+        if nxt is not None:
+            return nxt
+        action = step(node.action, edge)
+        # each top is a shorter path's action, stepped by this edge in an earlier wave
+        cuts = tuple((top.next[edge], i_bottom) for top, i_bottom in node.cuts)
+        if node.entry is not None and node.entry[0].irreducible.dim:
+            cuts += ((start.action.next[edge], node.entry[0].irreducible),)
+        nxt = nodes.get((action, cuts))
+        if nxt is None:
+            key = [action.fixed]
+            for top, i_bottom in cuts:
+                if top.fixed.dim:
+                    key += (top.fixed, i_bottom)
+            key = tuple(key)
+            entry = splits.get(key)
+            if entry is None:
+                entry = splits[key] = _split(key)
+            nxt = nodes[action, cuts] = _Node(action, cuts, entry)
+        node.next[edge] = nxt
+        return nxt
+
+    series: dict[tuple, list] = {}
+    counts = [0] * (max_degree + 1)
+    reached = Counter()  # (source, target) -> paths so far
+    waves = []  # per degree 1, 2, ...: the (end vertex, state) pairs reached
+    wave = {(v, v, start): 1 for v in quiver.vertices}
+    for degree in range(1, max_degree + 1):
+        interned.clear()
+        nodes.clear()
+        new: dict[tuple, int] = {}
+        for (source, v, node), count in wave.items():
+            for w in quiver.out_neighbors(v):
+                key = (source, w, advance(node, (w, v)))
+                new[key] = new.get(key, 0) + count
+        if not new:
+            break
+        stepped, built = built, {}
+        for (source, w, node), count in new.items():
+            counts[degree] += count
+            reached[source, w] += count
+            hom = series.get((source, w))
+            if hom is None:
+                hom = series[source, w] = [0] * (max_degree + 1)
+            hom[degree] += count * node.action.fixed.dim
+        if any(n > path_cap for n in reached.values()):
+            # the per-path walk from the first source over the cap names the
+            # same pair as a walk from every source: counts are per pair
+            first = next(s for s in quiver.vertices
+                         if any(reached[s, t] > path_cap for t in quiver.vertices))
+            for _ in walk(quiver, [((first,), start)], degree, path_cap, _follow):
+                pass
+            raise AssertionError("the state counts exceed the path cap but the walk does not")
+        waves.append({(w, node) for _, w, node in new})
+        wave = new
+
+    # backwards over the waves: the states from which a path with a nonzero
+    # I or an uncertified one is reached within the degree bound
+    live = set()
+    for states in reversed(waves):
+        live |= {
+            (v, node) for v, node in states
+            if node.entry[0].irreducible.dim or not node.entry[1]
+            or any((w, node.next.get((w, v))) in live for w in quiver.out_neighbors(v))
+        }
+
+    def follow_live(node, edge):
+        nxt = node.next[edge]
+        return nxt if (edge[0], nxt) in live else PRUNE
+
+    generators, uncertified = [], []
+    for path, node in walk(quiver, [((v,), start) for v in quiver.vertices],
+                           max_degree, path_cap, follow_live):
+        record, certified = node.entry
+        if record.irreducible.dim:
+            generators.append(path)
         if not certified:
             uncertified.append(path)
-        profiles[path] = record
-        if n < max_degree:
-            passing[path] = cuts + ((n, record.irreducible),) if record.irreducible.dim else cuts
-        counts[n] += 1
-        hom = series.get((path[0], path[-1]))
-        if hom is None:
-            hom = series[path[0], path[-1]] = [0] * (max_degree + 1)
-        hom[n] += fixed.dim
-
-    return ProfileTable(quiver, spec, max_degree, profiles, series, counts, uncertified)
+    profiles = PathProfiles(quiver, start, max_degree, sum(counts))
+    return ProfileTable(quiver, spec, max_degree, profiles, series, counts,
+                        generators, uncertified)
 
 
 # outcome of the per-path unique-decomposition check
@@ -282,22 +393,34 @@ def schurian_generators(quiver: Quiver, chars: CharacterTable, max_degree: int,
     trivial character, and irreducible when additionally no proper
     nonempty prefix is invariant.  The walk stops at invariant paths, as
     no extension of one is irreducible; the cap counts the paths walked
-    per hom-pair, those with no invariant proper nonempty prefix.
+    per hom-pair, those with no invariant proper nonempty prefix.  The
+    character values are interned as states, so the values and the
+    invariance of an extension are computed once per (state, edge).
     """
-    # state: (character values, invariant)
-    def step(state, edge):
-        vals, invariant = state
+    states: dict[tuple, tuple] = {}  # values -> (values, invariant, {edge: state})
+
+    def state(vals):
+        found = states.get(vals)
+        if found is None:
+            found = states[vals] = (vals, all(v == 1 for v in vals), {})
+        return found
+
+    def step(prev, edge):
+        vals, invariant, nxt = prev
         if invariant:
             return PRUNE
-        cur = chars.extend(vals, edge)
-        return cur, all(v == 1 for v in cur)
+        found = nxt.get(edge)
+        if found is None:
+            found = nxt[edge] = state(chars.extend(vals, edge))
+        return found
 
-    ones = tuple(chars.field.one() for _ in chars.elements)
+    # the trivial path is not pruned, so it is no interned state
+    start_state = (tuple(chars.field.one() for _ in chars.elements), False, {})
     out: dict[tuple, list] = {}
     # one source at a time keeps only that source's waves alive
     for source in quiver.vertices:
-        start = [((source,), (ones, False))]
-        for path, (_, invariant) in walk(quiver, start, max_degree, path_cap, step):
+        start = [((source,), start_state)]
+        for path, (_, invariant, _) in walk(quiver, start, max_degree, path_cap, step):
             if invariant:
                 out.setdefault((source, path[-1]), []).append(path)
     return out

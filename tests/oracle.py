@@ -13,11 +13,13 @@ the decomposition of a fixed space into irreducible chains, checked over
 every composition of the path's degree.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
 
-from invcat.engine import DecompositionVerdict
-from invcat.linalg import Matrix, Subspace
+from invcat import engine
+from invcat.engine import DecompositionVerdict, StringInvariants
+from invcat.linalg import Matrix, Subspace, tensor_rows
 from invcat.quiver import DEFAULT_PATH_CAP, Path, walk
 
 
@@ -312,3 +314,57 @@ def verify_decomposition(path, table):
         composition_sum=expected,
         detail=detail,
     )
+
+
+PathFold = namedtuple("PathFold", "profiles series path_counts generators uncertified")
+
+
+def per_path_profiles(quiver, spec, max_degree, path_cap=DEFAULT_PATH_CAP):
+    """Every path's profile, folded over `walk` one path at a time.
+
+    Each path carries its own sparse action rows and its own live cuts:
+    its prefix's, plus the prefix itself when that has a nonzero I.  F is
+    eliminated and the live terms F(top) (x) I(bottom) split once per path,
+    with no state shared between paths.  The per-pair `path_cap` is the
+    walk's.  Returns the records by path in walk order, the hom series
+    (the sum of dim F by degree per pair that has a path), the path counts
+    by degree, and the paths with a nonzero I and the uncertified ones,
+    in walk order.
+    """
+    field = spec.field
+    gens = spec.generator_elements
+    factors = {edge: [spec.edge_matrix(g, edge).sparse_rows() for g in gens] for edge in spec.edges}
+
+    def step(state, edge):
+        width, rows = state
+        return width * quiver.dim(*edge), [
+            tensor_rows(em, pm, width) for em, pm in zip(factors[edge], rows)
+        ]
+
+    profiles, series = {}, {}
+    counts = [0] * (max_degree + 1)
+    generators, uncertified = [], []
+    # path -> the live cuts (position, I(bottom)) its extensions inherit, for
+    # the previous degree and the current one
+    inherited, passing = {}, {}
+    start = [((v,), (1, [[{0: field.one()}] for _ in gens])) for v in quiver.vertices]
+    for path, (width, rows) in walk(quiver, start, max_degree, path_cap, step):
+        n = path.degree
+        if not counts[n]:  # the first path of a degree wave
+            inherited, passing = passing, {}
+        fixed = engine._fixed(field, width, rows)
+        cuts = inherited.get(path[:-1], ())
+        terms = [profiles[path[i:]].fixed.tensor(i_bottom) for i, i_bottom in cuts]
+        composite, irreducible = fixed.split(terms)
+        certified = (composite.dim == sum(t.dim for t in terms)
+                     and irreducible.dim + composite.dim == fixed.dim)
+        profiles[path] = StringInvariants(width, fixed, composite, irreducible)
+        if irreducible.dim:
+            generators.append(path)
+        if not certified:
+            uncertified.append(path)
+        passing[path] = cuts + ((n, irreducible),) if irreducible.dim else cuts
+        counts[n] += 1
+        hom = series.setdefault((path[0], path[-1]), [0] * (max_degree + 1))
+        hom[n] += fixed.dim
+    return PathFold(profiles, series, counts, generators, uncertified)

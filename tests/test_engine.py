@@ -861,3 +861,118 @@ def test_tallied_series_and_checked_paths_match_a_recount_on_random_suites():
         for depth in range(table.max_degree + 1):
             checked = verify_freeness(table, report, depth).checked_paths
             assert checked == sum(counts[: depth + 1])
+
+
+# ---------------------------------------------------------------------------
+# Walk states with path counts, against the per-path fold
+
+
+def _assert_matches_the_per_path_fold(q, spec, max_degree):
+    """Records, series, counts and the named paths agree with `oracle.per_path_profiles`."""
+    table = compute_profiles(q, spec, max_degree)
+    fold = oracle.per_path_profiles(q, spec, max_degree)
+    assert table.all_paths() == tuple(fold.profiles)
+    for path, record in fold.profiles.items():
+        assert table.profile(path) == record
+    for x in q.vertices:
+        for y in q.vertices:
+            dims = list(fold.series.get((x, y), [0] * (max_degree + 1)))
+            dims[0] = int(x == y)
+            assert table.hom_dims(x, y) == dims
+    assert table.path_counts == fold.path_counts
+    assert table.generators == fold.generators
+    assert table.uncertified == fold.uncertified
+    return table
+
+
+def test_state_counts_match_the_per_path_fold_on_random_suites():
+    rng = random.Random(4711)
+    fields = [QQ, CyclotomicField(3), PrimeField(2), PrimeField(3)]
+    done = paths = 0
+    while done < 40:
+        drawn = _random_instance(rng, fields[done % len(fields)])
+        if drawn is None:
+            continue
+        done += 1
+        paths += len(_assert_matches_the_per_path_fold(*drawn, rng.randint(2, 4)).profiles)
+    assert paths > 400
+
+
+def test_state_counts_match_the_per_path_fold_where_paths_share_states():
+    # character actions on Schurian quivers: every F is 0 or the whole line,
+    # so a few states and fewer records carry many paths
+    rng = random.Random(4715)
+    paths = records = 0
+    for _ in range(12):
+        q = random_quiver(rng, max_vertices=4, max_dim=1, extra_arrows=8)
+        spec = character_action(q, rng.choice([2, 3, 4, 6]), rng)
+        table = _assert_matches_the_per_path_fold(q, spec, 6)
+        paths += len(table.profiles)
+        records += len({id(record) for record in table.profiles.values()})
+    assert paths > 30 * records
+    table = _assert_matches_the_per_path_fold(*mesh_spec(), 8)
+    assert len(table.profiles) == 2040 and len(table.generators) == 66
+
+
+def test_state_counts_match_the_per_path_fold_under_a_failing_split(monkeypatch):
+    # a broken complement (I := F) fails the certificate on many paths: the
+    # pruned listing must still name every uncertified path, in walk order
+    split = Subspace.split
+    monkeypatch.setattr(Subspace, "split", lambda self, spaces: (split(self, spaces)[0], self))
+    q, spec = swap_loop_spec()
+    table = _assert_matches_the_per_path_fold(q, spec, 6)
+    assert [p.degree for p in table.uncertified] == [2, 3, 4, 5, 6]
+    rng = random.Random(4716)
+    done = uncertified = 0
+    while done < 8:
+        drawn = _random_instance(rng, [QQ, PrimeField(3)][done % 2])
+        if drawn is None:
+            continue
+        done += 1
+        uncertified += len(_assert_matches_the_per_path_fold(*drawn, 3).uncertified)
+    assert uncertified > 10
+
+
+def test_path_cap_names_the_pair_the_walk_meets_first():
+    # from a, the pairs (a, b) and (a, c) both pass a cap of one path in
+    # degree 2, and a -> y -> c comes before a -> x -> b in walk order
+    q = Quiver(["a", "b", "c", "y", "x"], {
+        ("b", "a"): 1, ("c", "a"): 1, ("y", "a"): 1, ("x", "a"): 1, ("c", "y"): 1, ("b", "x"): 1,
+    })
+    spec = ActionSpec(q, QQ, [])
+    with pytest.raises(PathCapExceeded) as walked:
+        oracle.per_path_profiles(q, spec, 2, path_cap=1)
+    assert str(walked.value) == "more than 1 paths from 'a' to 'c'"
+    with pytest.raises(PathCapExceeded) as counted:
+        compute_profiles(q, spec, 2, path_cap=1)
+    assert str(counted.value) == str(walked.value)
+    assert compute_profiles(q, spec, 2, path_cap=2).path_counts == [0, 6, 2]
+
+
+# ---------------------------------------------------------------------------
+# The lazy `profiles` mapping
+
+
+def test_profiles_mapping_looks_up_every_path_and_nothing_else():
+    q, _, spec = crown_spec(3)
+    table = compute_profiles(q, spec, 5)
+    paths = table.all_paths()
+    assert len(table.profiles) == sum(table.path_counts) == len(paths) == 15
+    for path in paths:
+        seq = tuple(path)
+        assert type(seq) is tuple and table.profiles[seq] is table.profiles[path]
+        assert path in table.profiles and seq in table.profiles
+    absent = [
+        (), ("t0",), ("t1",),  # degree 0
+        ("t0", "t1", "t2", "t0", "t1", "t2", "t0"),  # degree 6 > max_degree
+        ("t0", "t2"), ("t0", "t0"), ("t0", "t1", "t0"),  # an edge with no arrow
+        ("t0", "x"), ("t0", "t1", "t2", "t0", "t1", "t2", "t0", "t1"),
+        "t0t1", ["t0", "t1"],  # not a vertex tuple
+    ]
+    for seq in absent:
+        assert seq not in table.profiles
+        with pytest.raises(KeyError):
+            table.profiles[seq]
+        with pytest.raises(MissingSubPath):
+            table.profile(seq)
+    assert dict(table.profiles) == {path: table.profile(path) for path in paths}

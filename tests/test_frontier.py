@@ -9,6 +9,7 @@ eigenvector, invariant exactly when its exponent sum is 0 mod 3.
 
 import itertools
 
+from invcat import engine
 from invcat.jobs import parse_job, report_to_dict, run_pipeline
 
 from instances import MESH_EXPONENTS
@@ -112,9 +113,8 @@ def mesh_oracle(max_degree):
     return series, sorted(generators), paths
 
 
-def check_mesh(max_degree):
-    """The 4-vertex Schurian mesh through the whole pipeline, against the oracle."""
-    job = {
+def mesh_job(max_degree):
+    return parse_job({
         "field": {"kind": "cyclotomic", "n": 3},
         "quiver": {
             "vertices": [f"m{v}" for v in range(4)],
@@ -124,11 +124,17 @@ def check_mesh(max_degree):
             f"m{t}<-m{s}": [[f"z^{e}"]] for (s, t), e in MESH_EXPONENTS.items()
         }}]},
         "options": {"max_degree": max_degree},
-    }
-    result = run_pipeline(parse_job(job))
+    })
+
+
+def check_mesh(max_degree):
+    """The 4-vertex Schurian mesh through the whole pipeline, against the oracle."""
+    result = run_pipeline(mesh_job(max_degree))
     report = report_to_dict(result)
     series, generators, paths = mesh_oracle(max_degree)
-    assert paths == len(result.table.all_paths())
+    assert paths == len(result.table.profiles) == sum(result.table.path_counts)
+    if max_degree <= 13:  # listing all 524,280 paths of degree 16 takes over 100 MB
+        assert paths == len(result.table.all_paths())
     assert report["hom_series"] == series
     assert sorted(g["path"] for g in report["generators"]) == generators
     assert all(g["multiplicity"] == 1 for g in report["generators"])
@@ -144,3 +150,28 @@ def test_schurian_mesh_over_q_zeta3_degree_twelve():
 def test_schurian_mesh_over_q_zeta3_degree_thirteen():
     # 65,528 paths sharing 39 actions: one fixed-space elimination per action
     assert check_mesh(13) == 65528
+
+
+def test_schurian_mesh_over_q_zeta3_degree_sixteen():
+    # 524,280 paths, at most 32,768 per pair, under the default cap of 100,000
+    assert check_mesh(16) == 524280
+
+
+def test_mesh_lists_only_the_paths_it_names(monkeypatch):
+    # the paths are counted by walk state; the one walk inside compute_profiles
+    # visits only the paths that lead to a generator within the degree bound
+    walked = []
+    walk = engine.walk
+
+    def counted(*args):
+        for item in walk(*args):
+            walked.append(item[0])
+            yield item
+
+    monkeypatch.setattr(engine, "walk", counted)
+    job = mesh_job(16)
+    table = engine.compute_profiles(job.quiver, job.action, 16)
+    assert sum(table.path_counts) == 524280
+    assert len(table.generators) == len(mesh_oracle(16)[1]) == 950
+    assert table.uncertified == []
+    assert len(walked) < 3000
