@@ -65,7 +65,6 @@ from .engine import (
     verify_decomposition,
 )
 from .category import (
-    CleavingWitness,
     Completeness,
     FreenessVerdict,
     GeneratorEntry,
@@ -74,7 +73,6 @@ from .category import (
     completeness_bound,
     free_category_dims,
     generator_quiver,
-    verify_cleaving_schurian,
     verify_freeness,
 )
 from .reptype import (

@@ -14,16 +14,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .action import ActionSpec, CharacterTable, require_schurian
+from .action import ActionSpec
 from .engine import ProfileTable, verify_decomposition
-from .quiver import (
-    DEFAULT_PATH_CAP,
-    Path,
-    Quiver,
-    is_acyclic,
-    longest_path_degree,
-    walk,
-)
+from .quiver import Quiver, is_acyclic, longest_path_degree
 
 
 CERTIFIED = "certified"
@@ -182,8 +175,9 @@ def verify_freeness(table: ProfileTable, report: InvariantQuiverReport,
     """Executable freeness of the invariant category up to the degree bound.
 
     Reads the per-path certificates up to verify_depth, explaining each
-    failure with the composition check, then compares the invariant dimension
-    series of every hom-pair with that of the free category on the generators.
+    failure from the stored dimensions (`verify_decomposition`), then
+    compares the invariant dimension series of every hom-pair with that of
+    the free category on the generators.
     """
     max_degree = table.max_degree
     if verify_depth is None:
@@ -217,61 +211,4 @@ def verify_freeness(table: ProfileTable, report: InvariantQuiverReport,
         checked_paths=checked,
         decomposition_failures=failures,
         series_mismatches=mismatches,
-    )
-
-
-CleavingViolation = namedtuple("CleavingViolation", "invariant other composed")
-# per hom-pair split into invariant paths and the complement family
-CleavingWitness = namedtuple("CleavingWitness", "holds max_degree pair_counts violations")
-
-
-def verify_cleaving_schurian(quiver: Quiver, chars: CharacterTable, max_degree: int,
-                             path_cap: int = DEFAULT_PATH_CAP) -> CleavingWitness:
-    """Check the complement of the invariants is stable under composition.
-
-    The complement family is spanned by the paths with nontrivial
-    character.  Verifies, by explicit enumeration of all composable pairs
-    of total degree <= max_degree, that composing an invariant path with a
-    complement path on either side lands in the complement, and that per
-    hom-pair the two families partition the path basis.
-    """
-    require_schurian(quiver)
-    # walk order is (degree, lexicographic) across all sources, so each
-    # by_source list below is in degree order
-    ones = tuple(chars.field.one() for _ in chars.elements)
-    start = [((v,), ones) for v in quiver.vertices]
-    flags = {
-        seq: all(x == 1 for x in vals)
-        for seq, vals in walk(quiver, start, max_degree, path_cap, chars.extend)
-    }
-    counter = {(v, v): [1, 0] for v in quiver.vertices}  # trivial paths are invariant
-    by_source: dict[object, list] = {}
-    for seq, inv in flags.items():
-        c = counter.setdefault((seq[0], seq[-1]), [0, 0])
-        c[0 if inv else 1] += 1
-        by_source.setdefault(seq[0], []).append(seq)
-    pair_counts = {pair: tuple(c) for pair, c in counter.items()}
-
-    violations = []
-    for w, w_inv in flags.items():
-        for u in by_source.get(w[-1], ()):
-            if (len(w) - 1) + (len(u) - 1) > max_degree:
-                break
-            u_inv = flags[u]
-            if u_inv == w_inv:
-                continue
-            composed = w[:-1] + u
-            if flags[composed]:
-                violations.append(
-                    CleavingViolation(
-                        invariant=u if u_inv else w,
-                        other=w if u_inv else u,
-                        composed=Path(composed),
-                    )
-                )
-    return CleavingWitness(
-        holds=not violations,
-        max_degree=max_degree,
-        pair_counts=pair_counts,
-        violations=violations,
     )

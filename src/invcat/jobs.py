@@ -391,10 +391,7 @@ class PipelineResult(namedtuple(
 
     @property
     def verified(self) -> bool:
-        ok = self.freeness.holds
-        if self.schurian is not None and self.schurian.get("applicable"):
-            ok = ok and self.schurian.get("agrees", False)
-        return ok
+        return self.freeness.holds and (self.schurian is None or self.schurian["agrees"])
 
 
 def run_pipeline(job: JobSpec) -> PipelineResult:

@@ -5,7 +5,7 @@ are {column: scalar} dicts, inserted one at a time, reduced against the
 pivots, normalised and back-substituted, so the work follows the nonzeros
 (the rows of g - 1 for a monomial path action have at most two).
 `Matrix` is a small dense grid, kept for per-arrow generator matrices; its
-rref, rank, inverse and kernel run on the sparse kernel.  A subspace of k^n
+rref, rank and kernel run on the sparse kernel.  A subspace of k^n
 is stored as its unique reduced row echelon basis in sparse form, so
 subspace equality is literal equality of the stored rows, and its vectors
 are fixed by their pivot entries: so `Subspace.split` sums subspaces of it
@@ -65,57 +65,25 @@ class Matrix:
         zero = field.zero()
         return cls(field, [[zero] * ncols for _ in range(nrows)])
 
-    def _check_same_shape(self, other):
+    def __mul__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.field != other.field:
             raise FieldMismatch("matrices over different fields")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeMismatch(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_same_shape(other)
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_same_shape(other)
-        return Matrix(
-            self.field,
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)],
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.field != other.field:
-                raise FieldMismatch("matrices over different fields")
-            if self.ncols != other.nrows:
-                raise ShapeMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-            cols = list(zip(*other.entries)) if other.entries else []
-            zero = self.field.zero()
-            out = []
-            for row in self.entries:
-                new = []
-                for col in cols:
-                    acc = zero
-                    for a, b in zip(row, col):
-                        acc = acc + a * b
-                    new.append(acc)
-                out.append(new)
-            return Matrix(self.field, out)
-        # scalar multiple
-        s = self.field.coerce(other)
-        return Matrix(self.field, [[a * s for a in row] for row in self.entries])
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __neg__(self):
-        return Matrix(self.field, [[-a for a in row] for row in self.entries])
+        if self.ncols != other.nrows:
+            raise ShapeMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
+        cols = list(zip(*other.entries)) if other.entries else []
+        zero = self.field.zero()
+        out = []
+        for row in self.entries:
+            new = []
+            for col in cols:
+                acc = zero
+                for a, b in zip(row, col):
+                    acc = acc + a * b
+                new.append(acc)
+            out.append(new)
+        return Matrix(self.field, out)
 
     def tensor(self, other: "Matrix") -> "Matrix":
         """Kronecker product; the left factor is the major index."""
@@ -146,21 +114,6 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
-
-    def inverse(self) -> "Matrix":
-        """Exact inverse via row reduction of the augmented matrix."""
-        if self.nrows != self.ncols:
-            raise ShapeMismatch("only square matrices can be inverted")
-        n = self.nrows
-        ident = Matrix.identity(self.field, n)
-        augmented = Matrix(
-            self.field,
-            [list(a) + list(b) for a, b in zip(self.entries, ident.entries)],
-        )
-        red, pivots = augmented.rref()
-        if tuple(pivots) != tuple(range(n)):
-            raise LinAlgError("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in red.entries])
 
     def kernel(self) -> "Subspace":
         """The right kernel {v : m v = 0}, as a canonical subspace of k^ncols."""
@@ -321,10 +274,6 @@ class Subspace:
     def zero(cls, field, ambient_dim) -> "Subspace":
         return _trivial(field, ambient_dim, False)
 
-    @classmethod
-    def full(cls, field, ambient_dim) -> "Subspace":
-        return _trivial(field, ambient_dim, True)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -363,12 +312,6 @@ class Subspace:
         if len(pivots) == big.dim:
             return big
         return Subspace._canonical(self.field, self.ambient_dim, dict(sorted(pivots.items())))
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        if self.dim > other.dim:
-            return False
-        return not any(_reduce(other.rows, row) for row in self._sparse_rows())
 
     def complement_in(self, whole: "Subspace") -> "Subspace":
         """A canonical complement c with self (+) c = whole (see `split`)."""

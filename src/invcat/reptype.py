@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .action import ActionSpec
+from .category import CERTIFIED, generator_quiver
 from .engine import compute_profiles
 from .quiver import Multigraph, Quiver, underlying_multigraph
 
@@ -184,8 +185,6 @@ InvariantClassification = namedtuple("InvariantClassification", "classification 
 
 def classify_invariants(report) -> InvariantClassification:
     """Classify the bases-quiver built from an invariant-generator report."""
-    from .category import CERTIFIED, generator_quiver
-
     classification = classify(generator_quiver(report))
     certified = report.completeness.status == CERTIFIED
     return InvariantClassification(classification=classification, certified=certified)

@@ -4,13 +4,19 @@ A dense Gauss-Jordan oracle for the linear algebra layer, written from the
 textbook definitions with field scalars only; it calls no invcat
 elimination, so the sparse kernel in ``invcat.linalg`` can be diffed
 against it.  Vectors and bases are tuples of scalars; a basis is the
-reduced row echelon form of its span, with zero rows dropped.  Q(zeta_n)
+reduced row echelon form of its span, with zero rows dropped.  Two dense
+helpers built on it stand in for matrix arithmetic the package does not
+need: `is_subspace` reduces one subspace's basis against another's, and
+`inverse` reads a matrix inverse off the rref of [m | 1].  Q(zeta_n)
 is modelled here too, as Fraction coefficient tuples reduced modulo Phi_n
 by long division, for diffing ``invcat.fields``.  Path-level references
 follow: the dense diagonal action on a path's tensor space, the averaging
-projector's image, character values along a path, path enumeration, and
-the decomposition of a fixed space into irreducible chains, checked over
-every composition of the path's degree.
+projector's image (summed entry by entry), character values along a path,
+path enumeration, the decomposition of a fixed space into irreducible
+chains, checked over every composition of the path's degree, the profiles
+folded one path at a time, and the Schurian cleaving check: for a
+character action, composing an invariant path with a non-invariant one
+never gives an invariant path, checked over every composable pair.
 """
 
 from collections import namedtuple
@@ -18,6 +24,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from invcat import engine
+from invcat.action import require_schurian
 from invcat.engine import DecompositionVerdict, StringInvariants
 from invcat.linalg import Matrix, Subspace, tensor_rows
 from invcat.quiver import DEFAULT_PATH_CAP, Path, walk
@@ -96,6 +103,25 @@ def reduce(basis, vector):
         c = w[p]
         w = [x - c * y for x, y in zip(w, row)]
     return w
+
+
+def is_subspace(a, b):
+    """Whether every basis vector of subspace a reduces to zero against b's basis."""
+    return all(all(x == 0 for x in reduce(b.basis, v)) for v in a.basis)
+
+
+def inverse(m):
+    """The inverse of a square Matrix, read off the rref of [m | 1]; ValueError if singular."""
+    n, field = m.nrows, m.field
+    one, zero = field.one(), field.zero()
+    augmented = [
+        list(row) + [one if i == j else zero for j in range(n)]
+        for i, row in enumerate(m.entries)
+    ]
+    red, pivots = rref(field, augmented, 2 * n)
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix(field, [row[n:] for row in red])
 
 
 def complement(field, part, whole, ncols):
@@ -221,11 +247,12 @@ def averaged_fixed_subspace(spec, elements, path):
     if field.characteristic and order % field.characteristic == 0:
         raise ValueError("averaging needs the group order invertible in the field")
     ambient = space_dim(spec.quiver, path)
-    total = Matrix.zeros(field, ambient, ambient)
+    total = [[field.zero()] * ambient for _ in range(ambient)]
     for g in elements:
-        total = total + act_on_path(spec, g, path)
-    projector = total * (field.one() / field.from_int(order))
-    return span(field, list(zip(*projector.entries)), ambient)
+        action = act_on_path(spec, g, path).entries
+        total = [[x + y for x, y in zip(r, a)] for r, a in zip(total, action)]
+    # the image of total / order is the column span of total
+    return span(field, list(zip(*total)), ambient)
 
 
 def path_values(chars, path):
@@ -368,3 +395,59 @@ def per_path_profiles(quiver, spec, max_degree, path_cap=DEFAULT_PATH_CAP):
         hom = series.setdefault((path[0], path[-1]), [0] * (max_degree + 1))
         hom[n] += fixed.dim
     return PathFold(profiles, series, counts, generators, uncertified)
+
+
+CleavingViolation = namedtuple("CleavingViolation", "invariant other composed")
+# per hom-pair split into invariant paths and the complement family
+CleavingWitness = namedtuple("CleavingWitness", "holds max_degree pair_counts violations")
+
+
+def verify_cleaving_schurian(quiver, chars, max_degree, path_cap=DEFAULT_PATH_CAP):
+    """Check the complement of the invariants is stable under composition.
+
+    The complement family is spanned by the paths with nontrivial
+    character.  Verifies, by explicit enumeration of all composable pairs
+    of total degree <= max_degree, that composing an invariant path with a
+    complement path on either side lands in the complement, and that per
+    hom-pair the two families partition the path basis.
+    """
+    require_schurian(quiver)
+    # walk order is (degree, lexicographic) across all sources, so each
+    # by_source list below is in degree order
+    ones = tuple(chars.field.one() for _ in chars.elements)
+    start = [((v,), ones) for v in quiver.vertices]
+    flags = {
+        seq: all(x == 1 for x in vals)
+        for seq, vals in walk(quiver, start, max_degree, path_cap, chars.extend)
+    }
+    counter = {(v, v): [1, 0] for v in quiver.vertices}  # trivial paths are invariant
+    by_source: dict[object, list] = {}
+    for seq, inv in flags.items():
+        c = counter.setdefault((seq[0], seq[-1]), [0, 0])
+        c[0 if inv else 1] += 1
+        by_source.setdefault(seq[0], []).append(seq)
+    pair_counts = {pair: tuple(c) for pair, c in counter.items()}
+
+    violations = []
+    for w, w_inv in flags.items():
+        for u in by_source.get(w[-1], ()):
+            if (len(w) - 1) + (len(u) - 1) > max_degree:
+                break
+            u_inv = flags[u]
+            if u_inv == w_inv:
+                continue
+            composed = w[:-1] + u
+            if flags[composed]:
+                violations.append(
+                    CleavingViolation(
+                        invariant=u if u_inv else w,
+                        other=w if u_inv else u,
+                        composed=Path(composed),
+                    )
+                )
+    return CleavingWitness(
+        holds=not violations,
+        max_degree=max_degree,
+        pair_counts=pair_counts,
+        violations=violations,
+    )

@@ -12,12 +12,7 @@ from fractions import Fraction
 import networkx as nx
 
 from invcat.action import ActionSpec, close_group, extract_characters
-from invcat.category import (
-    CERTIFIED,
-    build_invariant_quiver,
-    verify_cleaving_schurian,
-    verify_freeness,
-)
+from invcat.category import CERTIFIED, build_invariant_quiver, verify_freeness
 from invcat.engine import compute_profiles, schurian_generators, verify_decomposition
 from invcat.fields import CyclotomicField, PrimeField, QQ
 from invcat.linalg import Matrix
@@ -43,7 +38,7 @@ from instances import (
     random_action,
     random_quiver,
 )
-from oracle import enumerate_paths, is_invariant
+from oracle import enumerate_paths, is_invariant, verify_cleaving_schurian
 from test_reptype import diagram_table, to_networkx
 
 
@@ -209,14 +204,14 @@ def test_criterion_5_swap_loop_series():
         prof = table.profile(path)
 
         # independent oracle: the degree-n action permutes the 2^n basis
-        # tensors by flipping every bit; build that permutation matrix
+        # tensors by flipping every bit; build that permutation matrix P
         # directly and take the kernel of (P - I)
         size = 2**n
         rows = [[Fraction(0)] * size for _ in range(size)]
         for j in range(size):
-            rows[j ^ (size - 1)][j] = Fraction(1)
-        perm = Matrix(QQ, rows)
-        oracle_dim = (perm - Matrix.identity(QQ, size)).kernel().dim
+            rows[j ^ (size - 1)][j] += 1
+            rows[j][j] -= 1
+        oracle_dim = len(oracle.kernel(QQ, rows, size))
         assert oracle_dim == 2 ** (n - 1)
         assert prof.fixed.dim == oracle_dim
         assert prof.irreducible.dim == 1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from invcat.action import ActionSpec, NotSchurian, close_group, extract_characters
+from invcat.action import ActionSpec, CharacterTable, NotSchurian, close_group, extract_characters
 from invcat.category import (
     CERTIFIED,
     TRUNCATED,
@@ -15,7 +15,6 @@ from invcat.category import (
     completeness_bound,
     free_category_dims,
     generator_quiver,
-    verify_cleaving_schurian,
     verify_freeness,
 )
 from invcat.cli import main
@@ -26,7 +25,7 @@ from invcat.linalg import Matrix, Subspace
 from invcat.quiver import Quiver
 
 from instances import character_action, crown_quiver, random_acyclic_quiver
-from oracle import enumerate_paths
+from oracle import enumerate_paths, verify_cleaving_schurian
 
 
 def crown_spec(n):
@@ -328,6 +327,36 @@ def test_cleaving_random_character_actions():
         spec = character_action(q, rng.randint(2, 6), rng)
         chars = extract_characters(q, close_group(spec), spec.field)
         assert verify_cleaving_schurian(q, chars, 3).holds
+
+
+def test_cleaving_reports_an_invariant_composite_of_a_non_invariant_part():
+    # u0 -a-> u1 -b-> u2 with a of character -1 and b trivial: under the
+    # true (multiplicative) characters ab is not invariant, so cleaving
+    # holds; a table whose values forget all but the last edge makes ab
+    # invariant, which the check must report against a
+    q = linear_quiver(3)
+    a, b = ("u1", "u0"), ("u2", "u1")
+    spec = ActionSpec(q, QQ, [("g", {a: Matrix.from_rows(QQ, [[-1]]), b: Matrix.identity(QQ, 1)})])
+    chars = extract_characters(q, close_group(spec))
+    assert verify_cleaving_schurian(q, chars, 2).holds
+
+    class LastEdgeOnly(CharacterTable):
+        __slots__ = ()
+
+        def extend(self, values, edge):
+            return self.values[edge]
+
+    witness = verify_cleaving_schurian(q, LastEdgeOnly(*chars), 2)
+    assert not witness.holds
+    first = witness.violations[0]
+    assert (first.invariant, first.other, first.composed) == (
+        ("u1", "u2"), ("u0", "u1"), ("u0", "u1", "u2"),
+    )
+    assert witness.violations == [first]
+    assert witness.pair_counts == {
+        ("u0", "u0"): (1, 0), ("u1", "u1"): (1, 0), ("u2", "u2"): (1, 0),
+        ("u0", "u1"): (0, 1), ("u1", "u2"): (1, 0), ("u0", "u2"): (1, 0),
+    }
 
 
 def test_cleaving_requires_schurian():

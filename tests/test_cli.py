@@ -381,10 +381,11 @@ def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
 def test_composite_term_outside_the_fixed_space_exits_three(tmp_path, capsys, monkeypatch):
     # a product of invariants that is not invariant is a fault of the
     # program, not of the input: the composite's containment check names it
-    from invcat.linalg import Subspace
+    from invcat.linalg import Matrix, Subspace
 
     def full(self, other):
-        return Subspace.full(self.field, self.ambient_dim * other.ambient_dim)
+        n = self.ambient_dim * other.ambient_dim
+        return Subspace.from_vectors(self.field, n, Matrix.identity(self.field, n).entries)
 
     monkeypatch.setattr(Subspace, "tensor", full)
     job = Path(__file__).resolve().parent.parent / "demos" / "inputs" / "swap_loop.json"

@@ -75,7 +75,7 @@ def test_fixed_subspace_trivial_group_is_everything():
     q, spec = swap_loop_spec()
     trivial = ActionSpec(q, QQ, [])
     path = q.path(["v", "v", "v"])
-    assert compute_profiles(q, trivial, 2).profile(path).fixed == Subspace.full(QQ, 4)
+    assert compute_profiles(q, trivial, 2).profile(path).fixed.dim == 4
 
 
 def test_fixed_subspace_crown_degree_one_is_zero():
@@ -257,8 +257,8 @@ def test_direct_sum_invariant_random():
         for path in table.all_paths():
             prof = table.profile(path)
             composite = ambient_composite(prof)
-            assert composite.is_subspace_of(prof.fixed)
-            assert prof.irreducible.is_subspace_of(prof.fixed)
+            assert oracle.is_subspace(composite, prof.fixed)
+            assert oracle.is_subspace(prof.irreducible, prof.fixed)
             assert composite + prof.irreducible == prof.fixed
             assert (composite + prof.irreducible).dim == composite.dim + prof.irreducible.dim
         done += 1
@@ -281,7 +281,8 @@ def test_verify_decomposition_swap_degree_three():
     # brute force: the fixed space of the full degree-3 action
     g = spec.generator_elements[0]
     big = oracle.act_on_path(spec, g, path)
-    assert (big - Matrix.identity(QQ, 8)).kernel().dim == 4
+    minus_one = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(big.entries)]
+    assert len(oracle.kernel(QQ, minus_one, 8)) == 4
     assert verdict.fixed_dim == 4
     assert verdict.composition_sum == 4  # 1 + 1 + 1 + 1 over the four compositions
 
@@ -490,7 +491,7 @@ def test_multiplicities_are_basis_independent():
                 p = M.from_rows(QQ, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
                 if p.is_invertible():
                     break
-            base_change[edge] = (p, p.inverse())
+            base_change[edge] = (p, oracle.inverse(p))
         conjugated = []
         for name, element in zip(spec.generator_names, spec.generator_elements):
             mats = {}
@@ -582,7 +583,7 @@ def _fat_instance_in_a_fractional_basis(rng, field):
         return Matrix.from_rows(field, [[i + 1 if i == j else int(j > i) for j in range(d)] for i in range(d)])
 
     gens = [
-        (name, {e: change(q.dim(*e)) * spec.edge_matrix(g, e) * change(q.dim(*e)).inverse() for e in spec.edges})
+        (name, {e: change(q.dim(*e)) * spec.edge_matrix(g, e) * oracle.inverse(change(q.dim(*e))) for e in spec.edges})
         for name, g in zip(spec.generator_names, spec.generator_elements)
     ]
     return q, ActionSpec(q, field, gens)
@@ -712,7 +713,7 @@ def test_trivial_group_with_arrows_of_different_dims(fixed_calls):
     for path in table.all_paths():
         prof = table.profile(path)
         assert prof.space_dim == oracle.space_dim(q, path)
-        assert prof.fixed == Subspace.full(QQ, prof.space_dim)
+        assert prof.fixed.dim == prof.space_dim
         widths.add((path.degree, prof.space_dim))
     assert len(fixed_calls) == len(widths)
     assert len(widths) < len(table.all_paths())

@@ -99,9 +99,9 @@ def check_pair(field, a_rows, b_rows, ncols, vector):
     ab, bb = oracle.span(field, a_rows, ncols), oracle.span(field, b_rows, ncols)
     assert (a + b).basis == oracle.add(field, ab, bb, ncols)
     in_a = all(x == 0 for x in oracle.reduce(ab, vector))
-    assert subspace(field, [vector], ncols).is_subspace_of(a) == in_a
+    assert (a + subspace(field, [vector], ncols) == a) == in_a
     inside = all(all(x == 0 for x in oracle.reduce(bb, row)) for row in ab)
-    assert a.is_subspace_of(b) == inside
+    assert (a + b == b) == inside
     whole = a + b
     assert a.complement_in(whole).basis == oracle.complement(field, ab, whole.basis, ncols)
     small = ncols if ncols <= 3 else 2
@@ -200,23 +200,23 @@ def test_monomial_action_fixed_space_matches_oracle():
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_trivial_subspaces_are_shared_and_never_mutated(field):
     n = 4
-    zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+    zero, full = Subspace.zero(field, n), subspace(field, Matrix.identity(field, n).entries, n)
     before = (copy.deepcopy(zero.rows), copy.deepcopy(full.rows))
     rng = random.Random(4)
     mid = subspace(field, make_rows(field, "dense", 2, n, rng.randint), n)
-    one_dim = Subspace.full(field, 1)
+    one_dim = subspace(field, Matrix.identity(field, 1).entries, 1)
     for s in (zero, full):
         for t in (zero, full, mid):
             s + t
             t + s
             s.tensor(t)
             s.tensor(one_dim)
-            s.is_subspace_of(full)
             s.complement_in(full)
     mid.complement_in(full)
     zero.complement_in(mid)
     assert (zero.rows, full.rows) == before
-    assert Subspace.zero(field, n) is zero and Subspace.full(field, n) is full
+    assert Subspace.zero(field, n) is zero
+    assert subspace(field, Matrix.identity(field, n).entries, n) is full
     assert Subspace.from_vectors(field, n, []) is zero
     assert Matrix.identity(field, n).kernel() is zero
     assert Matrix(field, [[field.zero()] * n]).kernel() is full
