@@ -23,8 +23,6 @@ CERTIFIED = "certified"
 TRUNCATED = "truncated"
 REASON_ACYCLIC = "acyclic"
 REASON_CROWN = "crown-bound"
-# the certificate is free at any depth; this default keeps reports stable
-DEFAULT_VERIFY_DEPTH_CAP = 8
 
 
 GeneratorEntry = namedtuple("GeneratorEntry", "path multiplicity")
@@ -174,15 +172,14 @@ def verify_freeness(table: ProfileTable, report: InvariantQuiverReport,
                     verify_depth: int | None = None) -> FreenessVerdict:
     """Executable freeness of the invariant category up to the degree bound.
 
-    Reads the per-path certificates up to verify_depth, explaining each
-    failure from the stored dimensions (`verify_decomposition`), then
-    compares the invariant dimension series of every hom-pair with that of
-    the free category on the generators.
+    Reads the per-path certificates up to verify_depth (default
+    table.max_degree), explaining each failure from the stored dimensions
+    (`verify_decomposition`), then compares the invariant dimension series
+    of every hom-pair with that of the free category on the generators.
     """
     max_degree = table.max_degree
     if verify_depth is None:
-        verify_depth = min(max_degree, DEFAULT_VERIFY_DEPTH_CAP)
-    verify_depth = min(verify_depth, max_degree)
+        verify_depth = max_degree
 
     checked = sum(table.path_counts[: verify_depth + 1])
     failures = [verify_decomposition(p, table) for p in table.uncertified if p.degree <= verify_depth]

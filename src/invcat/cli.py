@@ -1,8 +1,14 @@
 """The invcat command line tool.
 
-Exit codes: 0 success, 1 input error (bad file, cap exceeded), 2 a
-verified mathematical property was falsified (reserved so CI property
-runs can script against it), 3 an internal error.
+`invcat compute` runs the full pipeline on a job file, writes the report
+and prints a summary, with the character cross-check when every arrow
+space is a line; `invcat classify` gives the representation type of the
+job's quiver alone.
+
+Exit codes: 0 success (and --help), 1 input error (bad file, cap
+exceeded, bad command line), 2 a verified mathematical property was
+falsified (reserved so CI property runs can script against it), 3 an
+internal error.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import stat
 import sys
 import tempfile
 
-from .action import ActionError, ClosureCapExceeded, require_schurian
+from .action import ActionError, ClosureCapExceeded
 from .fields import FieldError
 from .jobs import (
     OPTION_KEYS,
@@ -56,7 +62,7 @@ def _write_atomic(path: str, text: str) -> None:
 def _overrides(args) -> dict:
     out = {}
     for key in OPTION_KEYS:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             out[key] = value
     return out
@@ -110,18 +116,6 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_schurian_check(args) -> int:
-    job = load_job(args.input, _overrides(args))
-    require_schurian(job.quiver)
-    result = run_pipeline(job)
-    if result.schurian["agrees"]:
-        print(f"agree: {len(result.report.generators)} generator paths up to degree {job.max_degree}")
-        return 0
-    print("MISMATCH between the character fast path and the general engine:")
-    print(f"  first differing path: {result.schurian['first_difference']}")
-    return 2
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invcat",
@@ -142,22 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     classify_p.add_argument("--input", required=True)
     classify_p.set_defaults(func=cmd_classify)
 
-    schurian = sub.add_parser(
-        "schurian-check",
-        help="diff the character fast path against the general engine",
-    )
-    schurian.add_argument("--input", required=True)
-    schurian.add_argument("--max-degree", dest="max_degree", type=int)
-    schurian.add_argument("--path-cap", dest="path_cap", type=int)
-    schurian.add_argument("--group-cap", dest="group_cap", type=int)
-    schurian.set_defaults(func=cmd_schurian_check)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as done:
+        # argparse exits 2 on a usage error; here 2 means a falsified property
+        return 1 if done.code else 0
     try:
         return args.func(args)
     except (ParseError, QuiverError, ActionError, FieldError, OSError) as err:

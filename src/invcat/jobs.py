@@ -14,17 +14,19 @@ import time
 from collections import namedtuple
 
 from .action import DEFAULT_GROUP_CAP, ActionSpec, NotSchurian, close_group, extract_characters
-from .category import DEFAULT_VERIFY_DEPTH_CAP, build_invariant_quiver, verify_freeness
+from .category import build_invariant_quiver, verify_freeness
 from .engine import compute_profiles, schurian_generators
 from .fields import CyclotomicField, PrimeField, QQ
 from .quiver import DEFAULT_PATH_CAP, Quiver
 from .reptype import classify, classify_invariants
 
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_MAX_DEGREE = 6
 # the report holds a hom series of max_degree + 1 entries for every vertex pair
 MAX_SERIES_ENTRIES = 10**6
+# the largest tensor space held: an arrow's dim x dim action, a path's prod of dims
+MAX_TENSOR_DIM = 2**20
 
 
 class ParseError(Exception):
@@ -59,7 +61,7 @@ JOB_KEYS = ("field", "quiver", "action", "options")
 FIELD_KEYS = {"rationals": ("kind",), "cyclotomic": ("kind", "n"), "prime": ("kind", "p")}
 QUIVER_KEYS = ("vertices", "arrows")
 ARROW_KEYS = ("source", "target", "dim")
-ACTION_KEYS = ("generators", "group_cap")
+ACTION_KEYS = ("generators",)
 GENERATOR_KEYS = ("name", "matrices")
 OPTION_KEYS = ("max_degree", "verify_depth", "path_cap", "group_cap")
 
@@ -172,14 +174,8 @@ def _generators(data, ctx):
     return generators
 
 
-def action_from_dict(data, quiver, field, ctx="action", group_cap=None):
+def action_from_dict(data, quiver, field, ctx="action", group_cap=DEFAULT_GROUP_CAP):
     raw_generators = _generators(data, ctx)
-    # checked even when an override replaces it
-    cap = _get(data, "group_cap", ctx, int, required=False, default=DEFAULT_GROUP_CAP)
-    if cap < 1:
-        raise ParseError(f"{ctx}.group_cap: must be at least 1, got {cap}")
-    if group_cap is not None:
-        cap = group_cap
     generators = []
     for i, gen in enumerate(raw_generators):
         gctx = f"{ctx}.generators[{i}]"
@@ -204,7 +200,7 @@ def action_from_dict(data, quiver, field, ctx="action", group_cap=None):
             raise ParseError(f"{gctx}.matrices: missing matrix for arrow {edge_key(missing[0])!r}")
         generators.append((name, mats))
     try:
-        return ActionSpec(quiver, field, generators, group_cap=cap)
+        return ActionSpec(quiver, field, generators, group_cap=group_cap)
     except (ValueError,) as err:
         raise ParseError(f"{ctx}: {err}") from None
 
@@ -218,7 +214,34 @@ def action_to_dict(spec):
                 [spec.field.format(x) for x in row] for row in matrix.entries
             ]
         generators.append({"name": name, "matrices": mats})
-    return {"generators": generators, "group_cap": spec.group_cap}
+    return {"generators": generators}
+
+
+def _check_tensor_dims(arrows, quiver, max_degree):
+    """Reject a job whose action matrices or path tensor spaces would not fit in memory."""
+    for i, arrow in enumerate(arrows):
+        if arrow["dim"] ** 2 > MAX_TENSOR_DIM:
+            raise ParseError(
+                f"quiver.arrows[{i}]: dim {arrow['dim']} gives a {arrow['dim']}x{arrow['dim']}"
+                f" action matrix, more than {MAX_TENSOR_DIM} entries"
+            )
+    edges = [(target, source, quiver.dim(target, source)) for target, source in quiver.track_edges()]
+    # widest[v]: the largest tensor dimension of a path of the current degree ending at v
+    widest = dict.fromkeys(quiver.vertices, 1)
+    for degree in range(1, max_degree + 1):
+        step = {}
+        for target, source, dim in edges:
+            if source in widest:
+                width = widest[source] * dim
+                if width > MAX_TENSOR_DIM:
+                    raise ParseError(
+                        f"options.max_degree: a path of degree {degree} has a tensor space"
+                        f" of dimension {width}, more than {MAX_TENSOR_DIM}"
+                    )
+                step[target] = max(step.get(target, 0), width)
+        if step == widest:
+            break  # every later degree repeats this one
+        widest = step
 
 
 JobSpec = namedtuple(
@@ -239,8 +262,7 @@ def parse_job(data, overrides=None) -> JobSpec:
     )
     verify_depth = overrides.get(
         "verify_depth",
-        _get(options, "verify_depth", "options", int, required=False,
-             default=min(max_degree, DEFAULT_VERIFY_DEPTH_CAP)),
+        _get(options, "verify_depth", "options", int, required=False, default=max_degree),
     )
     path_cap = overrides.get(
         "path_cap",
@@ -248,7 +270,7 @@ def parse_job(data, overrides=None) -> JobSpec:
     )
     group_cap = overrides.get(
         "group_cap",
-        _get(options, "group_cap", "options", int, required=False, default=None),
+        _get(options, "group_cap", "options", int, required=False, default=DEFAULT_GROUP_CAP),
     )
     # command-line overrides bypass _get, so check the merged values
     for key, value, least in (
@@ -257,7 +279,7 @@ def parse_job(data, overrides=None) -> JobSpec:
         ("path_cap", path_cap, 1),
         ("group_cap", group_cap, 1),
     ):
-        if value is not None and value < least:
+        if value < least:
             raise ParseError(f"options.{key}: must be at least {least}, got {value}")
     entries = len(quiver.vertices) ** 2 * (max_degree + 1)
     if entries > MAX_SERIES_ENTRIES:
@@ -265,6 +287,7 @@ def parse_job(data, overrides=None) -> JobSpec:
             f"options.max_degree: {max_degree} gives {entries} hom series entries"
             f" over {len(quiver.vertices)} vertices, more than {MAX_SERIES_ENTRIES}"
         )
+    _check_tensor_dims(data["quiver"]["arrows"], quiver, max_degree)
     action = action_from_dict(
         _get(data, "action", "job", dict, required=False, default={"generators": []}),
         quiver,
@@ -278,7 +301,7 @@ def parse_job(data, overrides=None) -> JobSpec:
         max_degree=max_degree,
         verify_depth=min(verify_depth, max_degree),
         path_cap=path_cap,
-        group_cap=action.group_cap,
+        group_cap=group_cap,
     )
 
 
@@ -302,6 +325,12 @@ def load_json(path):
         raise ParseError(f"{path}: {err}") from None
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except ValueError as err:  # an integer literal past Python's digit limit
+        raise ParseError(f"{path}: invalid JSON: {str(err).partition(';')[0]}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def load_job(path, overrides=None) -> JobSpec:

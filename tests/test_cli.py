@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from invcat.category import verify_freeness
 from invcat.cli import main
 from invcat.fields import MAX_CYCLOTOMIC_ORDER, PRIME_LIMIT
-from invcat.jobs import ParseError, parse_job
+from invcat.jobs import ParseError, parse_job, run_pipeline
 
 
 CROWN3 = {
@@ -65,7 +66,7 @@ def test_compute_crown(tmp_path, capsys):
     assert "generators up to degree 6: 3" in stdout
     assert "freeness: holds" in stdout
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["group_size"] == 3
     assert len(report["generators"]) == 3
     assert report["completeness"]["status"] == "certified"
@@ -180,15 +181,39 @@ def test_classify_command(tmp_path, capsys):
 
 
 def test_schurian_check_command(tmp_path, capsys):
+    # the subcommand is gone: compute prints the same cross-check
     job = write_job(tmp_path, CROWN3)
-    assert main(["schurian-check", "--input", job, "--max-degree", "6"]) == 0
-    assert "agree" in capsys.readouterr().out
-
-
-def test_schurian_check_rejects_fat_arrows(tmp_path, capsys):
-    job = write_job(tmp_path, KRONECKER_TRIVIAL)
     assert main(["schurian-check", "--input", job]) == 1
-    assert "not Schurian" in capsys.readouterr().err
+    assert "invalid choice: 'schurian-check'" in capsys.readouterr().err
+    assert main(["compute", "--input", job, "--out", str(tmp_path / "r.json")]) == 0
+    assert "character cross-check: agrees" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    ["compute", "--input", "job.json", "--out", "r.json", "--max-degree", "x"],
+    ["classify", "--input", "job.json", "--max-degree", "3"],
+])
+def test_usage_error_exits_one(capsys, argv):
+    # argparse exits 2, which this tool keeps for a falsified property
+    assert main(argv) == 1
+    assert "usage: invcat" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["compute", "--help"]) == 0
+    assert "--group-cap" in capsys.readouterr().out
+
+
+def test_usage_error_exits_one_from_the_module():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "invcat.cli", "frobnicate"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "invalid choice: 'frobnicate'" in done.stderr
 
 
 def test_group_cap_error(tmp_path, capsys):
@@ -247,6 +272,18 @@ def test_duplicate_arrow_rejected(tmp_path, capsys):
     job = write_job(tmp_path, bad)
     assert main(["compute", "--input", job, "--out", str(tmp_path / "r.json")]) == 1
     assert "duplicate arrow" in capsys.readouterr().err
+
+
+def test_verify_depth_defaults_to_max_degree(tmp_path):
+    # the certificate costs nothing per degree, so it is read to the searched degree
+    job = write_job(tmp_path, CROWN3)
+    out = tmp_path / "r.json"
+    assert main(["compute", "--input", job, "--out", str(out), "--max-degree", "10"]) == 0
+    freeness = json.loads(out.read_text())["freeness"]
+    result = run_pipeline(parse_job(CROWN3, {"max_degree": 10}))
+    assert freeness["verify_depth"] == result.job.verify_depth == 10
+    assert freeness["checked_paths"] == sum(result.table.path_counts) == 30
+    assert verify_freeness(result.table, result.report).verify_depth == 10
 
 
 def test_flag_overrides_file_options(tmp_path):
@@ -309,7 +346,6 @@ def test_boolean_path_cap_rejected():
 
 def test_boolean_group_cap_rejected():
     _rejected(_with(CROWN3, ["options", "group_cap"], True), "options.group_cap: expected int, got bool")
-    _rejected(_with(CROWN3, ["action", "group_cap"], True), "action.group_cap: expected int, got bool")
 
 
 def test_boolean_cyclotomic_order_rejected():
@@ -351,7 +387,6 @@ def test_path_cap_below_one_rejected(tmp_path, capsys):
 def test_group_cap_below_one_rejected(tmp_path, capsys):
     _rejected_in_file_and_flag(tmp_path, capsys, "group_cap", "--group-cap", 0,
                                "options.group_cap: must be at least 1, got 0")
-    _rejected(_with(CROWN3, ["action", "group_cap"], -1), "action.group_cap: must be at least 1, got -1")
 
 
 def test_vertex_label_with_arrow_key_separator_rejected():
@@ -432,6 +467,8 @@ def test_report_mode_follows_the_umask_or_the_existing_file(tmp_path):
     (["action", "generators", 0, "nmae"], "action.generators[0]: unknown key 'nmae'"),
     (["action", "group_capp"], "action: unknown key 'group_capp'"),
     (["quiver", "labels"], "quiver: unknown key 'labels'"),
+    # the group cap is an option only
+    (["action", "group_cap"], "action: unknown key 'group_cap'"),
 ])
 def test_unknown_job_key_exits_one_with_key_path(tmp_path, capsys, path, fragment):
     # unknown keys used to be ignored: "max_degre": 12 ran at the default degree 6

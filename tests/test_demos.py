@@ -64,13 +64,17 @@ SCHURIAN_INPUTS = {"crown3.json", "sign_line_f5.json"}
 
 
 @pytest.mark.parametrize("job", sorted(p.name for p in (DEMOS / "inputs").glob("*.json")))
-def test_demo_job_schurian_check(job, capsys):
-    code = main(["schurian-check", "--input", str(DEMOS / "inputs" / job)])
-    captured = capsys.readouterr()
+def test_demo_job_schurian_check(job, tmp_path, capsys):
+    # compute diffs the character fast path against the general engine
+    # exactly when every arrow space is a line, and prints the verdict
+    out = tmp_path / "report.json"
+    assert main(["compute", "--input", str(DEMOS / "inputs" / job), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    check = json.loads(out.read_text())["schurian_check"]
     if job in SCHURIAN_INPUTS:
-        assert code == 0 and captured.out.startswith("agree:"), captured
+        assert check["agrees"] is True and "\ncharacter cross-check: agrees\n" in printed, printed
     else:
-        assert code == 1 and "not Schurian" in captured.err, captured
+        assert check is None and "character cross-check" not in printed, printed
 
 
 def test_demos_found():

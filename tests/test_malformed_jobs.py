@@ -5,22 +5,25 @@ place: a value of the wrong type, a required key deleted, an unknown key
 inserted, a vertex nobody declared, or a matrix of the wrong shape.  `invcat compute` must exit 1
 (an input error, never 3) within a second, and its message must start
 with the key path of the broken place or of an enclosing object.  Repeated
-keys, and a bad `action.group_cap` that an override replaces, are checked
-on crown3.json.
+keys, a group cap set under `action`, files that are not JSON a parser
+can hold, and tensor spaces too large to hold are checked on crown3.json
+and swap_loop.json.
 """
 
 import contextlib
 import copy
 import io
 import json
+import re
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invcat.action import DEFAULT_GROUP_CAP
 from invcat.cli import main
-from invcat.jobs import ParseError, parse_job
+from invcat.jobs import MAX_TENSOR_DIM, ParseError, parse_job
 
 DEMO_INPUTS = Path(__file__).resolve().parent.parent / "demos" / "inputs"
 JOBS = {p.name: json.loads(p.read_text()) for p in sorted(DEMO_INPUTS.glob("*.json"))}
@@ -204,6 +207,8 @@ def test_repeated_key_exits_one_naming_it(tmp_path, old, new, key):
 @pytest.mark.parametrize("bad", ["x", 0, -1, True, 2.5, None])
 @pytest.mark.parametrize("override", ["options", "flag"])
 def test_bad_action_group_cap_is_rejected_under_an_override(tmp_path, bad, override):
+    # the group cap is an option only: under action it is an unknown key,
+    # whatever its value and whatever sets the option
     job = copy.deepcopy(JOBS["crown3.json"])
     job["action"]["group_cap"] = bad
     argv = []
@@ -211,18 +216,95 @@ def test_bad_action_group_cap_is_rejected_under_an_override(tmp_path, bad, overr
         job["options"]["group_cap"] = 10
     else:
         argv = ["--group-cap", "10"]
-    with pytest.raises(ParseError, match=r"^action\.group_cap: "):
+    with pytest.raises(ParseError, match=r"^action: unknown key 'group_cap'$"):
         parse_job(job, {"group_cap": 10} if override == "flag" else None)
     path = tmp_path / "crown3.json"
     path.write_text(json.dumps(job), encoding="utf-8")
     code, message = run_quietly(["compute", "--input", str(path), "--out", str(tmp_path / "r.json")] + argv)
-    assert code == 1 and message.startswith("error: action.group_cap: "), message
+    assert code == 1 and message == "error: action: unknown key 'group_cap'\n", message
 
 
 def test_group_cap_override_still_wins():
     job = copy.deepcopy(JOBS["crown3.json"])
-    job["action"]["group_cap"] = 2
-    assert parse_job(job).group_cap == 2
-    assert parse_job(job, {"group_cap": 10}).group_cap == 10
+    assert parse_job(job).group_cap == parse_job(job).action.group_cap == DEFAULT_GROUP_CAP
     job["options"]["group_cap"] = 7
-    assert parse_job(job).group_cap == 7
+    assert parse_job(job).action.group_cap == 7
+    assert parse_job(job, {"group_cap": 10}).action.group_cap == 10
+
+
+def _exits_one_naming_the_file(tmp_path, text):
+    path = tmp_path / "job.json"
+    path.write_bytes(text)
+    for argv in (["compute", "--input", str(path), "--out", str(tmp_path / "r.json")],
+                 ["classify", "--input", str(path)]):
+        code, message = run_quietly(argv)
+        assert code == 1 and message.startswith(f"error: {path}: "), (argv, message)
+        assert "internal error" not in message and "Traceback" not in message, message
+    assert not (tmp_path / "r.json").exists()
+    return message
+
+
+def test_file_that_is_not_utf8_exits_one(tmp_path):
+    message = _exits_one_naming_the_file(tmp_path, CROWN_TEXT.replace("t0", "t\xe9").encode("latin-1"))
+    assert "not UTF-8 text" in message
+
+
+def test_integer_past_the_digit_limit_exits_one(tmp_path):
+    message = _exits_one_naming_the_file(
+        tmp_path, CROWN_TEXT.replace('"max_degree": 6', '"max_degree": ' + "9" * 5000).encode())
+    assert "invalid JSON: " in message and "4300 digits" in message
+
+
+def test_nesting_past_the_recursion_limit_exits_one(tmp_path):
+    message = _exits_one_naming_the_file(tmp_path, b"[" * 100_000)
+    assert "invalid JSON: nested too deeply" in message
+
+
+def _loop(dim, max_degree):
+    job = copy.deepcopy(JOBS["swap_loop.json"])
+    job["quiver"]["arrows"][0]["dim"] = dim
+    job["action"]["generators"] = []
+    job["options"] = {"max_degree": max_degree}
+    return job
+
+
+def test_arrow_too_wide_to_hold_exits_one_at_once(tmp_path):
+    # with no generator to check its matrices, this job used to pass parsing
+    # and then allocate a dense 10^9 x 10^9 identity until it was killed
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_loop(10**9, 6)), encoding="utf-8")
+    assert len(path.read_bytes()) < 200
+    start = time.perf_counter()
+    code, message = run_quietly(["compute", "--input", str(path), "--out", str(tmp_path / "r.json")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and message.startswith("error: quiver.arrows[0]: dim 1000000000 "), message
+    assert f"more than {MAX_TENSOR_DIM}" in message
+    assert run_quietly(["classify", "--input", str(path)]) == (0, "")
+
+
+def test_path_tensor_space_is_bounded_by_max_degree():
+    assert MAX_TENSOR_DIM == 2**20
+    # the widest jobs that still parse: S3 words at degree 12, the swap loop at 20
+    assert parse_job(_loop(3, 12)).max_degree == 12
+    assert parse_job(_loop(2, 20)).max_degree == 20
+    assert parse_job(_loop(1024, 2)).max_degree == 2
+    for job, fragment in (
+        (_loop(2, 21), "options.max_degree: a path of degree 21 has a tensor space of dimension 2097152"),
+        (_loop(1024, 3), "options.max_degree: a path of degree 3 has a tensor space of dimension 1073741824"),
+        (_loop(1025, 0), "quiver.arrows[0]: dim 1025 gives a 1025x1025 action matrix"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(fragment)):
+            parse_job(job)
+    with pytest.raises(ParseError, match=r"^options\.max_degree: a path of degree 21 "):
+        parse_job(_loop(2, 6), {"max_degree": 21})
+    # the widest path of degree d: a -> b -> c, then d - 2 turns of the loop at c
+    job = {"field": {"kind": "rationals"},
+           "quiver": {"vertices": ["a", "b", "c"], "arrows": [
+               {"source": "a", "target": "b", "dim": 2},
+               {"source": "b", "target": "c", "dim": 1024},
+               {"source": "c", "target": "c", "dim": 1}]},
+           "options": {"max_degree": 1000}}
+    assert parse_job(job).max_degree == 1000
+    job["quiver"]["arrows"][2]["dim"] = 2
+    with pytest.raises(ParseError, match=r"a path of degree 12 has a tensor space of dimension 2097152,"):
+        parse_job(job)
