@@ -176,10 +176,14 @@ def verify_freeness(table: ProfileTable, report: InvariantQuiverReport,
     table.max_degree), explaining each failure from the stored dimensions
     (`verify_decomposition`), then compares the invariant dimension series
     of every hom-pair with that of the free category on the generators.
+    A depth outside 0..table.max_degree is a ValueError: no path past the
+    table's degree was computed, so no verdict can claim it.
     """
     max_degree = table.max_degree
     if verify_depth is None:
         verify_depth = max_degree
+    if not 0 <= verify_depth <= max_degree:
+        raise ValueError(f"verify_depth {verify_depth} is outside 0..{max_degree}")
 
     checked = sum(table.path_counts[: verify_depth + 1])
     failures = [verify_decomposition(p, table) for p in table.uncertified if p.degree <= verify_depth]

@@ -6,10 +6,13 @@ space V, the fixed subspace F is the simultaneous kernel of (action -
 identity) over the group; it never uses averaging, so every
 characteristic is supported.  F depends on the action rows alone, so it
 is eliminated once per distinct action per degree and shared by the
-paths that carry that action.  The composite subspace C is the span of
-all products of invariants of complementary sub-paths, and the
-irreducible subspace I is the canonical pivot-extension complement of C
-inside F, from one elimination in F's coordinates, where C is kept.
+paths that carry that action: rows are tuples of (column, scalar) pairs
+in increasing column order, so equal actions have equal, hashable rows,
+and the actions of a degree are interned in one dict.  The composite
+subspace C is the span of all products of invariants of complementary
+sub-paths, and the irreducible subspace I is the canonical
+pivot-extension complement of C inside F, from one elimination in F's
+coordinates, where C is kept.
 That the irreducible tensor chains along all 2^(n-1) compositions of n
 decompose F directly is certified by induction on sub-paths: C is built
 as a sum over cut points that must be direct, and dim I + dim C = dim F.
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Mapping
-from itertools import chain
 
 from .action import ActionSpec, CharacterTable
 from .linalg import Subspace, kernel_of_rows, tensor_rows
@@ -57,7 +59,7 @@ StringInvariants = namedtuple("StringInvariants", "space_dim fixed composite irr
 
 
 def _fixed(field, ambient: int, actions) -> Subspace:
-    """The kernel of the stacked rows of g - 1, one sparse row list per element."""
+    """The kernel of the stacked rows of g - 1, one pair-tuple row list per element."""
     one = field.one()
     deltas = []
     for rows in actions:
@@ -93,19 +95,20 @@ def _split(key) -> tuple:
 
 
 class _Action:
-    """An interned path action: its degree, tensor width, fixed subspace and links.
+    """An interned path action: its tensor width, rows, fixed subspace and links.
 
     Paths with equal actions share one record and so one fixed subspace;
     that is sound because a `Subspace` is never edited.  `next` maps an
-    edge to the action of the extension.  The sparse rows live only while
-    the action's degree is built and stepped (see `compute_profiles`).
+    edge to the action of the extension.  `rows` holds one row tuple per
+    generator, each row a `linalg.tensor_rows` pair tuple; it is None once
+    the action's degree has been stepped, as no extension needs it again.
     """
 
-    __slots__ = ("degree", "width", "fixed", "next")
+    __slots__ = ("width", "rows", "fixed", "next")
 
-    def __init__(self, degree: int, width: int, fixed):
-        self.degree = degree
+    def __init__(self, width: int, rows, fixed):
         self.width = width
+        self.rows = rows
         self.fixed = fixed
         self.next = {}
 
@@ -129,13 +132,6 @@ class _Node:
 
 def _follow(node: _Node, edge) -> _Node:
     return node.next[edge]
-
-
-def _rows_hash(width: int, rows) -> int:
-    """A hash of (width, rows) that agrees on equal rows; it ignores dict order."""
-    return hash((width, *(
-        (len(g), sum(map(hash, chain.from_iterable(map(dict.items, g))))) for g in rows
-    )))
 
 
 class PathProfiles(Mapping):
@@ -225,16 +221,17 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     per-pair `path_cap` come from those counts.  Fixed subspaces are
     intersections over the generator tuples (which generate the same
     group as the closure, hence fix the same subspace), taken as the
-    kernel of the stacked sparse rows of g - 1; the sparse action rows are
-    extended by one Kronecker factor per arrow, once per (prefix action,
-    arrow), interned among the actions of their degree, and dropped once
-    that degree is stepped.  A state's live cuts are its prefix's, each
-    top stepped by the edge, plus the prefix itself when that has a
-    nonzero I, and its record is shared by every state with the same F
-    and the same live terms.  Only the paths that must be named, those
-    with a nonzero I and the uncertified ones, are listed: one walk prunes
-    every extension whose state reaches none of them within the degree
-    bound.
+    kernel of the stacked sparse rows of g - 1; the action rows are
+    extended by one Kronecker factor per arrow (`tensor_rows`), once per
+    (prefix action, arrow), interned among the actions of their degree by
+    (width, rows), compared exactly, and dropped once that degree is
+    stepped, so the rows of at most two degrees are alive at a time.  A
+    state's live cuts are its prefix's, each top stepped by the edge,
+    plus the prefix itself when that has a nonzero I, and its record is
+    shared by every state with the same F and the same live terms.  Only
+    the paths that must be named, those with a nonzero I and the
+    uncertified ones, are listed: one walk prunes every extension whose
+    state reaches none of them within the degree bound.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -242,29 +239,24 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     field = spec.field
     splits: dict[tuple, tuple] = {}  # (F, F(top), I(bottom), ...) -> (record, certified)
     factors = {
-        edge: [spec.edge_matrix(g, edge).sparse_rows() for g in gens]
+        edge: [[tuple(r.items()) for r in spec.edge_matrix(g, edge).sparse_rows()] for g in gens]
         for edge in spec.edges
     }
-    start = _Node(_Action(0, 1, None), (), None)
-    # the sparse rows of the actions being stepped and of those being built,
-    # and the interned actions and states of the degree being built
-    stepped = {start.action: [[{0: field.one()}] for _ in gens]}
-    built: dict[_Action, list] = {}
-    interned: dict[int, list] = {}  # _rows_hash -> the actions with that hash
+    identity = (((0, field.one()),),)  # the rows of the 1 x 1 identity
+    start = _Node(_Action(1, (identity,) * len(gens), None), (), None)
+    # the interned actions and states of the degree being built; the width is
+    # in the key, as with no generators every action has empty rows
+    interned: dict[tuple, _Action] = {}  # (width, rows) -> action
     nodes: dict[tuple, _Node] = {}  # (action, cuts) -> state
 
     def step(prev, edge):
         action = prev.next.get(edge)
         if action is None:
             width = prev.width * quiver.dim(*edge)
-            rows = [tensor_rows(em, pm, prev.width) for em, pm in zip(factors[edge], stepped[prev])]
-            bucket = interned.setdefault(_rows_hash(width, rows), [])
-            # equal rows, compared exactly, never by hash alone
-            action = next((a for a in bucket if a.width == width and built[a] == rows), None)
+            rows = tuple(tensor_rows(em, pm, prev.width) for em, pm in zip(factors[edge], prev.rows))
+            action = interned.get((width, rows))
             if action is None:
-                action = _Action(prev.degree + 1, width, _fixed(field, width, rows))
-                bucket.append(action)
-                built[action] = rows
+                action = interned[width, rows] = _Action(width, rows, _fixed(field, width, rows))
             prev.next[edge] = action
         return action
 
@@ -304,9 +296,10 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
             for w in quiver.out_neighbors(v):
                 key = (source, w, advance(node, (w, v)))
                 new[key] = new.get(key, 0) + count
+        for _, _, node in wave:  # stepped: no extension needs these rows again
+            node.action.rows = None
         if not new:
             break
-        stepped, built = built, {}
         for (source, w, node), count in new.items():
             counts[degree] += count
             reached[source, w] += count
@@ -324,6 +317,8 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
             raise AssertionError("the state counts exceed the path cap but the walk does not")
         waves.append({(w, node) for _, w, node in new})
         wave = new
+    for _, _, node in wave:  # the last degree is never stepped
+        node.action.rows = None
 
     # backwards over the waves: the states from which a path with a nonzero
     # I or an uncertified one is reached within the degree bound

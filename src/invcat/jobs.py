@@ -108,7 +108,8 @@ def quiver_from_dict(data, ctx="quiver"):
             raise ParseError(f"{ctx}.vertices[{i}]: vertex labels must be strings")
         if "<-" in v:
             raise ParseError(f"{ctx}.vertices[{i}]: label {v!r} contains '<-', the arrow key separator")
-    if len(set(vertices)) != len(vertices):
+    labels = set(vertices)
+    if len(labels) != len(vertices):
         raise ParseError(f"{ctx}.vertices: labels must be unique")
     arrows = _get(data, "arrows", ctx, list)
     dims = {}
@@ -118,7 +119,7 @@ def quiver_from_dict(data, ctx="quiver"):
         source = _get(arrow, "source", actx, str)
         target = _get(arrow, "target", actx, str)
         dim = _get(arrow, "dim", actx, int)
-        if source not in vertices or target not in vertices:
+        if source not in labels or target not in labels:
             raise ParseError(f"{actx}: arrow {source!r} -> {target!r} uses an unknown vertex")
         if dim < 0:
             raise ParseError(f"{actx}: dim must be nonnegative")

@@ -3,7 +3,10 @@
 All elimination goes through one field-generic sparse echelon kernel: rows
 are {column: scalar} dicts, inserted one at a time, reduced against the
 pivots, normalised and back-substituted, so the work follows the nonzeros
-(the rows of g - 1 for a monomial path action have at most two).
+(the rows of g - 1 for a monomial path action have at most two).  A path
+action's rows, which are never edited, are tuples of (column, scalar)
+pairs in increasing column order instead (`tensor_rows`): a dict of
+them is an elimination row, and equal actions hash equal as they are.
 `Matrix` is a small dense grid, kept for per-arrow generator matrices; its
 rref, rank and kernel run on the sparse kernel.  A subspace of k^n
 is stored as its unique reduced row echelon basis in sparse form, so
@@ -132,13 +135,19 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
-def tensor_rows(left, right, right_ncols: int):
-    """Sparse rows of the Kronecker product of two sparse row lists, left major."""
-    return [
-        {c * right_ncols + k: x * y for c, x in lrow.items() for k, y in rrow.items()}
+def tensor_rows(left, right, right_ncols: int) -> tuple:
+    """Rows of the Kronecker product of two row lists, left major.
+
+    A row is a tuple of (column, nonzero scalar) pairs in strictly
+    increasing column order; the output keeps that order and has no zero,
+    so a row is the one pair tuple of its vector and equal rows compare
+    and hash equal (scalars are canonical in every field).
+    """
+    return tuple(
+        tuple((c * right_ncols + k, x * y) for c, x in lrow for k, y in rrow)
         for lrow in left
         for rrow in right
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------

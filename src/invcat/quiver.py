@@ -122,12 +122,9 @@ class Quiver:
         return Path(vs)
 
     def restricted(self, vertices) -> "Quiver":
-        keep = [v for v in self.vertices if v in set(vertices)]
-        dims = {
-            (t, s): d
-            for (t, s), d in self._dims.items()
-            if t in set(keep) and s in set(keep)
-        }
+        chosen = set(vertices)
+        keep = [v for v in self.vertices if v in chosen]
+        dims = {(t, s): d for (t, s), d in self._dims.items() if t in chosen and s in chosen}
         return Quiver(keep, dims)
 
     def weak_components(self):

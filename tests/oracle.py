@@ -360,7 +360,10 @@ def per_path_profiles(quiver, spec, max_degree, path_cap=DEFAULT_PATH_CAP):
     """
     field = spec.field
     gens = spec.generator_elements
-    factors = {edge: [spec.edge_matrix(g, edge).sparse_rows() for g in gens] for edge in spec.edges}
+    factors = {
+        edge: [[tuple(r.items()) for r in spec.edge_matrix(g, edge).sparse_rows()] for g in gens]
+        for edge in spec.edges
+    }
 
     def step(state, edge):
         width, rows = state
@@ -374,7 +377,7 @@ def per_path_profiles(quiver, spec, max_degree, path_cap=DEFAULT_PATH_CAP):
     # path -> the live cuts (position, I(bottom)) its extensions inherit, for
     # the previous degree and the current one
     inherited, passing = {}, {}
-    start = [((v,), (1, [[{0: field.one()}] for _ in gens])) for v in quiver.vertices]
+    start = [((v,), (1, [(((0, field.one()),),) for _ in gens])) for v in quiver.vertices]
     for path, (width, rows) in walk(quiver, start, max_degree, path_cap, step):
         n = path.degree
         if not counts[n]:  # the first path of a degree wave

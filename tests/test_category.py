@@ -225,6 +225,19 @@ def test_freeness_crown():
     assert not verdict.decomposition_failures and not verdict.series_mismatches
 
 
+@pytest.mark.parametrize("depth", [-1, 7, 12])
+def test_freeness_rejects_a_depth_outside_the_table(depth):
+    # a verdict at depth 12 would count paths no wave computed, and one at
+    # -1 would hold with no path checked
+    q, _, spec = crown_spec(3)
+    table = compute_profiles(q, spec, 6)
+    report = build_invariant_quiver(table)
+    with pytest.raises(ValueError, match=f"verify_depth {depth} is outside 0..6"):
+        verify_freeness(table, report, verify_depth=depth)
+    assert verify_freeness(table, report, verify_depth=0).checked_paths == 0
+    assert verify_freeness(table, report, verify_depth=6).checked_paths == sum(table.path_counts)
+
+
 def test_freeness_trivial_group_identity_check():
     q = Quiver(["a", "b"], {("b", "a"): 2, ("a", "b"): 1})
     spec = ActionSpec(q, QQ, [])

@@ -719,6 +719,27 @@ def test_trivial_group_with_arrows_of_different_dims(fixed_calls):
     assert len(widths) < len(table.all_paths())
 
 
+@pytest.mark.parametrize("max_degree", [3, 5])
+def test_no_action_keeps_its_rows_once_the_waves_are_done(max_degree):
+    # rows are needed only to step their degree; kept, the last degree's
+    # rows, the largest, would live as long as the table.  The swap loop
+    # runs every wave; the path u0 -> u1 -> u2 has none past degree 2
+    u = ["u0", "u1", "u2"]
+    line = Quiver(u, {("u1", "u0"): 2, ("u2", "u1"): 2})
+    swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
+    on_line = ActionSpec(line, QQ, [("s", {e: swap for e in line.track_edges()})])
+    for q, spec in [swap_loop_spec(), (line, on_line)]:
+        table = compute_profiles(q, spec, max_degree)
+        seen, todo = set(), [table.profiles._start]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                assert node.action.rows is None
+                todo.extend(node.next.values())
+        assert len(seen) > 1
+
+
 def mesh_spec():
     field = CyclotomicField(3)
     z = field.zeta()

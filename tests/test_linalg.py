@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from invcat.fields import CyclotomicField, FieldMismatch, PrimeField, QQ
 from invcat.linalg import (
@@ -9,6 +10,7 @@ from invcat.linalg import (
     Matrix,
     NotASubspace,
     Subspace,
+    tensor_rows,
 )
 
 import oracle
@@ -168,6 +170,51 @@ def test_tensor_mixed_product(field):
     for _ in range(8):
         a, b, c, d = (rand_matrix(field, rng, 2, 2) for _ in range(4))
         assert a.tensor(b) * c.tensor(d) == (a * c).tensor(b * d)
+
+
+def _pair_rows(dense):
+    return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in dense)
+
+
+def _kronecker(left, right):
+    """The dense Kronecker product of two row lists, left major."""
+    return [[x * y for x in lrow for y in rrow] for lrow in left for rrow in right]
+
+
+@st.composite
+def _row_lists(draw):
+    """A field and three dense row lists over it, with their column counts."""
+    field = draw(st.sampled_from([QQ, F2, CyclotomicField(3)]))
+
+    def scalar():
+        if not draw(st.integers(0, 2)):
+            return field.zero()
+        if field is QQ:
+            return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        if field is F2:
+            return field.from_int(draw(st.integers(0, 1)))
+        return field.element([draw(st.integers(-2, 2)) for _ in range(field.degree)])
+
+    ncols = [draw(st.integers(1, 3)) for _ in range(3)]
+    dense = [[[scalar() for _ in range(n)] for _ in range(draw(st.integers(0, 3)))] for n in ncols]
+    return field, ncols, dense
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_row_lists())
+@example((QQ, [2, 2, 1], [[[Fraction(1), Fraction(2)]], [[Fraction(3), Fraction(4)]], [[Fraction(5)]]]))
+def test_tensor_rows_are_ordered_pair_tuples_of_the_kronecker_product(case):
+    # actions are interned by their rows as they are, so a row must be the
+    # one pair tuple of its vector: columns strictly increasing, no zero
+    _, ncols, (a, b, c) = case
+    out = tensor_rows(_pair_rows(a), _pair_rows(b), ncols[1])
+    # _pair_rows gives tuples of tuples with increasing columns and no zero
+    assert out == _pair_rows(_kronecker(a, b))
+    # the same vectors by another order of products: equal rows, equal hash
+    ab_c = tensor_rows(out, _pair_rows(c), ncols[2])
+    a_bc = tensor_rows(_pair_rows(a), tensor_rows(_pair_rows(b), _pair_rows(c), ncols[2]),
+                       ncols[1] * ncols[2])
+    assert ab_c == a_bc and hash(ab_c) == hash(a_bc)
 
 
 def full(field, n):

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from invcat.action import DEFAULT_GROUP_CAP
 from invcat.cli import main
-from invcat.jobs import MAX_TENSOR_DIM, ParseError, parse_job
+from invcat.jobs import MAX_TENSOR_DIM, ParseError, parse_job, quiver_from_dict
 
 DEMO_INPUTS = Path(__file__).resolve().parent.parent / "demos" / "inputs"
 JOBS = {p.name: json.loads(p.read_text()) for p in sorted(DEMO_INPUTS.glob("*.json"))}
@@ -308,3 +308,27 @@ def test_path_tensor_space_is_bounded_by_max_degree():
     job["quiver"]["arrows"][2]["dim"] = 2
     with pytest.raises(ParseError, match=r"a path of degree 12 has a tensor space of dimension 2097152,"):
         parse_job(job)
+
+
+def test_many_arrows_are_checked_against_the_vertex_labels_at_once():
+    # 20,000 arrows among the last 142 of 4,000 labels: a scan of the label
+    # list per endpoint took 3.4 s on a 2-vCPU virtual machine, a set 0.08 s
+    labels = [f"v{i}" for i in range(4000)]
+    tail = labels[-142:]
+    arrows = [{"source": s, "target": t, "dim": 1} for t in tail for s in tail][:20000]
+    data = {"vertices": labels, "arrows": arrows}
+    start = time.perf_counter()
+    quiver = quiver_from_dict(data)
+    assert time.perf_counter() - start < 0.5
+    assert len(quiver.track_edges()) == 20000
+    source = arrows[-1]["source"]
+    arrows[-1]["target"] = "nowhere"
+    with pytest.raises(ParseError) as err:
+        quiver_from_dict(data)
+    assert str(err.value) == (
+        f"quiver.arrows[19999]: arrow {source!r} -> 'nowhere' uses an unknown vertex"
+    )
+    labels.append(labels[0])
+    with pytest.raises(ParseError) as err:
+        quiver_from_dict(data)
+    assert str(err.value) == "quiver.vertices: labels must be unique"

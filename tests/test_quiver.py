@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -186,6 +187,24 @@ def test_weak_components_and_restriction():
     sub = q.restricted(["a", "b"])
     assert sub.vertices == ("a", "b")
     assert sub.dim("b", "a") == 1 and sub.dim("d", "c") == 0
+
+
+def test_restriction_of_a_wide_quiver_builds_the_vertex_set_once():
+    # 20,164 arrows among the last 142 of 4,000 vertices: rebuilding the
+    # vertex set per vertex and per arrow took 6.6 s on a 2-vCPU virtual
+    # machine, building it once 0.04 s
+    labels = [f"v{i}" for i in range(4000)]
+    tail = labels[-142:]
+    q = Quiver(labels, {(t, s): 1 for t in tail for s in tail})
+    start = time.perf_counter()
+    whole = q.restricted(labels[::-1])
+    assert time.perf_counter() - start < 0.5
+    assert whole == q
+    part = q.restricted(tail[:2] + ["v0"])
+    assert part.vertices == ("v0", tail[0], tail[1])
+    assert part.track_edges() == tuple((t, s) for s in tail[:2] for t in tail[:2])
+    # a one-shot iterable is read once, not once per vertex
+    assert q.restricted(iter(tail[:2] + ["v0"])) == part
 
 
 def _brute_force_paths(q, sources, max_degree):
