@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .action import ActionSpec
 from .engine import ProfileTable, verify_decomposition
-from .quiver import Quiver, is_acyclic, longest_path_degree
+from .quiver import Quiver, longest_paths
 
 
 CERTIFIED = "certified"
@@ -78,12 +78,12 @@ def completeness_bound(quiver: Quiver, spec: ActionSpec) -> Completeness | None:
     longer invariant paths factor.  Anything else is Unknown (None).
     """
     one = spec.field.one()
+    depth = longest_paths(quiver)
     bound = 0
     any_crown = False
     for component in quiver.weak_components():
-        sub = quiver.restricted(component)
-        if is_acyclic(sub):
-            bound = max(bound, longest_path_degree(sub))
+        if all(v in depth for v in component):  # acyclic
+            bound = max(bound, max(depth[v] for v in component))
             continue
         cycle = _crown_cycle(quiver, component)
         if cycle is None:
@@ -149,22 +149,20 @@ FreenessVerdict = namedtuple(
 def free_category_dims(vertices, generators, max_degree: int):
     """Hom dimensions by degree of the free category on weighted generators.
 
-    generators: iterable of (source, target, degree, multiplicity).
-    Returns {(source, target): [dim at degree 0.. max_degree]}.
+    generators: iterable of (source, target, degree >= 1, multiplicity).
+    Returns {(source, target): [dim at degree 0.. max_degree]}.  For each
+    source x and degree d, one pass over the generators extends the words
+    of degree d - deg.
     """
     gens = list(generators)
-    dims = {
-        (x, y): [1 if x == y else 0] + [0] * max_degree
-        for x in vertices
-        for y in vertices
-    }
-    for d in range(1, max_degree + 1):
-        for (x, y) in dims:
-            total = 0
+    dims = {}
+    for x in vertices:
+        series = {y: [int(x == y)] + [0] * max_degree for y in vertices}
+        for d in range(1, max_degree + 1):
             for (src, tgt, deg, mult) in gens:
-                if tgt == y and deg <= d:
-                    total += mult * dims[(x, src)][d - deg]
-            dims[(x, y)][d] = total
+                if deg <= d:
+                    series[tgt][d] += mult * series[src][d - deg]
+        dims.update(((x, y), row) for y, row in series.items())
     return dims
 
 

@@ -1,12 +1,13 @@
 """Exact matrices and subspaces over any supported field, on one sparse kernel.
 
 All elimination goes through one field-generic sparse echelon kernel: rows
-are {column: scalar} dicts, inserted one at a time, reduced against the
-pivots, normalised and back-substituted, so the work follows the nonzeros
-(the rows of g - 1 for a monomial path action have at most two).  A path
-action's rows, which are never edited, are tuples of (column, scalar)
-pairs in increasing column order instead (`tensor_rows`): a dict of
-them is an elimination row, and equal actions hash equal as they are.
+are {column: scalar} dicts, each reduced against the pivots found before
+it and normalised, then back-substituted in one pass, so the work follows
+the nonzeros (the rows of g - 1 for a monomial path action have at most
+two).  A path action's rows, which are never edited, are tuples of
+(column, scalar) pairs in increasing column order instead (`tensor_rows`):
+a dict of them is an elimination row, and equal actions hash equal as
+they are.
 `Matrix` is a small dense grid, kept for per-arrow generator matrices; its
 rref, rank and kernel run on the sparse kernel.  A subspace of k^n
 is stored as its unique reduced row echelon basis in sparse form, so
@@ -21,6 +22,7 @@ composition factor comes first).
 from __future__ import annotations
 
 import functools
+import heapq
 
 from .fields import FieldMismatch
 
@@ -153,63 +155,64 @@ def tensor_rows(left, right, right_ncols: int) -> tuple:
 # ---------------------------------------------------------------------------
 # The elimination kernel.  A reduced echelon basis is a dict {pivot column:
 # tail}, where the tail holds the row's nonzero entries other than the
-# implicit 1 at the pivot; no tail has an entry in any pivot column.  Rows
-# are {column: nonzero scalar} dicts, so the work follows the nonzeros.
-
-
-def _subtract(row: dict, f, tail: dict) -> None:
-    """row -= f * tail, in place, dropping entries that cancel."""
-    for k, v in tail.items():
-        x = row.get(k)
-        if x is None:
-            row[k] = -(f * v)
-        else:
-            x = x - f * v
-            if x:
-                row[k] = x
-            else:
-                del row[k]
+# implicit 1 at the pivot, all in later columns; once back-substituted, no
+# tail has an entry in any pivot column.  Rows are {column: nonzero scalar}
+# dicts, so the work follows the nonzeros.
 
 
 def _reduce(pivots: dict, row: dict) -> dict:
-    """Eliminate the pivot columns from a sparse row, in place.
+    """Clear the pivot columns from a sparse row in place, lowest column first.
 
-    Tails avoid the pivot columns, so one pass over the pivots the row
-    starts with clears them all.
+    A tail that is not yet back-substituted can bring in a later pivot
+    column, so a heap holds each pivot column the row starts with or gains.
     """
-    for c in [c for c in row if c in pivots]:
-        _subtract(row, row.pop(c), pivots[c])
+    heap = [c for c in row if c in pivots]
+    heapq.heapify(heap)
+    while heap:
+        c = heapq.heappop(heap)
+        f = row.pop(c, None)
+        if f is None:  # cancelled, or pushed twice
+            continue
+        for k, v in pivots[c].items():
+            x = row.get(k)
+            if x is None:
+                row[k] = -(f * v)
+                if k in pivots:
+                    heapq.heappush(heap, k)
+            else:
+                x = x - f * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
     return row
-
-
-def _insert(pivots: dict, row: dict, one) -> None:
-    """Add a sparse row (which the basis takes over) to a reduced echelon basis."""
-    _reduce(pivots, row)
-    if not row:
-        return
-    lead = min(row)
-    scale = row.pop(lead)
-    if row and scale != one:
-        inverse = one / scale
-        for k, x in row.items():
-            row[k] = x * inverse
-    for tail in pivots.values():
-        f = tail.pop(lead, None)
-        if f is not None:
-            _subtract(tail, f, row)
-    pivots[lead] = row
 
 
 def _echelon(field, rows) -> dict:
     """The reduced echelon basis of the span of sparse rows, sorted by pivot.
 
-    The rows are consumed: the basis takes them over and edits them.
+    Forward: each row is cleared of the pivots found so far, normalised and
+    stored as found, with its tail left unreduced.  Then one pass from the
+    highest pivot down reduces each tail against the pivots above it, which
+    are reduced already.  The rows are consumed: the basis takes them over.
     """
     pivots: dict = {}
     one = field.one()
     for row in rows:
-        _insert(pivots, row, one)
-    return dict(sorted(pivots.items()))
+        _reduce(pivots, row)
+        if not row:
+            continue
+        lead = min(row)
+        scale = row.pop(lead)
+        if row and scale != one:
+            inverse = one / scale
+            for k, x in row.items():
+                row[k] = x * inverse
+        pivots[lead] = row
+    order = sorted(pivots)
+    for p in reversed(order):
+        _reduce(pivots, pivots[p])
+    return {p: pivots[p] for p in order}
 
 
 def _sparse_vector(vector, ambient_dim: int) -> dict:
@@ -311,16 +314,10 @@ class Subspace:
             raise AmbientMismatch(f"k^{self.ambient_dim} vs k^{other.ambient_dim}")
 
     def __add__(self, other: "Subspace") -> "Subspace":
-        """The sum, with the smaller space's rows inserted into the larger one's pivots."""
+        """The sum: one elimination of the rows of both bases."""
         self._check_compatible(other)
-        big, small = (self, other) if self.dim >= other.dim else (other, self)
-        pivots = {p: dict(tail) for p, tail in big.rows.items()}
-        one = self.field.one()
-        for row in small._sparse_rows():
-            _insert(pivots, row, one)
-        if len(pivots) == big.dim:
-            return big
-        return Subspace._canonical(self.field, self.ambient_dim, dict(sorted(pivots.items())))
+        rows = _echelon(self.field, self._sparse_rows() + other._sparse_rows())
+        return Subspace._canonical(self.field, self.ambient_dim, rows)
 
     def complement_in(self, whole: "Subspace") -> "Subspace":
         """A canonical complement c with self (+) c = whole (see `split`)."""

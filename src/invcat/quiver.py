@@ -121,12 +121,6 @@ class Quiver:
                 raise ValueError(f"no arrow space {a!r} -> {b!r}")
         return Path(vs)
 
-    def restricted(self, vertices) -> "Quiver":
-        chosen = set(vertices)
-        keep = [v for v in self.vertices if v in chosen]
-        dims = {(t, s): d for (t, s), d in self._dims.items() if t in chosen and s in chosen}
-        return Quiver(keep, dims)
-
     def weak_components(self):
         """Vertex lists of the weakly connected components, in vertex order."""
         return [
@@ -183,40 +177,40 @@ def walk(quiver: Quiver, start, max_degree: int, path_cap: int, step):
 
 
 def is_acyclic(quiver: Quiver) -> bool:
-    order = _topological_order(quiver)
-    return order is not None
+    return len(longest_paths(quiver)) == len(quiver.vertices)
 
 
 def longest_path_degree(quiver: Quiver) -> int:
     """Length of the longest path in an acyclic quiver."""
-    order = _topological_order(quiver)
-    if order is None:
+    depth = longest_paths(quiver)
+    if len(depth) != len(quiver.vertices):
         raise CyclicQuiver("longest path is unbounded on a cyclic quiver")
-    longest = {v: 0 for v in quiver.vertices}
-    for v in order:
-        for w in quiver.out_neighbors(v):
-            if longest[v] + 1 > longest[w]:
-                longest[w] = longest[v] + 1
-    return max(longest.values(), default=0)
+    return max(depth.values(), default=0)
 
 
-def _topological_order(quiver: Quiver):
-    indeg = {v: 0 for v in quiver.vertices}
+def longest_paths(quiver: Quiver) -> dict:
+    """{v: length of the longest path ending at v} for each vertex no cycle reaches.
+
+    One topological pass (Kahn): a vertex is reached when all its
+    in-arrows have been, which never happens to a vertex on a cycle or
+    after one.
+    """
+    indeg = dict.fromkeys(quiver.vertices, 0)
     for v in quiver.vertices:
         for w in quiver.out_neighbors(v):
             indeg[w] += 1
+    longest = dict.fromkeys(quiver.vertices, 0)
     queue = deque(v for v in quiver.vertices if indeg[v] == 0)
-    order = []
+    depth = {}
     while queue:
         v = queue.popleft()
-        order.append(v)
+        depth[v] = longest[v]
         for w in quiver.out_neighbors(v):
+            longest[w] = max(longest[w], depth[v] + 1)
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
-    if len(order) != len(quiver.vertices):
-        return None
-    return order
+    return depth
 
 
 class Multigraph(namedtuple("Multigraph", "vertices edges")):

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -192,6 +193,23 @@ def test_mixed_components_bound():
     assert cert is not None and cert.bound == 2 and cert.reason == "crown-bound"
 
 
+def test_completeness_bound_takes_one_pass_over_many_components():
+    # 4,000 disjoint arrows, a chain of 3 and a 3-crown whose cycle character
+    # is -1: restricting the quiver to each component took 1.5-2.2 s
+    chain = {("c1", "c0"): 1, ("c2", "c1"): 1, ("c3", "c2"): 1}
+    arrows = {(f"b{i}", f"a{i}"): 1 for i in range(4000)}
+    acyclic = Quiver([v for e in arrows for v in reversed(e)] + ["c0", "c1", "c2", "c3"], {**arrows, **chain})
+    assert completeness_bound(acyclic, ActionSpec(acyclic, QQ, [])) == Completeness(CERTIFIED, "acyclic", 3)
+    crown = {("t1", "t0"): 1, ("t2", "t1"): 1, ("t0", "t2"): 1}
+    q = Quiver(acyclic.vertices + ("t0", "t1", "t2"), {**arrows, **chain, **crown})
+    one, minus = Matrix.from_rows(QQ, [[1]]), Matrix.from_rows(QQ, [[-1]])
+    spec = ActionSpec(q, QQ, [("s", {e: minus if e == ("t1", "t0") else one for e in q.track_edges()})])
+    start = time.perf_counter()
+    cert = completeness_bound(q, spec)
+    assert time.perf_counter() - start < 0.5
+    assert cert == Completeness(CERTIFIED, "crown-bound", 6)
+
+
 def test_certified_bound_is_sound():
     cases = []
     q1, _, spec1 = crown_spec(3)
@@ -213,6 +231,48 @@ def test_free_category_dims_single_loop():
     assert dims[("v", "v")] == [1, 1, 1, 1, 1, 1]
     dims2 = free_category_dims(("v",), [("v", "v", 1, 2)], 4)
     assert dims2[("v", "v")] == [1, 2, 4, 8, 16]
+
+
+def brute_force_word_dims(vertices, generators, max_degree):
+    """Weighted counts of composable generator words, by (source, target, degree)."""
+    dims = {(x, y): [0] * (max_degree + 1) for x in vertices for y in vertices}
+
+    def extend(x, end, degree, weight):
+        dims[(x, end)][degree] += weight
+        for src, tgt, deg, mult in generators:
+            if src == end and degree + deg <= max_degree:
+                extend(x, tgt, degree + deg, weight * mult)
+
+    for x in vertices:
+        extend(x, x, 0, 1)
+    return dims
+
+
+def test_free_category_dims_match_brute_force_words():
+    rng = random.Random(20)
+    for _ in range(60):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 4))]
+        generators = [
+            (rng.choice(vertices), rng.choice(vertices), rng.randint(1, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(0, 5))
+        ]
+        max_degree = rng.randint(0, 6)
+        assert free_category_dims(vertices, generators, max_degree) == brute_force_word_dims(
+            vertices, generators, max_degree
+        )
+
+
+def test_free_category_dims_pass_over_the_generators_once_per_source_and_degree():
+    # 150 vertices, each with arrows to the next 20: looping over the 3,000
+    # generators once per (source, target, degree) took 4.3 s
+    vertices = [f"v{i}" for i in range(150)]
+    gens = [(vertices[i], vertices[(i + k) % 150], 1, 1) for i in range(150) for k in range(1, 21)]
+    start = time.perf_counter()
+    dims = free_category_dims(vertices, gens, 2)
+    assert time.perf_counter() - start < 0.5
+    assert dims[("v0", "v3")] == [0, 1, 2]
+    assert dims[("v0", "v0")] == [1, 0, 0]
+    assert sum(dims[("v0", y)][2] for y in vertices) == 400
 
 
 def test_freeness_crown():

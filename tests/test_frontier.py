@@ -87,6 +87,18 @@ def test_swap_loop_over_f2_degree_twelve():
     assert fixed == [2 ** (d - 1) for d in range(1, 13)]
 
 
+def test_s3_words_over_q_degree_nine():
+    # N = 3^9 = 19,683: the fixed kernel stacks 39,366 rows of g - 1
+    fixed = check_frontier({"kind": "rationals"}, 3, [(1, 0, 2), (1, 2, 0)], 9)
+    assert fixed == [1, 2, 5, 14, 41, 122, 365, 1094, 3281]
+
+
+def test_swap_loop_over_f2_degree_fourteen():
+    # N = 2^14 = 16,384, with freeness certified at every degree
+    fixed = check_frontier({"kind": "prime", "p": 2}, 2, [(1, 0)], 14)
+    assert fixed == [2 ** (d - 1) for d in range(1, 15)]
+
+
 def mesh_oracle(max_degree):
     """Hom series and generators from exponent sums, by walking every path.
 

@@ -143,6 +143,24 @@ def test_hypothesis_matrices_match_oracle(data):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_rows_out_of_pivot_order_and_interleaved_blocks(field):
+    # e0 + e1 stores pivot 0 with the tail e1, then e1 + e2 stores pivot 1;
+    # reducing e0 by pivot 0 gains column 1, which is a pivot by then, so
+    # the forward pass must clear it too before the row takes pivot 2
+    one, zero = field.one(), field.zero()
+
+    def e(*cols):
+        return [one if c in cols else zero for c in range(6)]
+
+    check_matrix(field, [e(0, 1), e(1, 2), e(0)], 6)
+    # two blocks with interleaved columns {0, 2, 4} and {1, 3, 5}, rows
+    # arriving from the highest pivot down
+    rows = [e(4), e(5), e(2, 4), e(3, 5), e(0, 2), e(1, 3), e(0, 4), e(1, 5)]
+    check_matrix(field, rows, 6)
+    check_pair(field, rows[:4], rows[4:], 6, e(0, 1))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_split_matches_span_and_complement(field):
     rng = random.Random(f"split-{field!r}")
     part_kinds = [kind for kind in KINDS if kind != "full"]
