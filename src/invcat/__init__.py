@@ -30,7 +30,6 @@ from .linalg import (
     Subspace,
 )
 from .quiver import (
-    CyclicQuiver,
     DEFAULT_PATH_CAP,
     Multigraph,
     Path,
@@ -38,8 +37,6 @@ from .quiver import (
     Quiver,
     QuiverError,
     UnknownVertex,
-    is_acyclic,
-    longest_path_degree,
     underlying_multigraph,
 )
 from .action import (

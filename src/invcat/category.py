@@ -32,30 +32,16 @@ InvariantQuiverReport = namedtuple(
 )
 
 
-def _crown_cycle(quiver: Quiver, component) -> list | None:
-    """The vertex cycle if the component is an oriented crown, else None."""
-    comp = set(component)
-    succ = {}
-    indeg = {v: 0 for v in component}
-    for v in component:
-        outs = [w for w in quiver.out_neighbors(v) if w in comp]
-        if len(outs) != 1:
-            return None
-        succ[v] = outs[0]
-        indeg[outs[0]] += 1
-    if any(d != 1 for d in indeg.values()):
+def _crown_edges(quiver: Quiver, component) -> list | None:
+    """The arrows (target, source) of an oriented crown component, else None.
+
+    A weak component in which every vertex has exactly one out-neighbour,
+    no two the same, is a single oriented cycle.
+    """
+    outs = [quiver.out_neighbors(v) for v in component]
+    if any(len(o) != 1 for o in outs) or len({o[0] for o in outs}) != len(outs):
         return None
-    start = component[0]
-    cycle = [start]
-    v = succ[start]
-    while v != start:
-        cycle.append(v)
-        if len(cycle) > len(component):
-            return None
-        v = succ[v]
-    if len(cycle) != len(component):
-        return None
-    return cycle
+    return [(o[0], v) for o, v in zip(outs, component)]
 
 
 def _value_order(value, one, cap: int) -> int | None:
@@ -75,21 +61,21 @@ def completeness_bound(quiver: Quiver, spec: ActionSpec) -> Completeness | None:
     where n is the crown length and e is the exponent of the value group
     of the cycle character (the product of all arrow characters around the
     crown): the prefix of length n*e of any longer path is invariant, so
-    longer invariant paths factor.  Anything else is Unknown (None).
+    longer invariant paths factor.  A crown is read off out-degree counts
+    (`_crown_edges`), and the character product does not depend on the
+    order of its arrows.  Anything else is Unknown (None).
     """
     one = spec.field.one()
     depth = longest_paths(quiver)
     bound = 0
     any_crown = False
-    for component in quiver.weak_components():
+    for graph in quiver.undirected.components():
+        component = graph.vertices
         if all(v in depth for v in component):  # acyclic
             bound = max(bound, max(depth[v] for v in component))
             continue
-        cycle = _crown_cycle(quiver, component)
-        if cycle is None:
-            return None
-        edges = [(cycle[(i + 1) % len(cycle)], cycle[i]) for i in range(len(cycle))]
-        if any(quiver.dim(*e) != 1 for e in edges):
+        edges = _crown_edges(quiver, component)
+        if edges is None or any(quiver.dim(*e) != 1 for e in edges):
             return None
         exponent = 1
         for g in spec.generator_elements:
@@ -101,7 +87,7 @@ def completeness_bound(quiver: Quiver, spec: ActionSpec) -> Completeness | None:
                 return None
             exponent = math.lcm(exponent, order)
         any_crown = True
-        bound = max(bound, len(cycle) * exponent)
+        bound = max(bound, len(component) * exponent)
     reason = REASON_CROWN if any_crown else REASON_ACYCLIC
     return Completeness(status=CERTIFIED, reason=reason, bound=bound)
 

@@ -4,12 +4,16 @@ A quiver here is the combinatorial datum behind a free linear category:
 vertices plus a nonnegative dimension for each ordered pair (target,
 source).  The *track* structure (which pairs are nonzero) drives path
 enumeration; the dimensions drive the tensor spaces attached to paths.
-Paths are identified with their vertex sequences.
+Paths are identified with their vertex sequences.  A quiver is never
+edited, so its underlying multigraph (`Quiver.undirected`) is built once,
+and `Multigraph.components` splits it into its connected components in
+one pass, linear in vertices plus edges.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque, namedtuple
+from functools import cached_property
 
 
 DEFAULT_PATH_CAP = 100_000
@@ -22,10 +26,6 @@ class QuiverError(Exception):
 
 
 class UnknownVertex(QuiverError):
-    pass
-
-
-class CyclicQuiver(QuiverError):
     pass
 
 
@@ -81,7 +81,7 @@ class Quiver:
         for (target, source), d in dims.items():
             if target not in self._index or source not in self._index:
                 raise UnknownVertex(f"arrow {source!r} -> {target!r} uses an unknown vertex")
-            if not isinstance(d, int) or d < 0:
+            if not isinstance(d, int) or isinstance(d, bool) or d < 0:
                 raise ValueError(f"arrow-space dimension must be a nonnegative integer, got {d!r}")
             if d > 0:
                 self._dims[(target, source)] = d
@@ -121,12 +121,10 @@ class Quiver:
                 raise ValueError(f"no arrow space {a!r} -> {b!r}")
         return Path(vs)
 
-    def weak_components(self):
-        """Vertex lists of the weakly connected components, in vertex order."""
-        return [
-            [self.vertices[i] for i in comp]
-            for comp in underlying_multigraph(self).component_index_sets()
-        ]
+    @cached_property
+    def undirected(self) -> "Multigraph":
+        """The underlying multigraph, built on first use."""
+        return underlying_multigraph(self)
 
     def __eq__(self, other):
         if not isinstance(other, Quiver):
@@ -176,18 +174,6 @@ def walk(quiver: Quiver, start, max_degree: int, path_cap: int, step):
         wave = new
 
 
-def is_acyclic(quiver: Quiver) -> bool:
-    return len(longest_paths(quiver)) == len(quiver.vertices)
-
-
-def longest_path_degree(quiver: Quiver) -> int:
-    """Length of the longest path in an acyclic quiver."""
-    depth = longest_paths(quiver)
-    if len(depth) != len(quiver.vertices):
-        raise CyclicQuiver("longest path is unbounded on a cyclic quiver")
-    return max(depth.values(), default=0)
-
-
 def longest_paths(quiver: Quiver) -> dict:
     """{v: length of the longest path ending at v} for each vertex no cycle reaches.
 
@@ -221,40 +207,42 @@ class Multigraph(namedtuple("Multigraph", "vertices edges")):
 
     __slots__ = ()
 
-    def component_index_sets(self):
-        n = len(self.vertices)
-        adj = {i: set() for i in range(n)}
-        for (a, b) in self.edges:
-            if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-        seen = set()
-        comps = []
-        for i in range(n):
-            if i in seen:
-                continue
-            comp = []
-            queue = deque([i])
-            seen.add(i)
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
+    def components(self) -> list:
+        """The connected components, each a Multigraph on its own vertices.
 
-    def restricted(self, index_set) -> "Multigraph":
-        index_set = sorted(index_set)
-        remap = {old: new for new, old in enumerate(index_set)}
-        verts = tuple(self.vertices[i] for i in index_set)
-        edges = Counter()
+        Components come in order of their least vertex; each keeps its
+        vertices in index order, with its edges remapped to them.  One pass
+        labels every vertex with its component (a graph search, Hopcroft &
+        Tarjan 1973) and a second files every edge under its component.
+        """
+        n = len(self.vertices)
+        adj = [[] for _ in range(n)]
+        for (a, b) in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        label = [-1] * n
+        local = [0] * n
+        members = []
+        for i in range(n):
+            if label[i] < 0:
+                label[i] = len(members)
+                members.append([])
+                stack = [i]
+                while stack:
+                    for w in adj[stack.pop()]:
+                        if label[w] < 0:
+                            label[w] = label[i]
+                            stack.append(w)
+            # i is the next vertex of its component in index order
+            local[i] = len(members[label[i]])
+            members[label[i]].append(i)
+        edges = [Counter() for _ in members]
         for (a, b), m in self.edges.items():
-            if a in remap and b in remap:
-                edges[(remap[a], remap[b])] += m
-        return Multigraph(verts, edges)
+            edges[label[a]][(local[a], local[b])] += m
+        return [
+            Multigraph(tuple(self.vertices[i] for i in ids), comp_edges)
+            for ids, comp_edges in zip(members, edges)
+        ]
 
 
 def underlying_multigraph(quiver: Quiver) -> Multigraph:

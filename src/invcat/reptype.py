@@ -5,7 +5,9 @@ underlying graph of its bases-quiver is a disjoint union of Dynkin
 diagrams A_n (n>=1), D_n (n>=4), E6, E7, E8, and of tame type exactly
 when extended Dynkin diagrams (one loop A~0, the cycles A~n, D~n, E~6,
 E~7, E~8) are also allowed.  Recognition is exact graph matching, no
-heuristics; anything else is wild.
+heuristics; anything else is wild.  A graph is split into its connected
+components in one pass (`Multigraph.components`), so classification is
+linear in vertices plus arrows before the per-component matching.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import namedtuple
 from .action import ActionSpec
 from .category import CERTIFIED, generator_quiver
 from .engine import compute_profiles
-from .quiver import Multigraph, Quiver, underlying_multigraph
+from .quiver import Multigraph, Quiver
 
 
 FINITE = "finite"
@@ -80,7 +82,7 @@ def _arm_lengths(adj, center, n_vertices):
 
 def recognize_component(graph: Multigraph) -> DiagramLabel:
     """Exact diagram recognition of one connected multigraph."""
-    if len(graph.component_index_sets()) != 1:
+    if len(graph.components()) != 1:
         raise Disconnected("recognize_component needs a connected graph")
     n = len(graph.vertices)
     loops = sum(m for (a, b), m in graph.edges.items() if a == b)
@@ -162,9 +164,7 @@ Classification = namedtuple(
 
 
 def classify_multigraph(graph: Multigraph) -> Classification:
-    labels = []
-    for indices in graph.component_index_sets():
-        labels.append(recognize_component(graph.restricted(indices)))
+    labels = [recognize_component(component) for component in graph.components()]
     if all(l.is_dynkin for l in labels):
         overall = FINITE
     elif all(l.is_dynkin or l.is_extended for l in labels):
@@ -176,7 +176,7 @@ def classify_multigraph(graph: Multigraph) -> Classification:
 
 def classify(quiver: Quiver) -> Classification:
     """Representation type of the free category on a quiver."""
-    return classify_multigraph(underlying_multigraph(quiver))
+    return classify_multigraph(quiver.undirected)
 
 
 # certified False: the classification reflects the truncation only

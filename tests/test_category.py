@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import sys
 import time
 
 import pytest
@@ -169,6 +170,23 @@ def test_completeness_unknown_for_non_crown_cycle():
     assert report.completeness.status == TRUNCATED
 
 
+def test_crown_look_alikes_are_not_certified():
+    # in a lollipop (a -> b plus a loop at b) and a rho (a -> b -> c -> b)
+    # every vertex has one out-neighbour, but two vertices share it: neither
+    # is a crown, so over Q(zeta_3) no bound is certified.  A single loop is
+    # a crown of length 1, bounded by the order 3 of its character.
+    field = CyclotomicField(3)
+
+    def bound(vertices, arrows):
+        q = Quiver(vertices, dict.fromkeys(arrows, 1))
+        zeta = Matrix(field, [[field.zeta()]])
+        return completeness_bound(q, ActionSpec(q, field, [("t", dict.fromkeys(arrows, zeta))]))
+
+    assert bound(["a", "b"], [("b", "a"), ("b", "b")]) is None
+    assert bound(["a", "b", "c"], [("b", "a"), ("c", "b"), ("b", "c")]) is None
+    assert bound(["v"], [("v", "v")]) == Completeness(CERTIFIED, "crown-bound", 3)
+
+
 def test_completeness_unknown_for_fat_loop():
     q, spec = swap_loop_spec()
     assert completeness_bound(q, spec) is None
@@ -208,6 +226,28 @@ def test_completeness_bound_takes_one_pass_over_many_components():
     cert = completeness_bound(q, spec)
     assert time.perf_counter() - start < 0.5
     assert cert == Completeness(CERTIFIED, "crown-bound", 6)
+
+
+def test_pipeline_builds_each_quivers_multigraph_once(monkeypatch):
+    # the input quiver's multigraph serves both its completeness bound and
+    # its classification; the generator quiver's serves its classification
+    import invcat.quiver
+
+    real = invcat.quiver.underlying_multigraph
+    calls = []
+
+    def counted(quiver):
+        calls.append(quiver)
+        return real(quiver)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("invcat") and hasattr(module, "underlying_multigraph"):
+            monkeypatch.setattr(module, "underlying_multigraph", counted)
+    job = load_job(pathlib.Path(__file__).resolve().parent.parent / "demos" / "inputs" / "crown3.json")
+    result = run_pipeline(job)
+    assert len(calls) == 2
+    assert calls[0] is job.quiver
+    assert calls[1] == generator_quiver(result.report)
 
 
 def test_certified_bound_is_sound():

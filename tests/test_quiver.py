@@ -9,13 +9,10 @@ from invcat.fields import QQ
 from invcat.linalg import Matrix
 from invcat.quiver import (
     PRUNE,
-    CyclicQuiver,
     Path,
     PathCapExceeded,
     Quiver,
     UnknownVertex,
-    is_acyclic,
-    longest_path_degree,
     longest_paths,
     underlying_multigraph,
     walk,
@@ -98,6 +95,8 @@ def test_path_validation_and_dims():
     assert math.prod(q.dim(*e) for e in Path(("x",)).edges()) == 1
     with pytest.raises(ValueError):
         q.path(["y", "x"])
+    with pytest.raises(ValueError, match="nonnegative integer, got True"):
+        Quiver(["a", "b"], {("b", "a"): True})
 
 
 def test_path_counts_match_adjacency_powers():
@@ -135,14 +134,13 @@ def test_enumeration_deterministic_and_duplicate_free():
 
 def test_acyclicity_and_longest_path():
     q = linear_quiver(4)
-    assert is_acyclic(q)
-    assert longest_path_degree(q) == 3
-    crown = crown_quiver(4)
-    assert not is_acyclic(crown)
-    with pytest.raises(CyclicQuiver):
-        longest_path_degree(crown)
+    depth = longest_paths(q)
+    assert len(depth) == len(q.vertices)  # acyclic: every vertex has a longest path
+    assert max(depth.values()) == 3
+    # on a cycle no vertex has a longest path
+    assert longest_paths(crown_quiver(4)) == {}
     loop = Quiver(["v"], {("v", "v"): 1})
-    assert not is_acyclic(loop)
+    assert longest_paths(loop) == {}
 
 
 def test_longest_paths_skip_every_vertex_a_cycle_reaches():
@@ -171,7 +169,7 @@ def test_underlying_multigraph():
     empty = Quiver(["a", "b"], {})
     g3 = underlying_multigraph(empty)
     assert not g3.edges
-    assert len(g3.component_index_sets()) == 2
+    assert [c.vertices for c in g3.components()] == [("a",), ("b",)]
 
 
 def test_loops_in_multigraph():
@@ -192,8 +190,9 @@ def test_weak_components():
         ["a", "b", "c", "d"],
         {("b", "a"): 1, ("a", "b"): 1, ("d", "c"): 2},
     )
-    comps = q.weak_components()
-    assert comps == [["a", "b"], ["c", "d"]]
+    comps = q.undirected.components()
+    assert [c.vertices for c in comps] == [("a", "b"), ("c", "d")]
+    assert [c.edges for c in comps] == [{(0, 1): 2}, {(0, 1): 2}]
 
 
 def _brute_force_paths(q, sources, max_degree):
