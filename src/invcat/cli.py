@@ -22,7 +22,7 @@ import tempfile
 from .action import ActionError, ClosureCapExceeded
 from .fields import FieldError
 from .jobs import (
-    OPTION_KEYS,
+    OPTIONS,
     ParseError,
     dump_report,
     load_job,
@@ -59,18 +59,8 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _overrides(args) -> dict:
-    out = {}
-    for key in OPTION_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            out[key] = value
-    return out
-
-
 def _summarize(result, out_path: str) -> None:
-    job = result.job
-    print(f"field: {job.field!r}")
+    print(f"field: {result.job.field!r}")
     print(f"group size: {len(result.elements)}")
     comp = result.report.completeness
     if comp.status == "certified":
@@ -78,7 +68,7 @@ def _summarize(result, out_path: str) -> None:
     else:
         comp_text = "truncated" + (f" (known bound {comp.bound})" if comp.bound else "")
     gens = result.report.generators
-    print(f"generators up to degree {job.max_degree}: {len(gens)} [{comp_text}]")
+    print(f"generators up to degree {result.table.max_degree}: {len(gens)} [{comp_text}]")
     for entry in gens:
         print(f"  {entry.path} [deg {entry.path.degree}, mult {entry.multiplicity}]")
     fr = result.freeness
@@ -100,7 +90,7 @@ def _summarize(result, out_path: str) -> None:
 
 
 def cmd_compute(args) -> int:
-    job = load_job(args.input, _overrides(args))
+    job = load_job(args.input, vars(args))
     result = run_pipeline(job)
     text = dump_report(report_to_dict(result))
     _write_atomic(args.out, text)
@@ -126,10 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="full pipeline: generators, freeness, classification")
     compute.add_argument("--input", required=True, help="job file (JSON)")
     compute.add_argument("--out", required=True, help="where to write the machine report (JSON)")
-    compute.add_argument("--max-degree", dest="max_degree", type=int)
-    compute.add_argument("--verify-depth", dest="verify_depth", type=int)
-    compute.add_argument("--path-cap", dest="path_cap", type=int)
-    compute.add_argument("--group-cap", dest="group_cap", type=int)
+    for key in OPTIONS:  # each flag overrides the job option of its name
+        compute.add_argument("--" + key.replace("_", "-"), type=int)
     compute.set_defaults(func=cmd_compute)
 
     classify_p = sub.add_parser("classify", help="representation type of the input quiver only")

@@ -5,6 +5,9 @@ small grammar (rationals like "2/3", cyclotomic polynomials in z like
 "z^2-1/2*z+3", prime-field integers like "4").  Reports are deterministic
 given the job, except for the timing block, which consumers must ignore
 when comparing.
+
+`OPTIONS` alone names each job option, its default and its least value; the
+parser, its bound checks, `JobSpec`, the job echo and the CLI flags read it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .reptype import classify, classify_invariants
 
 
 SCHEMA_VERSION = 2
-DEFAULT_MAX_DEGREE = 6
 # the report holds a hom series of max_degree + 1 entries for every vertex pair
 MAX_SERIES_ENTRIES = 10**6
 # the largest tensor space held: an arrow's dim x dim action, a path's prod of dims
@@ -63,7 +65,13 @@ QUIVER_KEYS = ("vertices", "arrows")
 ARROW_KEYS = ("source", "target", "dim")
 ACTION_KEYS = ("generators",)
 GENERATOR_KEYS = ("name", "matrices")
-OPTION_KEYS = ("max_degree", "verify_depth", "path_cap", "group_cap")
+# option -> (default, least value); a default of None is the resolved max_degree
+OPTIONS = {
+    "max_degree": (6, 0),
+    "verify_depth": (None, 0),
+    "path_cap": (DEFAULT_PATH_CAP, 1),
+    "group_cap": (DEFAULT_GROUP_CAP, 1),
+}
 
 
 def _field_kind(data, ctx):
@@ -93,11 +101,7 @@ def field_from_dict(data, ctx="field"):
 
 
 def field_to_dict(field):
-    if isinstance(field, CyclotomicField):
-        return {"kind": "cyclotomic", "n": field.n}
-    if isinstance(field, PrimeField):
-        return {"kind": "prime", "p": field.p}
-    return {"kind": "rationals"}
+    return {key: getattr(field, key) for key in FIELD_KEYS[field.kind]}
 
 
 def quiver_from_dict(data, ctx="quiver"):
@@ -245,43 +249,30 @@ def _check_tensor_dims(arrows, quiver, max_degree):
         widest = step
 
 
-JobSpec = namedtuple(
-    "JobSpec", "field quiver action max_degree verify_depth path_cap group_cap"
-)
+JobSpec = namedtuple("JobSpec", ("field", "quiver", "action", *OPTIONS))
 
 
 def parse_job(data, overrides=None) -> JobSpec:
+    """The job in data; overrides maps an option to its flag, None if the flag is unset."""
     overrides = overrides or {}
     _only(data, JOB_KEYS, "job")
     field = field_from_dict(_get(data, "field", "job"), "field")
     quiver = quiver_from_dict(_get(data, "quiver", "job"), "quiver")
     options = _get(data, "options", "job", dict, required=False, default={})
-    _only(options, OPTION_KEYS, "options")
-    max_degree = overrides.get(
-        "max_degree",
-        _get(options, "max_degree", "options", int, required=False, default=DEFAULT_MAX_DEGREE),
-    )
-    verify_depth = overrides.get(
-        "verify_depth",
-        _get(options, "verify_depth", "options", int, required=False, default=max_degree),
-    )
-    path_cap = overrides.get(
-        "path_cap",
-        _get(options, "path_cap", "options", int, required=False, default=DEFAULT_PATH_CAP),
-    )
-    group_cap = overrides.get(
-        "group_cap",
-        _get(options, "group_cap", "options", int, required=False, default=DEFAULT_GROUP_CAP),
-    )
-    # command-line overrides bypass _get, so check the merged values
-    for key, value, least in (
-        ("max_degree", max_degree, 0),
-        ("verify_depth", verify_depth, 0),
-        ("path_cap", path_cap, 1),
-        ("group_cap", group_cap, 1),
-    ):
-        if value < least:
-            raise ParseError(f"options.{key}: must be at least {least}, got {value}")
+    _only(options, OPTIONS, "options")
+    values = {}
+    for key, (default, _) in OPTIONS.items():
+        # the file's value is type-checked even when a flag replaces it
+        value = _get(options, key, "options", int, required=False, default=default)
+        if value is None:
+            value = values["max_degree"]
+        flag = overrides.get(key)
+        values[key] = value if flag is None else flag
+    # flags bypass _get, so check the merged values
+    for key, (_, least) in OPTIONS.items():
+        if values[key] < least:
+            raise ParseError(f"options.{key}: must be at least {least}, got {values[key]}")
+    max_degree = values["max_degree"]
     entries = len(quiver.vertices) ** 2 * (max_degree + 1)
     if entries > MAX_SERIES_ENTRIES:
         raise ParseError(
@@ -293,17 +284,10 @@ def parse_job(data, overrides=None) -> JobSpec:
         _get(data, "action", "job", dict, required=False, default={"generators": []}),
         quiver,
         field,
-        group_cap=group_cap,
+        group_cap=values["group_cap"],
     )
-    return JobSpec(
-        field=field,
-        quiver=quiver,
-        action=action,
-        max_degree=max_degree,
-        verify_depth=min(verify_depth, max_degree),
-        path_cap=path_cap,
-        group_cap=group_cap,
-    )
+    values["verify_depth"] = min(values["verify_depth"], max_degree)
+    return JobSpec(field, quiver, action, **values)
 
 
 def _unique_keys(pairs):
@@ -350,7 +334,7 @@ def load_quiver(path) -> Quiver:
     if "field" in data:
         _field_kind(data["field"], "field")
     quiver = quiver_from_dict(_get(data, "quiver", "job"), "quiver")
-    _only(_get(data, "options", "job", dict, required=False, default={}), OPTION_KEYS, "options")
+    _only(_get(data, "options", "job", dict, required=False, default={}), OPTIONS, "options")
     _generators(_get(data, "action", "job", dict, required=False, default={}), "action")
     return quiver
 
@@ -360,12 +344,7 @@ def job_echo(job: JobSpec) -> dict:
         "field": field_to_dict(job.field),
         "quiver": quiver_to_dict(job.quiver),
         "action": action_to_dict(job.action),
-        "options": {
-            "max_degree": job.max_degree,
-            "verify_depth": job.verify_depth,
-            "path_cap": job.path_cap,
-            "group_cap": job.group_cap,
-        },
+        "options": {key: getattr(job, key) for key in OPTIONS},
     }
 
 
@@ -383,28 +362,20 @@ def schurian_diff(quiver, elements, field, report, max_degree, path_cap):
     Raises NotSchurian unless every arrow space of the quiver is a line.
     """
     chars = extract_characters(quiver, elements, field)
-    fast = schurian_generators(quiver, chars, max_degree, path_cap)
-    fast_paths = {p for bucket in fast.values() for p in bucket}
-    engine_paths = {}
-    for entry in report.generators:
-        engine_paths[entry.path] = entry.multiplicity
-    first_difference = None
-    index = quiver.vertex_index
-    universe = sorted(
-        fast_paths | set(engine_paths),
-        key=lambda p: (p.degree, tuple(map(index, p))),
+    generators = schurian_generators(quiver, chars, max_degree, path_cap)
+    fast = {p for bucket in generators.values() for p in bucket}
+    engine = {entry.path: entry.multiplicity for entry in report.generators}
+    # the two agree on a path when the engine finds it once exactly where the characters do
+    path = min(
+        (p for p in fast.union(engine) if engine.get(p, 0) != (p in fast)),
+        key=lambda p: (p.degree, tuple(map(quiver.vertex_index, p))),
+        default=None,
     )
-    for path in universe:
-        mult = engine_paths.get(path, 0)
-        in_fast = path in fast_paths
-        if (mult == 1 and in_fast) or (mult == 0 and not in_fast):
-            continue
-        first_difference = {
-            "path": list(path),
-            "engine_multiplicity": mult,
-            "character_irreducible": in_fast,
-        }
-        break
+    first_difference = None if path is None else {
+        "path": list(path),
+        "engine_multiplicity": engine.get(path, 0),
+        "character_irreducible": path in fast,
+    }
     return {
         "applicable": True,
         "agrees": first_difference is None,

@@ -13,6 +13,8 @@ from invcat.cli import main
 from invcat.fields import MAX_CYCLOTOMIC_ORDER, PRIME_LIMIT
 from invcat.jobs import ParseError, parse_job, run_pipeline
 
+DEMO_INPUTS = Path(__file__).resolve().parent.parent / "demos" / "inputs"
+
 
 CROWN3 = {
     "field": {"kind": "cyclotomic", "n": 3},
@@ -94,16 +96,21 @@ def test_kronecker_outcome(tmp_path):
 
 
 def test_job_echo_round_trips(tmp_path):
-    job_path = write_job(tmp_path, CROWN3)
-    out = tmp_path / "report.json"
-    assert main(["compute", "--input", job_path, "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    echoed = parse_job(report["job"])
-    original = parse_job(CROWN3)
-    assert echoed.quiver == original.quiver
-    assert echoed.field == original.field
-    assert echoed.max_degree == original.max_degree
-    assert echoed.action.generator_elements == original.action.generator_elements
+    # one job per field kind, with every option set by its flag
+    options = {"max_degree": 3, "verify_depth": 2, "path_cap": 500, "group_cap": 64}
+    flags = ["--max-degree", "3", "--verify-depth", "2", "--path-cap", "500", "--group-cap", "64"]
+    for data in (KRONECKER_TRIVIAL, CROWN3, SWAP_F2):
+        job_path = write_job(tmp_path, data)
+        out = tmp_path / "report.json"
+        assert main(["compute", "--input", job_path, "--out", str(out), *flags]) == 0
+        report = json.loads(out.read_text())
+        assert report["job"]["options"] == options
+        echoed = parse_job(report["job"])
+        original = parse_job(data, options)
+        assert echoed.quiver == original.quiver
+        assert echoed.field == original.field
+        assert [getattr(echoed, key) for key in options] == list(options.values())
+        assert echoed.action.generator_elements == original.action.generator_elements
 
 
 def test_malformed_matrix_dimensions(tmp_path, capsys):
@@ -285,6 +292,42 @@ def test_falsified_property_exits_two(tmp_path, monkeypatch):
     assert report["freeness"]["holds"] is False
 
 
+@pytest.mark.parametrize("drop, add, first", [
+    # the engine's generator t0 -> t1 -> t2 -> t0 missing from the fast path
+    ([("t0", "t1", "t2", "t0")], [], {
+        "path": ["t0", "t1", "t2", "t0"], "engine_multiplicity": 1, "character_irreducible": False,
+    }),
+    # a degree-1 difference comes before any degree-3 one
+    ([("t0", "t1", "t2", "t0")], [("t0", "t1")], {
+        "path": ["t0", "t1"], "engine_multiplicity": 0, "character_irreducible": True,
+    }),
+    # within a degree, the path of the lower vertex indices comes first
+    ([("t2", "t0", "t1", "t2"), ("t1", "t2", "t0", "t1")], [], {
+        "path": ["t1", "t2", "t0", "t1"], "engine_multiplicity": 1, "character_irreducible": False,
+    }),
+])
+def test_cross_check_mismatch_names_the_first_difference(tmp_path, capsys, monkeypatch, drop, add, first):
+    import invcat.jobs as jobs_module
+    from invcat.quiver import Path as QuiverPath
+
+    real = jobs_module.schurian_generators
+
+    def perturbed(*args):
+        out = real(*args)
+        for bucket in out.values():
+            bucket[:] = [p for p in bucket if p not in drop]
+        for p in add:
+            out.setdefault((p[0], p[-1]), []).append(QuiverPath(p))
+        return out
+
+    monkeypatch.setattr(jobs_module, "schurian_generators", perturbed)
+    out = tmp_path / "r.json"
+    assert main(["compute", "--input", str(DEMO_INPUTS / "crown3.json"), "--out", str(out)]) == 2
+    assert "character cross-check: MISMATCH" in capsys.readouterr().out
+    check = json.loads(out.read_text())["schurian_check"]
+    assert check == {"applicable": True, "agrees": False, "first_difference": first}
+
+
 def test_duplicate_arrow_rejected(tmp_path, capsys):
     bad = json.loads(json.dumps(KRONECKER_TRIVIAL))
     bad["quiver"]["arrows"].append({"source": "x", "target": "y", "dim": 1})
@@ -312,6 +355,10 @@ def test_flag_overrides_file_options(tmp_path):
     report = json.loads(out.read_text())
     assert report["job"]["options"]["max_degree"] == 3
     assert len(report["hom_series"]["t0<-t0"]) == 4
+    # a flag's max_degree clamps the file's verify_depth
+    job = write_job(tmp_path, _with(CROWN3, ["options", "verify_depth"], 9))
+    assert main(["compute", "--input", job, "--out", str(out), "--max-degree", "3"]) == 0
+    assert json.loads(out.read_text())["job"]["options"]["verify_depth"] == 3
 
 
 def _with(data, path, value):
@@ -361,6 +408,12 @@ def test_boolean_verify_depth_rejected():
 def test_boolean_path_cap_rejected():
     bad = _with(CROWN3, ["options", "path_cap"], False)
     _rejected(bad, "options.path_cap: expected int, got bool")
+    # every type check comes before any bound check
+    bad = _with(_with(CROWN3, ["options", "max_degree"], -1), ["options", "path_cap"], "x")
+    _rejected(bad, "options.path_cap: expected int, got str")
+    # and a flag does not hide the file's value from its type check
+    with pytest.raises(ParseError, match=r"^options\.path_cap: expected int, got str$"):
+        parse_job(bad, {"max_degree": 3, "path_cap": 7})
 
 
 def test_boolean_group_cap_rejected():
@@ -547,12 +600,14 @@ def test_series_size_cap_in_file_and_flag(tmp_path, capsys):
     _rejected(_with(KRONECKER_TRIVIAL, ["options", "max_degree"], 10**6), "options.max_degree: ")
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def test_cli_import_loads_no_slow_stdlib_module():
     # dataclasses pulls in inspect, ast, dis and tokenize, which every CLI
-    # process would compile and hold in memory
+    # process would compile and hold in memory; traceback and subprocess
+    # cost a few milliseconds each, and start-up is most of a short run
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, invcat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    slow = "{'dataclasses', 'inspect', 'traceback', 'subprocess'}"
+    code = f"import sys, invcat.cli; print(sorted({slow} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
