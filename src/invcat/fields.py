@@ -7,6 +7,11 @@ and :class:`PrimeFieldElement` for residues modulo a prime.  Every scalar
 is kept in a canonical form, so ``a == b`` decides equality of field
 elements and hashing is safe.  There is no floating point anywhere in the
 package.
+
+Each field offers ``zero()``, ``one()``, ``coerce(value)`` and
+``parse(text)``.  ``coerce`` turns a Python int, a Fraction over Q and
+Q(zeta_n), or a scalar of the field into a scalar of the field.  A scalar
+prints with ``str``, and ``parse`` reads that text back to an equal scalar.
 """
 
 from __future__ import annotations
@@ -368,10 +373,28 @@ class CyclotomicElement:
         return any(self.coeffs)
 
     def __str__(self):
-        return self.field.format(self)
+        pieces = []
+        for i in range(self.field.degree - 1, -1, -1):
+            if not self.coeffs[i]:
+                continue
+            c = Fraction(self.coeffs[i], self.den)
+            if i == 0:
+                body = str(abs(c))
+            else:
+                zpart = "z" if i == 1 else f"z^{i}"
+                body = zpart if abs(c) == 1 else f"{abs(c)}*{zpart}"
+            sign = "-" if c < 0 else "+"
+            pieces.append((sign, body))
+        if not pieces:
+            return "0"
+        first_sign, first_body = pieces[0]
+        out = ("-" if first_sign == "-" else "") + first_body
+        for sign, body in pieces[1:]:
+            out += sign + body
+        return out
 
     def __repr__(self):
-        return f"Cyc{self.field.n}({self.field.format(self)})"
+        return f"Cyc{self.field.n}({self})"
 
 
 def _fraction(text: str) -> Fraction:
@@ -399,8 +422,8 @@ def _signed_terms(text: str) -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Field descriptors.  A field knows how to build, parse and format scalars;
-# the scalars themselves carry the arithmetic.
+# Field descriptors.  A field knows how to build and parse scalars; the
+# scalars themselves carry the arithmetic and print themselves.
 
 
 class RationalField:
@@ -415,9 +438,6 @@ class RationalField:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def from_int(self, k: int) -> Fraction:
-        return Fraction(k)
-
     def coerce(self, value) -> Fraction:
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
@@ -428,9 +448,6 @@ class RationalField:
         if len(terms) != 1 or not self._RE.fullmatch(terms[0][1]):
             raise ValueError(f"cannot parse {text!r} as a rational")
         return _fraction("".join(terms[0]))
-
-    def format(self, value: Fraction) -> str:
-        return str(value)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -461,8 +478,8 @@ class CyclotomicField:
         self._tail = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
         self._pad = (0,) * (self.degree - 1)
         # elements are immutable, so zero and one are built once
-        self._zero = self.from_int(0)
-        self._one = self.from_int(1)
+        self._zero = self.from_rational(0)
+        self._one = self.from_rational(1)
 
     def element(self, coeffs) -> CyclotomicElement:
         """Build an element from rational power-basis coefficients of any length, reducing."""
@@ -509,8 +526,6 @@ class CyclotomicField:
         """An int or a Fraction as an element (both carry numerator and denominator)."""
         return CyclotomicElement(self, (q.numerator,) + self._pad, q.denominator)
 
-    from_int = from_rational
-
     def zeta(self) -> CyclotomicElement:
         """The canonical primitive n-th root of unity."""
         return self.element([0, 1])
@@ -541,27 +556,6 @@ class CyclotomicField:
             coeffs[k] = v
         return self.element(coeffs)
 
-    def format(self, value: CyclotomicElement) -> str:
-        pieces = []
-        for i in range(self.degree - 1, -1, -1):
-            if not value.coeffs[i]:
-                continue
-            c = Fraction(value.coeffs[i], value.den)
-            if i == 0:
-                body = str(abs(c))
-            else:
-                zpart = "z" if i == 1 else f"z^{i}"
-                body = zpart if abs(c) == 1 else f"{abs(c)}*{zpart}"
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, body))
-        if not pieces:
-            return "0"
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += sign + body
-        return out
-
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.n == self.n
 
@@ -589,9 +583,6 @@ class PrimeField:
     def one(self) -> PrimeFieldElement:
         return PrimeFieldElement(self.p, 1)
 
-    def from_int(self, k: int) -> PrimeFieldElement:
-        return PrimeFieldElement(self.p, k)
-
     def coerce(self, value) -> PrimeFieldElement:
         if isinstance(value, PrimeFieldElement):
             if value.p != self.p:
@@ -606,9 +597,6 @@ class PrimeField:
         if len(terms) != 1 or not self._RE.fullmatch(terms[0][1]):
             raise ValueError(f"cannot parse {text!r} as an integer mod {self.p}")
         return PrimeFieldElement(self.p, int("".join(terms[0])))
-
-    def format(self, value: PrimeFieldElement) -> str:
-        return str(value.value)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -20,6 +20,7 @@ from .action import DEFAULT_GROUP_CAP, ActionSpec, NotSchurian, close_group, ext
 from .category import build_invariant_quiver, verify_freeness
 from .engine import compute_profiles, schurian_generators
 from .fields import CyclotomicField, PrimeField, QQ
+from .linalg import Matrix
 from .quiver import DEFAULT_PATH_CAP, Quiver
 from .reptype import classify, classify_invariants
 
@@ -42,10 +43,13 @@ def _get(data, key, ctx, kind=None, required=True, default=None):
         if required:
             raise ParseError(f"{ctx}: missing required key {key!r}")
         return default
-    value = data[key]
+    return data[key] if kind is None else _typed(data[key], kind, f"{ctx}.{key}")
+
+
+def _typed(value, kind, ctx):
     # JSON true/false load as bool, a subclass of int
-    if kind is not None and (not isinstance(value, kind) or (kind is int and isinstance(value, bool))):
-        raise ParseError(f"{ctx}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{ctx}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -166,7 +170,7 @@ def _parse_entry(field, value, ctx):
         except ValueError as err:
             raise ParseError(f"{ctx}: {err}") from None
     if isinstance(value, int) and not isinstance(value, bool):
-        return field.from_int(value)
+        return field.coerce(value)
     raise ParseError(f"{ctx}: matrix entries must be strings or integers")
 
 
@@ -195,11 +199,10 @@ def action_from_dict(data, quiver, field, ctx="action", group_cap=DEFAULT_GROUP_
                 not isinstance(r, list) or len(r) != d for r in rows
             ):
                 raise ParseError(f"{mctx}: expected a {d}x{d} matrix for this arrow")
-            parsed = [
+            mats[edge] = Matrix(field, [
                 [_parse_entry(field, rows[r][c], f"{mctx}[{r}][{c}]") for c in range(d)]
                 for r in range(d)
-            ]
-            mats[edge] = parsed
+            ])
         missing = [e for e in quiver.track_edges() if e not in mats]
         if missing:
             raise ParseError(f"{gctx}.matrices: missing matrix for arrow {edge_key(missing[0])!r}")
@@ -216,7 +219,7 @@ def action_to_dict(spec):
         mats = {}
         for edge, matrix in zip(spec.edges, element.matrices):
             mats[edge_key(edge)] = [
-                [spec.field.format(x) for x in row] for row in matrix.entries
+                [str(x) for x in row] for row in matrix.entries
             ]
         generators.append({"name": name, "matrices": mats})
     return {"generators": generators}
@@ -267,8 +270,8 @@ def parse_job(data, overrides=None) -> JobSpec:
         if value is None:
             value = values["max_degree"]
         flag = overrides.get(key)
-        values[key] = value if flag is None else flag
-    # flags bypass _get, so check the merged values
+        values[key] = value if flag is None else _typed(flag, int, f"options.{key}")
+    # the bounds hold for the merged values, checked after every type check
     for key, (_, least) in OPTIONS.items():
         if values[key] < least:
             raise ParseError(f"options.{key}: must be at least {least}, got {values[key]}")

@@ -77,7 +77,7 @@ def _unit_scalars(field, rng: random.Random):
         return [z**k for k in range(field.n)] + [field.one(), -field.one()]
     if isinstance(field, PrimeField):
         # every nonzero residue has finite order
-        return [field.from_int(k) for k in range(1, field.p)]
+        return [field.coerce(k) for k in range(1, field.p)]
     return [Fraction(1), Fraction(-1)]
 
 
@@ -86,7 +86,7 @@ def finite_order_matrix(field, dim: int, rng: random.Random) -> Matrix:
     if isinstance(field, PrimeField):
         while True:
             rows = [
-                [field.from_int(rng.randrange(field.p)) for _ in range(dim)]
+                [field.coerce(rng.randrange(field.p)) for _ in range(dim)]
                 for _ in range(dim)
             ]
             m = Matrix(field, rows)

@@ -10,7 +10,7 @@ import pytest
 
 from invcat.category import verify_freeness
 from invcat.cli import main
-from invcat.fields import MAX_CYCLOTOMIC_ORDER, PRIME_LIMIT
+from invcat.fields import MAX_CYCLOTOMIC_ORDER, PRIME_LIMIT, RationalField
 from invcat.jobs import ParseError, parse_job, run_pipeline
 
 DEMO_INPUTS = Path(__file__).resolve().parent.parent / "demos" / "inputs"
@@ -414,6 +414,30 @@ def test_boolean_path_cap_rejected():
     # and a flag does not hide the file's value from its type check
     with pytest.raises(ParseError, match=r"^options\.path_cap: expected int, got str$"):
         parse_job(bad, {"max_degree": 3, "path_cap": 7})
+    # a library caller's overrides are type-checked like the file's values,
+    # before any bound check
+    low = _with(CROWN3, ["options", "max_degree"], -1)
+    for key, flag, kind in [("max_degree", "3", "str"), ("path_cap", 2.5, "float"), ("group_cap", True, "bool")]:
+        with pytest.raises(ParseError, match=rf"^options\.{key}: expected int, got {kind}$"):
+            parse_job(low, {key: flag})
+
+
+def test_each_matrix_entry_is_converted_once(monkeypatch):
+    calls = {"coerce": 0, "parse": 0}
+    for name, method in [("coerce", RationalField.coerce), ("parse", RationalField.parse)]:
+        def counted(self, value, name=name, method=method):
+            calls[name] += 1
+            return method(self, value)
+        monkeypatch.setattr(RationalField, name, counted)
+    job = {
+        "field": {"kind": "rationals"},
+        "quiver": {"vertices": ["v"], "arrows": [{"source": "v", "target": "v", "dim": 3}]},
+        "action": {"generators": [{"matrices": {"v<-v": [[0, 1, "0"], [1, "0", 0], ["0", "0", 1]]}}]},
+    }
+    parse_job(job)
+    # the 5 ints are coerced and the 4 strings parsed; coercing the parsed
+    # matrix again, as ActionSpec does with plain rows, would make 14 coerces
+    assert calls == {"coerce": 5, "parse": 4}
 
 
 def test_boolean_group_cap_rejected():

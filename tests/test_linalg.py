@@ -24,7 +24,7 @@ def rand_matrix(field, rng, nrows, ncols, span=3):
     if field is QQ:
         rows = [[Fraction(rng.randint(-span, span)) for _ in range(ncols)] for _ in range(nrows)]
     elif isinstance(field, PrimeField):
-        rows = [[field.from_int(rng.randrange(field.p)) for _ in range(ncols)] for _ in range(nrows)]
+        rows = [[field.coerce(rng.randrange(field.p)) for _ in range(ncols)] for _ in range(nrows)]
     else:
         rows = [
             [field.element([rng.randint(-2, 2) for _ in range(field.degree)]) for _ in range(ncols)]
@@ -192,7 +192,7 @@ def _row_lists(draw):
         if field is QQ:
             return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
         if field is F2:
-            return field.from_int(draw(st.integers(0, 1)))
+            return field.coerce(draw(st.integers(0, 1)))
         return field.element([draw(st.integers(-2, 2)) for _ in range(field.degree)])
 
     ncols = [draw(st.integers(1, 3)) for _ in range(3)]
