@@ -40,8 +40,7 @@ print("closed group size:", len(close_group(spec)))
 
 table = compute_profiles(quiver, spec, max_degree=2 * n)
 print(f"\nper-path invariants up to degree {2 * n} (nonzero fixed spaces only):")
-for path in table.all_paths():
-    prof = table.profile(path)
+for path, prof in table.profiles.items():
     if prof.fixed.dim:
         print(f"  {path}: dim fixed {prof.fixed.dim}, composite {prof.composite.dim},"
               f" irreducible {prof.irreducible.dim}")

@@ -18,12 +18,14 @@ from invcat import (
     classify,
     classify_invariants,
     compute_profiles,
-    kronecker_invariants,
 )
 
 quiver = Quiver(["x", "y"], {("y", "x"): 2})
 print("input:", quiver, "->", classify(quiver).overall,
       [str(c) for c in classify(quiver).components])
+
+# the fixed subspace of the one arrow space, by its dimension
+FATES = {2: "kronecker-again", 1: "a2", 0: "two-vertices"}
 
 actions = [
     ("trivial action", [[1, 0], [0, 1]]),
@@ -33,8 +35,8 @@ actions = [
 
 for name, rows in actions:
     spec = ActionSpec(quiver, QQ, [("s", {("y", "x"): Matrix.from_rows(QQ, rows)})])
-    outcome = kronecker_invariants(spec)
     table = compute_profiles(quiver, spec, max_degree=2)
+    outcome = FATES[table.hom_dims("x", "y")[1]]
     report = build_invariant_quiver(table)
     inv = classify_invariants(report)
     gens = ", ".join(f"{e.path} (mult {e.multiplicity})" for e in report.generators) or "none"

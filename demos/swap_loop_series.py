@@ -33,8 +33,7 @@ spec = ActionSpec(quiver, QQ, [("s", {("v", "v"): swap})])
 max_degree = 6
 table = compute_profiles(quiver, spec, max_degree)
 print(f"\n{'degree':>6} {'dim space':>9} {'dim fixed':>9} {'dim composite':>13} {'dim irreducible':>15}")
-for path in table.all_paths():
-    prof = table.profile(path)
+for path, prof in table.profiles.items():
     print(f"{path.degree:>6} {prof.space_dim:>9} {prof.fixed.dim:>9}"
           f" {prof.composite.dim:>13} {prof.irreducible.dim:>15}")
 

@@ -38,7 +38,7 @@ max_degree = 4
 table = compute_profiles(quiver, spec, max_degree)
 
 print(f"\n{'degree':>6} {'orbits':>7} {'dim fixed':>9} {'dim irreducible':>15}")
-for path in table.all_paths():
+for path in table.profiles:
     d = path.degree
     # combinatorial oracle: orbits of the letter permutations on words, and
     # their orbit sums in the tensor basis (first letter the major index)
@@ -50,7 +50,7 @@ for path in table.all_paths():
         seen |= orbit
         sums.append([QQ.one() if w in orbit else QQ.zero() for w in product(range(3), repeat=d)])
     orbits = len(sums)
-    prof = table.profile(path)
+    prof = table.profiles[path]
     assert prof.fixed.dim == orbits
     assert Subspace.from_vectors(QQ, 3**d, sums) == prof.fixed
     assert verify_decomposition(path, table).holds

@@ -53,8 +53,6 @@ from .action import (
 )
 from .engine import (
     DecompositionVerdict,
-    EngineError,
-    MissingSubPath,
     ProfileTable,
     StringInvariants,
     compute_profiles,
@@ -78,16 +76,11 @@ from .reptype import (
     Disconnected,
     FINITE,
     InvariantClassification,
-    KRONECKER_AGAIN,
-    SINGLE_ARROW,
     TAME,
-    TWO_VERTICES,
     WILD,
-    WrongShape,
     classify,
     classify_invariants,
     classify_multigraph,
-    kronecker_invariants,
     recognize_component,
 )
 from .jobs import (

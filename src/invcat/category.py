@@ -95,7 +95,7 @@ def completeness_bound(quiver: Quiver, spec: ActionSpec) -> Completeness | None:
 def build_invariant_quiver(table: ProfileTable) -> InvariantQuiverReport:
     """One generator entry per path with a nonzero irreducible subspace."""
     generators = [
-        GeneratorEntry(path=path, multiplicity=table.profile(path).irreducible.dim)
+        GeneratorEntry(path=path, multiplicity=table.profiles[path].irreducible.dim)
         for path in table.generators
     ]
     certificate = completeness_bound(table.quiver, table.spec)

@@ -25,7 +25,8 @@ extension is a function of (state, edge), built once.  So each wave maps
 (source, end vertex, state) to a path count, which gives the hom series,
 the path counts by degree and the path cap, and only the paths with a
 nonzero I or a failed certificate are listed.  `profiles` is a lazy
-mapping that follows a path's edges through the states.
+mapping that follows a path's edges through the states; it is the one
+way to read a profile, and a path that was not computed is a KeyError.
 `verify_decomposition` explains a failing path from stored dimensions
 alone: the chains have total dimension e(p) = sum over k of dim I(first k
 edges) * e(rest), to set against dim F.  The references for F (the
@@ -44,14 +45,6 @@ from collections.abc import Mapping
 from .action import ActionSpec, CharacterTable
 from .linalg import Subspace, kernel_of_rows, tensor_rows
 from .quiver import DEFAULT_PATH_CAP, PRUNE, Path, Quiver, walk
-
-
-class EngineError(Exception):
-    pass
-
-
-class MissingSubPath(EngineError):
-    pass
 
 
 # one path's subspaces: fixed and irreducible in k^space_dim, composite in k^(dim fixed)
@@ -173,7 +166,8 @@ class ProfileTable:
 
     Closed under contiguous sub-paths by construction: the profile of any
     sub-path of a stored path is stored too.  Paths with equal inputs share
-    one profile record.
+    one profile record.  A profile is read as ``profiles[path]``, and the
+    stored paths are ``tuple(profiles)``, in (degree, lexicographic) order.
     """
 
     def __init__(self, quiver, spec, max_degree, profiles, series, path_counts,
@@ -186,20 +180,6 @@ class ProfileTable:
         self.path_counts = path_counts  # stored paths by degree 0..max_degree
         self.generators = generators  # paths with a nonzero I, in walk order
         self.uncertified = uncertified  # paths failing the freeness certificate, in walk order
-
-    @property
-    def field(self):
-        return self.spec.field
-
-    def profile(self, path: Path) -> StringInvariants:
-        try:
-            return self.profiles[path]
-        except KeyError:
-            raise MissingSubPath(str(path)) from None
-
-    def all_paths(self):
-        """Every stored path, ordered by (degree, lexicographic vertex indices)."""
-        return tuple(self.profiles)
 
     def hom_dims(self, source, target):
         """Invariant dimension by degree 0..max_degree for one hom-pair, as a fresh list."""
@@ -363,7 +343,7 @@ def verify_decomposition(path: Path, table: ProfileTable) -> DecompositionVerdic
     from correct sub-paths span I + C = F, so with a correct split a path
     fails the certificate exactly when e != dim F.
     """
-    prof = table.profile(path)
+    prof = table.profiles[path]
     n = path.degree
     # chains[s] = e(path[s:]), filled from the target end
     chains = [0] * n + [1]

@@ -430,7 +430,8 @@ class RationalField:
     kind = "rationals"
     characteristic = 0
 
-    _RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
+    # the whole scalar: whitespace only at the ends and around the sign
+    _RE = re.compile(r"\s*([+-]?)\s*([0-9]+)(?:/([0-9]+))?\s*")
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -444,10 +445,19 @@ class RationalField:
         raise FieldMismatch(f"{value!r} is not a rational scalar")
 
     def parse(self, text: str) -> Fraction:
-        terms = _signed_terms(text)
-        if len(terms) != 1 or not self._RE.fullmatch(terms[0][1]):
+        """One match reads the scalar; only a rejected text is split again, for its message."""
+        m = self._RE.fullmatch(text)
+        if m is None:
+            _signed_terms(text)  # a sign without a term has its own message
             raise ValueError(f"cannot parse {text!r} as a rational")
-        return _fraction("".join(terms[0]))
+        sign, num, den = m.groups()
+        numerator = -int(num) if sign == "-" else int(num)
+        if den is None:
+            return Fraction(numerator)
+        denominator = int(den)
+        if not denominator:
+            raise ValueError(f"zero denominator in {(sign or '+') + num + '/' + den!r}")
+        return Fraction(numerator, denominator)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

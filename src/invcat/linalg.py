@@ -290,18 +290,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def pivots(self) -> tuple:
-        return tuple(self.rows)
-
-    @property
-    def basis(self) -> tuple:
-        """The reduced echelon basis as dense row tuples."""
-        return tuple(
-            tuple(_dense(self.field, self.ambient_dim, p, tail))
-            for p, tail in self.rows.items()
-        )
-
     def _sparse_rows(self):
         """Fresh full sparse rows, safe to hand to the kernel."""
         one = self.field.one()

@@ -8,15 +8,16 @@ E~7, E~8) are also allowed.  Recognition is exact graph matching, no
 heuristics; anything else is wild.  A graph is split into its connected
 components in one pass (`Multigraph.components`), so classification is
 linear in vertices plus arrows before the per-component matching.
+The module reads quivers only: the invariant category's bases-quiver comes
+from a generator report (`category.generator_quiver`), so no profiles are
+computed here.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .action import ActionSpec
 from .category import CERTIFIED, generator_quiver
-from .engine import compute_profiles
 from .quiver import Multigraph, Quiver
 
 
@@ -24,16 +25,8 @@ FINITE = "finite"
 TAME = "tame"
 WILD = "wild"
 
-KRONECKER_AGAIN = "kronecker-again"
-SINGLE_ARROW = "a2"
-TWO_VERTICES = "two-vertices"
-
 
 class Disconnected(Exception):
-    pass
-
-
-class WrongShape(Exception):
     pass
 
 
@@ -188,30 +181,3 @@ def classify_invariants(report) -> InvariantClassification:
     classification = classify(generator_quiver(report))
     certified = report.completeness.status == CERTIFIED
     return InvariantClassification(classification=classification, certified=certified)
-
-
-def kronecker_invariants(spec: ActionSpec) -> str:
-    """The invariant shape of an action on the double-arrow quiver.
-
-    The quiver must be two vertices with a single two-dimensional arrow
-    space between them; there are no composable paths, so the fixed
-    subspace of the only degree-1 path decides everything: dimension 2
-    keeps the double arrow, 1 leaves a single arrow, 0 leaves two bare
-    vertices.
-    """
-    quiver = spec.quiver
-    edges = quiver.track_edges()
-    if (
-        len(quiver.vertices) != 2
-        or len(edges) != 1
-        or quiver.dim(*edges[0]) != 2
-        or edges[0][0] == edges[0][1]
-    ):
-        raise WrongShape("expected two vertices joined by one 2-dimensional arrow space")
-    target, source = edges[0]
-    fixed = compute_profiles(quiver, spec, 1).profile((source, target)).fixed
-    if fixed.dim == 2:
-        return KRONECKER_AGAIN
-    if fixed.dim == 1:
-        return SINGLE_ARROW
-    return TWO_VERTICES

@@ -4,12 +4,14 @@ A dense Gauss-Jordan oracle for the linear algebra layer, written from the
 textbook definitions with field scalars only; it calls no invcat
 elimination, so the sparse kernel in ``invcat.linalg`` can be diffed
 against it.  Vectors and bases are tuples of scalars; a basis is the
-reduced row echelon form of its span, with zero rows dropped.  Two dense
+reduced row echelon form of its span, with zero rows dropped; `basis`
+and `pivots` read those of an ``invcat`` Subspace.  Two dense
 helpers built on it stand in for matrix arithmetic the package does not
 need: `is_subspace` reduces one subspace's basis against another's, and
-`inverse` reads a matrix inverse off the rref of [m | 1].  Q(zeta_n)
-is modelled here too, as Fraction coefficient tuples reduced modulo Phi_n
-by long division, for diffing ``invcat.fields``.  Path-level references
+`inverse` reads a matrix inverse off the rref of [m | 1].  The rational
+parser that ``RationalField.parse`` replaced is kept as `parse_rational`,
+and Q(zeta_n) is modelled as Fraction coefficient tuples reduced modulo
+Phi_n by long division, for diffing ``invcat.fields``.  Path-level references
 follow: the dense diagonal action on a path's tensor space, the averaging
 projector's image (summed entry by entry), character values along a path,
 path enumeration, the decomposition of a fixed space into irreducible
@@ -19,6 +21,7 @@ character action, composing an invariant path with a non-invariant one
 never gives an invariant path, checked over every composable pair.
 """
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
@@ -105,9 +108,27 @@ def reduce(basis, vector):
     return w
 
 
+def basis(space):
+    """A Subspace's reduced echelon basis as dense row tuples."""
+    zero, one = space.field.zero(), space.field.one()
+    rows = []
+    for p, tail in space.rows.items():
+        row = [zero] * space.ambient_dim
+        row[p] = one
+        for c, x in tail.items():
+            row[c] = x
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def pivots(space):
+    """A Subspace's pivot columns, in increasing order."""
+    return tuple(space.rows)
+
+
 def is_subspace(a, b):
     """Whether every basis vector of subspace a reduces to zero against b's basis."""
-    return all(all(x == 0 for x in reduce(b.basis, v)) for v in a.basis)
+    return all(all(x == 0 for x in reduce(basis(b), v)) for v in basis(a))
 
 
 def inverse(m):
@@ -145,6 +166,33 @@ def lift(field, coords, whole, ncols):
             v = [x + c * y for x, y in zip(v, w)]
         out.append(tuple(v))
     return tuple(out)
+
+
+_SIGNS = re.compile(r"\s*([+-])\s*")
+_UNSIGNED = re.compile(r"[0-9]+(?:/[0-9]+)?")
+
+
+def parse_rational(text):
+    """A rational scalar read in three passes, as `RationalField.parse` once did.
+
+    The stripped text is split at its signs (whitespace may stand around
+    each), the one term left is checked against digits with an optional
+    /digits, and `Fraction` reads the signed term.  Every ValueError text
+    is the one `RationalField.parse` must give.
+    """
+    pieces = _SIGNS.split(text.strip())
+    head = pieces.pop(0)
+    terms = [("+", head)] if head or not pieces else []
+    terms += zip(pieces[::2], pieces[1::2])
+    if not all(term for _, term in terms):
+        raise ValueError(f"cannot parse {text!r}: a sign needs a term on its right")
+    if len(terms) != 1 or not _UNSIGNED.fullmatch(terms[0][1]):
+        raise ValueError(f"cannot parse {text!r} as a rational")
+    signed = "".join(terms[0])
+    try:
+        return Fraction(signed)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {signed!r}") from None
 
 
 def cyclotomic_polynomial(n):
@@ -300,9 +348,9 @@ def verify_decomposition(path, table):
     that the chains sum to F with dimensions adding exactly; 2^(n-1)
     compositions, each a subspace sum.
     """
-    prof = table.profile(path)
+    prof = table.profiles[path]
     n = path.degree
-    field = table.field
+    field = table.spec.field
     fixed = prof.fixed
     total = Subspace.zero(field, prof.space_dim)
     expected = 0
@@ -313,7 +361,7 @@ def verify_decomposition(path, table):
         dead = False
         for part in comp:
             block = path.segment(start, start + part)
-            irr = table.profile(block).irreducible
+            irr = table.profiles[block].irreducible
             if irr.dim == 0:
                 dead = True
                 break

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invcat.fields import (
     CyclotomicElement,
@@ -190,6 +190,47 @@ def test_parse_raises_only_value_error(field, text):
     except ValueError:
         return
     assert field.parse(str(value)) == value
+
+
+def _parsed(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as err:
+        return "error", str(err)
+    return type(value), value
+
+
+# signs, whitespace (Unicode too), digits, '/' and junk that no rational holds
+_RATIONAL_TOKENS = ["+", "-", " ", "\t", "\u00a0", "0", "00", "1", "7", "42", "/", "a", ".",
+                    "_", "e", "*", "\u0663"]
+
+
+# near-rationals: each piece of "sign, digits, /digits" present, doubled or misplaced
+_NEAR_RATIONAL = st.tuples(
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+", "-", "+-"]),
+    st.sampled_from(["", " "]), st.sampled_from(["", "0", "7", "0012"]),
+    st.sampled_from(["", "/", "/0", "/00", "/3", "/012", "/ 3", " /3", "/3/4"]),
+    st.sampled_from(["", " ", "\n", "x", "-1"]),
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(
+    _NEAR_RATIONAL,
+    st.lists(st.sampled_from(_RATIONAL_TOKENS), max_size=8).map("".join),
+    st.text(alphabet="0123456789/+- \t\n\u00a0\u3000xz.", max_size=10),
+))
+@example("1/ 2")
+@example(" - 0/00 ")
+@example("+ 12/0\t")
+@example("")
+@example("- - 1")
+@example("1" * 5000)
+@example("1/" + "0" * 5000)
+def test_rational_parse_matches_three_pass_reference(text):
+    # one anchored match must accept, reject and word its errors as the
+    # split, check and Fraction(str) passes did, and build a Fraction
+    assert _parsed(QQ.parse, text) == _parsed(oracle.parse_rational, text)
 
 
 def test_cyclotomic_polynomial_matches_division_oracle():

@@ -56,7 +56,7 @@ def permutation_job(field, n_letters, perms, max_degree):
 
 def check_frontier(field, n_letters, perms, max_degree):
     result = run_pipeline(parse_job(permutation_job(field, n_letters, perms, max_degree)))
-    fixed = [result.table.profile(p).fixed.dim for p in result.table.all_paths()]
+    fixed = [result.table.profiles[p].fixed.dim for p in result.table.profiles]
     assert fixed == orbit_counts(n_letters, perms, max_degree)
     assert result.freeness.holds
     assert result.freeness.checked_paths == max_degree
@@ -146,7 +146,7 @@ def check_mesh(max_degree):
     series, generators, paths = mesh_oracle(max_degree)
     assert paths == len(result.table.profiles) == sum(result.table.path_counts)
     if max_degree <= 13:  # listing all 524,280 paths of degree 16 takes over 100 MB
-        assert paths == len(result.table.all_paths())
+        assert paths == len(tuple(result.table.profiles))
     assert report["hom_series"] == series
     assert sorted(g["path"] for g in report["generators"]) == generators
     assert all(g["multiplicity"] == 1 for g in report["generators"])

@@ -88,8 +88,8 @@ def check_matrix(field, rows, ncols):
         assert got.entries == red + tuple(zero_rows)
         assert got_pivots == pivots
         assert m.rank() == len(pivots)
-        assert m.kernel().basis == oracle.kernel(field, rows, ncols)
-    assert subspace(field, rows, ncols).basis == red
+        assert oracle.basis(m.kernel()) == oracle.kernel(field, rows, ncols)
+    assert oracle.basis(subspace(field, rows, ncols)) == red
 
 
 def check_pair(field, a_rows, b_rows, ncols, vector):
@@ -97,17 +97,18 @@ def check_pair(field, a_rows, b_rows, ncols, vector):
     a = subspace(field, a_rows, ncols)
     b = subspace(field, b_rows, ncols)
     ab, bb = oracle.span(field, a_rows, ncols), oracle.span(field, b_rows, ncols)
-    assert (a + b).basis == oracle.add(field, ab, bb, ncols)
+    assert oracle.basis(a + b) == oracle.add(field, ab, bb, ncols)
     in_a = all(x == 0 for x in oracle.reduce(ab, vector))
     assert (a + subspace(field, [vector], ncols) == a) == in_a
     inside = all(all(x == 0 for x in oracle.reduce(bb, row)) for row in ab)
     assert (a + b == b) == inside
     whole = a + b
-    assert a.complement_in(whole).basis == oracle.complement(field, ab, whole.basis, ncols)
+    assert oracle.basis(a.complement_in(whole)) == oracle.complement(field, ab, oracle.basis(whole), ncols)
     small = ncols if ncols <= 3 else 2
     c_rows = [row[:small] for row in b_rows]
     c = subspace(field, c_rows, small)
-    assert a.tensor(c).basis == oracle.tensor(field, ab, oracle.span(field, c_rows, small), ncols * small)
+    c_basis = oracle.span(field, c_rows, small)
+    assert oracle.basis(a.tensor(c)) == oracle.tensor(field, ab, c_basis, ncols * small)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -173,7 +174,7 @@ def test_split_matches_span_and_complement(field):
         assert total is Subspace.zero(field, whole.dim) and rest is whole
         # spaces inside whole: spans of a few combinations of its basis rows
         spaces = [
-            subspace(field, oracle.lift(field, coords, whole.basis, ncols), ncols)
+            subspace(field, oracle.lift(field, coords, oracle.basis(whole), ncols), ncols)
             for coords in (
                 make_rows(field, rng.choice(part_kinds), rng.randint(0, 2), whole.dim, rng.randint)
                 if whole.dim else []
@@ -181,16 +182,16 @@ def test_split_matches_span_and_complement(field):
             )
         ]
         total, rest = whole.split(spaces)
-        summed = oracle.span(field, [row for space in spaces for row in space.basis], ncols)
+        summed = oracle.span(field, [row for space in spaces for row in oracle.basis(space)], ncols)
         assert total.ambient_dim == whole.dim
-        assert oracle.lift(field, total.basis, whole.basis, ncols) == summed
-        assert rest.basis == oracle.complement(field, summed, whole.basis, ncols)
+        assert oracle.lift(field, oracle.basis(total), oracle.basis(whole), ncols) == summed
+        assert oracle.basis(rest) == oracle.complement(field, summed, oracle.basis(whole), ncols)
         proper += bool(total.dim and rest.dim)
         # a vector of whole is fixed by its pivot entries, so one that differs
         # from a row of whole (or from 0) only at a free column is outside it
-        free = [c for c in range(ncols) if c not in whole.pivots]
+        free = [c for c in range(ncols) if c not in oracle.pivots(whole)]
         if free:
-            vector = list(whole.basis[0]) if whole.dim else [field.zero()] * ncols
+            vector = list(oracle.basis(whole)[0]) if whole.dim else [field.zero()] * ncols
             vector[free[-1]] = vector[free[-1]] + field.one()
             with pytest.raises(NotASubspace):
                 whole.split(spaces + [subspace(field, [vector], ncols)])
@@ -212,7 +213,7 @@ def test_monomial_action_fixed_space_matches_oracle():
             row[perm[i]] = signs[i]
             row[i] = row[i] - field.one()
             rows.append(row)
-        assert Matrix(field, rows).kernel().basis == oracle.kernel(field, rows, n)
+        assert oracle.basis(Matrix(field, rows).kernel()) == oracle.kernel(field, rows, n)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -238,4 +239,4 @@ def test_trivial_subspaces_are_shared_and_never_mutated(field):
     assert Subspace.from_vectors(field, n, []) is zero
     assert Matrix.identity(field, n).kernel() is zero
     assert Matrix(field, [[field.zero()] * n]).kernel() is full
-    assert full.basis == Matrix.identity(field, n).entries
+    assert oracle.basis(full) == Matrix.identity(field, n).entries

@@ -61,7 +61,7 @@ def test_rref_idempotent_and_rank_nullity(field):
 
 def test_kernel_examples():
     k = Matrix.from_rows(QQ, [[1, 1]]).kernel()
-    assert k.basis == ((Fraction(1), Fraction(-1)),)
+    assert oracle.basis(k) == ((Fraction(1), Fraction(-1)),)
     assert Matrix.identity(QQ, 3).kernel().dim == 0
     assert Matrix.zeros(QQ, 2, 3).kernel().dim == 3
 
@@ -71,7 +71,7 @@ def test_kernel_is_annihilated():
     for field in FIELDS:
         m = rand_matrix(field, rng, 3, 5)
         ker = m.kernel()
-        for row in ker.basis:
+        for row in oracle.basis(ker):
             col = Matrix(field, [[x] for x in row])
             assert all(x == 0 for r in (m * col).entries for x in r)
 
@@ -94,10 +94,10 @@ def test_dimension_formula_random(field):
         s = rand_matrix(field, rng, rng.randint(1, 3), 5).kernel()
         t = rand_matrix(field, rng, rng.randint(1, 3), 5).kernel()
         total = s + t
-        meet = Subspace.from_vectors(field, 5, oracle.intersect(field, s.basis, t.basis, 5))
+        meet = Subspace.from_vectors(field, 5, oracle.intersect(field, oracle.basis(s), oracle.basis(t), 5))
         # independent oracle: rank of the stacked basis matrices
         stacked_rank = 0
-        rows = list(s.basis) + list(t.basis)
+        rows = list(oracle.basis(s)) + list(oracle.basis(t))
         if rows:
             stacked_rank = Matrix(field, rows).rank()
         assert total.dim == stacked_rank
@@ -109,7 +109,7 @@ def test_subspace_equality_is_canonical():
     a = span(QQ, [[1, 1, 0], [0, 1, 1]], 3)
     b = span(QQ, [[1, 2, 1], [1, 1, 0], [2, 3, 1]], 3)
     assert a == b
-    assert a.basis == b.basis
+    assert oracle.basis(a) == oracle.basis(b)
     assert hash(a) == hash(b)
 
 
@@ -131,16 +131,16 @@ def test_complement_is_a_complement(field):
         k = rng.randint(0, t.dim)
         combos = []
         for _ in range(k):
-            coeffs = [rng.randint(-2, 2) for _ in t.basis]
+            coeffs = [rng.randint(-2, 2) for _ in oracle.basis(t)]
             vec = [field.zero()] * 6
-            for c, row in zip(coeffs, t.basis):
+            for c, row in zip(coeffs, oracle.basis(t)):
                 vec = [x + field.coerce(c) * y for x, y in zip(vec, row)]
             combos.append(vec)
         s = Subspace.from_vectors(field, 6, combos)
         c = s.complement_in(t)
         assert c.dim == t.dim - s.dim
         assert (s + c) == t
-        assert oracle.intersect(field, s.basis, c.basis, 6) == ()
+        assert oracle.intersect(field, oracle.basis(s), oracle.basis(c), 6) == ()
 
 
 def test_complement_requires_containment():

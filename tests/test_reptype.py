@@ -12,17 +12,12 @@ from invcat.linalg import Matrix
 from invcat.quiver import Multigraph, Quiver
 from invcat.reptype import (
     FINITE,
-    KRONECKER_AGAIN,
-    SINGLE_ARROW,
     TAME,
-    TWO_VERTICES,
     DiagramLabel,
     Disconnected,
-    WrongShape,
     classify,
     classify_invariants,
     classify_multigraph,
-    kronecker_invariants,
     recognize_component,
 )
 
@@ -213,29 +208,20 @@ def test_classify_invariants_sign_characters_on_a3():
 
 
 def test_kronecker_trichotomy():
+    # the fixed subspace of the one arrow space keeps dimension 2, 1 or 0
     q = Quiver(["x", "y"], {("y", "x"): 2})
     cases = [
-        ([[1, 0], [0, 1]], KRONECKER_AGAIN, TAME, ["A~1"]),
-        ([[1, 0], [0, -1]], SINGLE_ARROW, FINITE, ["A2"]),
-        ([[-1, 0], [0, -1]], TWO_VERTICES, FINITE, ["A1", "A1"]),
+        ([[1, 0], [0, 1]], 2, TAME, ["A~1"]),
+        ([[1, 0], [0, -1]], 1, FINITE, ["A2"]),
+        ([[-1, 0], [0, -1]], 0, FINITE, ["A1", "A1"]),
     ]
-    for rows, expected, overall, labels in cases:
+    for rows, fixed_dim, overall, labels in cases:
         spec = ActionSpec(q, QQ, [("s", {("y", "x"): Matrix.from_rows(QQ, rows)})])
-        assert kronecker_invariants(spec) == expected
         table = compute_profiles(q, spec, 2)
+        assert table.hom_dims("x", "y") == [0, fixed_dim, 0]
         inv = classify_invariants(build_invariant_quiver(table))
         assert inv.classification.overall == overall
         assert sorted(str(l) for l in inv.classification.components) == sorted(labels)
-
-
-def test_kronecker_wrong_shape():
-    q = Quiver(["x", "y"], {("y", "x"): 1})
-    spec = ActionSpec(q, QQ, [])
-    with pytest.raises(WrongShape):
-        kronecker_invariants(spec)
-    loop = Quiver(["v"], {("v", "v"): 2})
-    with pytest.raises(WrongShape):
-        kronecker_invariants(ActionSpec(loop, QQ, []))
 
 
 def test_uncertified_classification_is_flagged():
