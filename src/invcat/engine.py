@@ -183,6 +183,8 @@ class ProfileTable:
 
     def hom_dims(self, source, target):
         """Invariant dimension by degree 0..max_degree for one hom-pair, as a fresh list."""
+        # a vertex not in the quiver raises UnknownVertex, not an empty series
+        self.quiver.vertex_index(source), self.quiver.vertex_index(target)
         out = list(self._series.get((source, target)) or [0] * (self.max_degree + 1))
         if source == target:
             out[0] = 1

@@ -11,7 +11,14 @@ package.
 Each field offers ``zero()``, ``one()``, ``coerce(value)`` and
 ``parse(text)``.  ``coerce`` turns a Python int, a Fraction over Q and
 Q(zeta_n), or a scalar of the field into a scalar of the field.  A scalar
-prints with ``str``, and ``parse`` reads that text back to an equal scalar.
+prints with ``str``, and ``parse`` reads that text back to an equal scalar,
+in one pass over the text.
+
+A Python number becomes a scalar only through ``coerce`` or ``parse``.
+The elements of F_p and Q(zeta_n) combine under + - * / only with
+elements of their own field: a Python number raises ``TypeError`` and a
+scalar of another field ``FieldMismatch``.  They still compare and hash
+equal to the int or Fraction they represent.
 """
 
 from __future__ import annotations
@@ -148,56 +155,39 @@ class PrimeFieldElement:
         self.p = p
         self.value = value % p
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """other's residue; None for a non-scalar, FieldMismatch for another field's scalar."""
         if isinstance(other, PrimeFieldElement):
             if other.p != self.p:
                 raise FieldMismatch(f"F_{self.p} vs F_{other.p}")
             return other.value
-        if isinstance(other, int):
-            return other % self.p
         return None
 
     def __add__(self, other):
-        v = self._coerce(other)
+        v = self._operand(other)
         if v is None:
             return NotImplemented
         return PrimeFieldElement(self.p, self.value + v)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        v = self._coerce(other)
+        v = self._operand(other)
         if v is None:
             return NotImplemented
         return PrimeFieldElement(self.p, self.value - v)
 
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.p, v - self.value)
-
     def __mul__(self, other):
-        v = self._coerce(other)
+        v = self._operand(other)
         if v is None:
             return NotImplemented
         return PrimeFieldElement(self.p, self.value * v)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        v = self._coerce(other)
+        v = self._operand(other)
         if v is None:
             return NotImplemented
         if v == 0:
             raise DivisionByZero(f"division by zero in F_{self.p}")
         return PrimeFieldElement(self.p, self.value * pow(v, -1, self.p))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.p, v) / self
 
     def __neg__(self):
         return PrimeFieldElement(self.p, -self.value)
@@ -244,17 +234,16 @@ class CyclotomicElement:
         self.coeffs = coeffs
         self.den = den
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """other itself; None for a non-scalar, FieldMismatch for another field's scalar."""
         if isinstance(other, CyclotomicElement):
             if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         a, b = self.den, o.den
@@ -264,18 +253,12 @@ class CyclotomicElement:
         ka, kb = den // a, den // b
         return self.field._lowest([x * ka + y * kb for x, y in zip(self.coeffs, o.coeffs)], den)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         return NotImplemented if o is None else self + -o
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o + -self
-
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         b = o.coeffs
@@ -286,19 +269,11 @@ class CyclotomicElement:
                     out[k] += x * y
         return self.field._reduce(out, self.den * o.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return self * o._inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self._inverse()
 
     def _inverse(self) -> "CyclotomicElement":
         """R_1 ... R_r / b_r, a product of Galois conjugates over the norm.
@@ -314,7 +289,7 @@ class CyclotomicElement:
             rest = b._orbit_product(g, order - 1)
             out = out * rest
             b = b * rest
-        return out * Fraction(b.den, b.coeffs[0])
+        return out * self.field.from_rational(Fraction(b.den, b.coeffs[0]))
 
     def _conjugate(self, e: int) -> "CyclotomicElement":
         """The image under the automorphism z -> z^e (e prime to n)."""
@@ -397,14 +372,6 @@ class CyclotomicElement:
         return f"Cyc{self.field.n}({self})"
 
 
-def _fraction(text: str) -> Fraction:
-    """A Fraction from a string the caller has checked; a zero denominator is a ValueError."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 # whitespace may stand at the ends of a scalar and around its + and - signs only
 _SIGNS = re.compile(r"\s*([+-])\s*")
 
@@ -474,7 +441,10 @@ class CyclotomicField:
     characteristic = 0
 
     # a term after its sign; a '*' only joins a coefficient to z
-    _TERM = re.compile(r"(?:([0-9]+(?:/[0-9]+)?)(?:\*(?=z))?)?(z(?:\^([0-9]+))?)?")
+    _TERM = re.compile(r"(?=[0-9z])(?:([0-9]+)(?:/([0-9]+))?(?:\*(?=z))?)?(z(?:\^([0-9]+))?)?")
+    # a term with its sign (optional on the first), whitespace only around the
+    # sign; the last group matches whitespace up to the end of the text
+    _SIGNED_TERM = re.compile(r"\s*([+-]?)\s*" + _TERM.pattern + r"(\s*\Z)?")
 
     def __init__(self, n: int):
         if n < 2:
@@ -492,8 +462,10 @@ class CyclotomicField:
         self._one = self.from_rational(1)
 
     def element(self, coeffs) -> CyclotomicElement:
-        """Build an element from rational power-basis coefficients of any length, reducing."""
-        values = [Fraction(x) for x in coeffs]
+        """Build an element from int or Fraction power-basis coefficients of any length, reducing."""
+        values = list(coeffs)
+        if not all(isinstance(x, (int, Fraction)) for x in values):
+            raise FieldMismatch(f"coefficients {values!r} are not all ints or Fractions")
         den = lcm(*(v.denominator for v in values))
         return self._reduce([v.numerator * (den // v.denominator) for v in values], den)
 
@@ -541,30 +513,53 @@ class CyclotomicField:
         return self.element([0, 1])
 
     def coerce(self, value) -> CyclotomicElement:
-        x = self._zero._coerce(value)
-        if x is None:
-            raise FieldMismatch(f"{value!r} is not a {self!r} scalar")
-        return x
+        if isinstance(value, (int, Fraction)):
+            return self.from_rational(value)
+        if isinstance(value, CyclotomicElement):
+            return self._zero._operand(value)
+        raise FieldMismatch(f"{value!r} is not a {self!r} scalar")
 
     def parse(self, text: str) -> CyclotomicElement:
-        powers: dict[int, Fraction] = {}
-        for sign, term in _signed_terms(text):
-            m = self._TERM.fullmatch(term)
-            if not m or (m.group(1) is None and m.group(2) is None):
-                raise ValueError(f"cannot parse term {term!r} in {text!r}")
-            coef = _fraction(m.group(1)) if m.group(1) is not None else Fraction(1)
-            if sign == "-":
-                coef = -coef
-            if m.group(2) is None:
-                power = 0
-            else:
+        """One scan of the signed terms, summed over one common denominator."""
+        terms, pos = [], 0
+        try:
+            while True:
+                m = self._SIGNED_TERM.match(text, pos)
+                if m is None or (pos and not m.group(1)):
+                    raise ValueError
+                sign, num, d, z, exp, end = m.groups()
+                coef = int(num) if num else 1
+                d = int(d) if d else 1
+                if not d:
+                    raise ValueError
                 # z^n = 1, so only the exponent mod n matters
-                power = (int(m.group(3)) if m.group(3) is not None else 1) % self.n
-            powers[power] = powers.get(power, Fraction(0)) + coef
-        coeffs = [Fraction(0)] * (max(powers) + 1)
-        for k, v in powers.items():
-            coeffs[k] = v
-        return self.element(coeffs)
+                power = (int(exp) if exp else 1) % self.n if z else 0
+                terms.append((power, -coef if sign == "-" else coef, d))
+                if end is not None:
+                    break
+                pos = m.end()
+        except ValueError:
+            self._reject(text)
+        den = lcm(*(d for _, _, d in terms))
+        nums = [0] * (1 + max(power for power, _, _ in terms))
+        for power, coef, d in terms:
+            nums[power] += coef * (den // d)
+        return self._reduce(nums, den)
+
+    def _reject(self, text: str):
+        """Raise parse's ValueError for a text: a sign without a term, else the first bad term."""
+        for _, term in _signed_terms(text):
+            m = self._TERM.fullmatch(term)
+            if m is None:
+                raise ValueError(f"cannot parse term {term!r} in {text!r}")
+            num, den, _, exp = m.groups()
+            if num is not None:
+                int(num)  # a number past the int digit limit raises here, in text order
+            if den is not None and not int(den):
+                raise ValueError(f"zero denominator in {num + '/' + den!r}")
+            if exp is not None:
+                int(exp)
+        raise AssertionError(f"parse rejected {text!r}, which has no fault")
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.n == self.n
@@ -579,7 +574,8 @@ class CyclotomicField:
 class PrimeField:
     kind = "prime"
 
-    _RE = re.compile(r"[0-9]+")
+    # the whole scalar: whitespace only at the ends and around the sign
+    _RE = re.compile(r"\s*([+-]?)\s*([0-9]+)\s*")
 
     def __init__(self, p: int):
         if p >= PRIME_LIMIT or not is_prime(p):
@@ -603,10 +599,13 @@ class PrimeField:
         raise FieldMismatch(f"{value!r} is not an F_{self.p} scalar")
 
     def parse(self, text: str) -> PrimeFieldElement:
-        terms = _signed_terms(text)
-        if len(terms) != 1 or not self._RE.fullmatch(terms[0][1]):
+        """One match reads the scalar; only a rejected text is split again, for its message."""
+        m = self._RE.fullmatch(text)
+        if m is None:
+            _signed_terms(text)  # a sign without a term has its own message
             raise ValueError(f"cannot parse {text!r} as an integer mod {self.p}")
-        return PrimeFieldElement(self.p, int("".join(terms[0])))
+        sign, digits = m.groups()
+        return PrimeFieldElement(self.p, -int(digits) if sign == "-" else int(digits))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

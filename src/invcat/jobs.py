@@ -134,8 +134,7 @@ def quiver_from_dict(data, ctx="quiver"):
         key = (target, source)
         if key in dims:
             raise ParseError(f"{actx}: duplicate arrow {source!r} -> {target!r}")
-        if dim > 0:
-            dims[key] = dim
+        dims[key] = dim  # a dim-0 arrow is kept here, to catch its duplicate; Quiver drops it
     return Quiver(vertices, dims)
 
 

@@ -77,16 +77,13 @@ class Matrix:
             raise FieldMismatch("matrices over different fields")
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        cols = list(zip(*other.entries)) if other.entries else []
         zero = self.field.zero()
         out = []
         for row in self.entries:
-            new = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                new.append(acc)
+            new = [zero] * other.ncols
+            for a, brow in zip(row, other.entries):
+                if a:  # a zero entry of the left factor adds nothing
+                    new = [x + a * b for x, b in zip(new, brow)]
             out.append(new)
         return Matrix(self.field, out)
 

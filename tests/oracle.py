@@ -8,10 +8,11 @@ reduced row echelon form of its span, with zero rows dropped; `basis`
 and `pivots` read those of an ``invcat`` Subspace.  Two dense
 helpers built on it stand in for matrix arithmetic the package does not
 need: `is_subspace` reduces one subspace's basis against another's, and
-`inverse` reads a matrix inverse off the rref of [m | 1].  The rational
-parser that ``RationalField.parse`` replaced is kept as `parse_rational`,
-and Q(zeta_n) is modelled as Fraction coefficient tuples reduced modulo
-Phi_n by long division, for diffing ``invcat.fields``.  Path-level references
+`inverse` reads a matrix inverse off the rref of [m | 1].  The parsers
+that each field's one-pass ``parse`` replaced are kept as `parse_rational`,
+`parse_prime` and `parse_cyclotomic`, and Q(zeta_n) is modelled as
+Fraction coefficient tuples reduced modulo Phi_n by long division, for
+diffing ``invcat.fields``.  Path-level references
 follow: the dense diagonal action on a path's tensor space, the averaging
 projector's image (summed entry by entry), character values along a path,
 path enumeration, the decomposition of a fixed space into irreducible
@@ -29,6 +30,7 @@ from math import gcd, prod
 from invcat import engine
 from invcat.action import require_schurian
 from invcat.engine import DecompositionVerdict, StringInvariants
+from invcat.fields import PrimeFieldElement
 from invcat.linalg import Matrix, Subspace, tensor_rows
 from invcat.quiver import DEFAULT_PATH_CAP, Path, walk
 
@@ -172,6 +174,17 @@ _SIGNS = re.compile(r"\s*([+-])\s*")
 _UNSIGNED = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
 
+def signed_terms(text):
+    """The (sign, term) pairs of the stripped text split at its signs; an empty term is a ValueError."""
+    pieces = _SIGNS.split(text.strip())
+    head = pieces.pop(0)
+    terms = [("+", head)] if head or not pieces else []
+    terms += zip(pieces[::2], pieces[1::2])
+    if not all(term for _, term in terms):
+        raise ValueError(f"cannot parse {text!r}: a sign needs a term on its right")
+    return terms
+
+
 def parse_rational(text):
     """A rational scalar read in three passes, as `RationalField.parse` once did.
 
@@ -180,12 +193,7 @@ def parse_rational(text):
     /digits, and `Fraction` reads the signed term.  Every ValueError text
     is the one `RationalField.parse` must give.
     """
-    pieces = _SIGNS.split(text.strip())
-    head = pieces.pop(0)
-    terms = [("+", head)] if head or not pieces else []
-    terms += zip(pieces[::2], pieces[1::2])
-    if not all(term for _, term in terms):
-        raise ValueError(f"cannot parse {text!r}: a sign needs a term on its right")
+    terms = signed_terms(text)
     if len(terms) != 1 or not _UNSIGNED.fullmatch(terms[0][1]):
         raise ValueError(f"cannot parse {text!r} as a rational")
     signed = "".join(terms[0])
@@ -193,6 +201,45 @@ def parse_rational(text):
         return Fraction(signed)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {signed!r}") from None
+
+
+def parse_prime(p, text):
+    """A residue mod p read in two passes, as `PrimeField.parse` once did.
+
+    The text is split at its signs, the one term left must be ASCII
+    digits, and `int` reads the signed term.
+    """
+    terms = signed_terms(text)
+    if len(terms) != 1 or not re.fullmatch(r"[0-9]+", terms[0][1]):
+        raise ValueError(f"cannot parse {text!r} as an integer mod {p}")
+    return PrimeFieldElement(p, int("".join(terms[0])))
+
+
+# a cyclotomic term after its sign; a '*' only joins a coefficient to z
+_CYCLOTOMIC_TERM = re.compile(r"(?:([0-9]+(?:/[0-9]+)?)(?:\*(?=z))?)?(z(?:\^([0-9]+))?)?")
+
+
+def parse_cyclotomic(field, text):
+    """An element of Q(zeta_n) read term by term, as `CyclotomicField.parse` once did.
+
+    The text is split at its signs, each term is matched on its own, its
+    coefficient is read by `Fraction`, the Fraction coefficients are
+    summed by power (taken mod n) and `field.element` builds the element.
+    """
+    powers = {}
+    for sign, term in signed_terms(text):
+        m = _CYCLOTOMIC_TERM.fullmatch(term)
+        if not m or (m.group(1) is None and m.group(2) is None):
+            raise ValueError(f"cannot parse term {term!r} in {text!r}")
+        try:
+            coef = Fraction(m.group(1)) if m.group(1) is not None else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {m.group(1)!r}") from None
+        if sign == "-":
+            coef = -coef
+        power = 0 if m.group(2) is None else (int(m.group(3)) if m.group(3) is not None else 1) % field.n
+        powers[power] = powers.get(power, Fraction(0)) + coef
+    return field.element([powers.get(k, Fraction(0)) for k in range(max(powers) + 1)])
 
 
 def cyclotomic_polynomial(n):
@@ -260,7 +307,7 @@ def cyclotomic_inverse(x):
                 conjugate[i * e % n] += Fraction(c, x.den)
             rest = rest * field.element(conjugate)
     norm = x * rest
-    return rest * Fraction(norm.den, norm.coeffs[0])
+    return rest * field.coerce(Fraction(norm.den, norm.coeffs[0]))
 
 
 def space_dim(quiver, path):

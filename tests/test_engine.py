@@ -14,7 +14,7 @@ from invcat.engine import (
 )
 from invcat.fields import CyclotomicField, PrimeField, QQ
 from invcat.linalg import Matrix, Subspace
-from invcat.quiver import Path, PathCapExceeded, Quiver
+from invcat.quiver import Path, PathCapExceeded, Quiver, UnknownVertex
 
 import oracle
 from instances import (
@@ -533,6 +533,10 @@ def test_hom_dims_diagonal_degree_zero():
         series[0] += 5
         series.append(1)
         assert table.hom_dims(*pair) == expected
+    # a mistyped vertex once read as an isolated one, [1, 0, 0, ...]
+    for pair in (("nope", "nope"), ("t0", "nope"), ("nope", "t1")):
+        with pytest.raises(UnknownVertex, match="'nope'"):
+            table.hom_dims(*pair)
 
 
 def test_all_paths_in_degree_then_lex_order():

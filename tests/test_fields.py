@@ -46,7 +46,7 @@ def test_rational_arithmetic():
 def test_cyclotomic_root_relations():
     z = C3.zeta()
     assert z * z**2 == 1
-    assert z**2 == -1 - z
+    assert z**2 == -C3.one() - z
     assert CyclotomicField(2).zeta() == -1
     assert C4.zeta() ** 2 == -1
 
@@ -82,7 +82,7 @@ def test_zeta_is_primitive(n):
     # the defining relation holds after reduction
     acc = field.zero()
     for c in reversed(field.modulus):
-        acc = acc * z + c
+        acc = acc * z + field.coerce(c)
     assert acc == 0
 
 
@@ -122,10 +122,41 @@ def test_field_mismatch():
         QQ.coerce(C3.zeta())
 
 
+@pytest.mark.parametrize("x", [F5.coerce(3), C3.zeta() + C3.coerce(Fraction(1, 2))], ids=repr)
+def test_python_numbers_enter_only_through_coerce(x):
+    # no implicit int or Fraction arithmetic: an int leaking out of an
+    # int-scalar kernel must fail, not be reduced mod p in silence
+    for number in (1, 2, Fraction(1, 2), True):
+        for op in (lambda: x + number, lambda: number + x, lambda: x - number,
+                   lambda: number - x, lambda: x * number, lambda: number * x,
+                   lambda: x / number, lambda: number / x):
+            with pytest.raises(TypeError):
+                op()
+    field = C3 if isinstance(x, CyclotomicElement) else F5
+    # equality and hashing against ints and Fractions are unchanged
+    assert field.coerce(1) == 1 and 1 == field.coerce(1) and field.coerce(1) != 2
+    assert hash(field.coerce(3)) == hash(3) and {0: "zero"}[field.zero()] == "zero"
+    if field is C3:
+        half = field.coerce(Fraction(1, 2))
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert x - field.zeta() == Fraction(1, 2) and x != Fraction(1, 2)
+    else:
+        assert x == 3 and x == field.coerce(8) and hash(x) == hash(3)
+
+
+def test_cyclotomic_element_takes_only_exact_coefficients():
+    # Fraction(0.5) once read a float as 1/2 and Fraction("1/3") a string
+    for coeffs in ([0.5, 1], [1, "1/3"], [F5.one()], [C3.zeta()]):
+        with pytest.raises(FieldMismatch):
+            C3.element(coeffs)
+    assert C3.element([Fraction(1, 2), 1]) == C3.parse("z+1/2")
+
+
 def test_rational_coercion_into_cyclotomic():
     z = C3.zeta()
-    assert Fraction(1, 2) + z == z + Fraction(1, 2)
-    assert 2 * z - z == z
+    half = C3.coerce(Fraction(1, 2))
+    assert half + z == z + half and (half + z) - z == Fraction(1, 2)
+    assert C3.coerce(2) * z - z == z
 
 
 @pytest.mark.parametrize(
@@ -175,9 +206,9 @@ def test_parse_rejects_garbage():
 
 def test_whitespace_around_signs_parses_in_every_field():
     z = C3.zeta()
-    assert C3.parse(" 1 + z ") == 1 + z
-    assert C3.parse("- z -\t1/2") == -z - Fraction(1, 2)
-    assert C3.parse("2*z^2 - 3") == 2 * z**2 - 3
+    assert C3.parse(" 1 + z ") == C3.one() + z
+    assert C3.parse("- z -\t1/2") == -z - C3.coerce(Fraction(1, 2))
+    assert C3.parse("2*z^2 - 3") == C3.coerce(2) * z**2 - C3.coerce(3)
     assert QQ.parse(" - 3/4 ") == Fraction(-3, 4)
     assert F5.parse("+ 7") == 2
 
@@ -233,6 +264,63 @@ def test_rational_parse_matches_three_pass_reference(text):
     assert _parsed(QQ.parse, text) == _parsed(oracle.parse_rational, text)
 
 
+_NEAR_PRIME = st.tuples(
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+", "-", "+-", "- "]),
+    st.sampled_from(["", " "]), st.sampled_from(["", "0", "7", "0012", "1 2", "\u0663"]),
+    st.sampled_from(["", " ", "\n", "x", "-1", "/3"]),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F5, PrimeField(2**61 - 1)]), st.one_of(
+    _NEAR_PRIME,
+    st.lists(st.sampled_from(_RATIONAL_TOKENS), max_size=6).map("".join),
+    st.text(alphabet="0123456789+- \t\n\u00a0x/", max_size=10),
+))
+@example(F5, "")
+@example(F5, "- - 1")
+@example(F5, "+ 7 ")
+@example(F5, "-" + "1" * 5000)
+@example(F5, "1" * 5000 + " -")
+def test_prime_parse_matches_split_reference(field, text):
+    # one anchored match must read, reject and word its errors as the split
+    # and the check of the one term left did
+    assert _parsed(field.parse, text) == _parsed(lambda t: oracle.parse_prime(field.p, t), text)
+
+
+# one signed term of Q(zeta_n), with each piece present, absent or malformed
+_NEAR_TERM = st.tuples(
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+", "-", "+-", "- "]),
+    st.sampled_from(["", " "]),
+    st.sampled_from(["", "0", "3", "012", "1/2", "4/6", "3/0", "0/00", "1/ 2", "2/3/4"]),
+    st.sampled_from(["", "", "*", " *", "* "]),
+    st.sampled_from(["", "z", "z", "z^", "z^2", "z^0", "z^ 2", "z^12", "zz", "z^3^2", "z2"]),
+    st.sampled_from(["", "", " ", "\n", "x"]),
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from([C3, C4, CyclotomicField(6), CyclotomicField(12)]), st.one_of(
+    st.lists(_NEAR_TERM, min_size=1, max_size=4).map("".join),
+    st.lists(st.sampled_from(_RATIONAL_TOKENS + ["z", "^", "z^2", "*"]), max_size=8).map("".join),
+    st.text(alphabet="0123456789/+-*z^ \t\n\u00a0", max_size=12),
+))
+@example(C3, "")
+@example(C3, "1/0 +")
+@example(C3, "z 2")
+@example(C3, "3*")
+@example(C3, "1/0+z^")
+@example(C3, "z - 3/00")
+@example(C3, "1" * 5000 + "+")
+@example(C3, "1" * 5000 + "/0")
+@example(C3, "z+1/" + "0" * 5000)
+@example(C3, "z^" + "1" * 5000 + "-1/0")
+def test_cyclotomic_parse_matches_term_by_term_reference(field, text):
+    # one scan summing integer numerators must read, reject and word its
+    # errors as the split, the match of each term and Fraction(str) did
+    assert _parsed(field.parse, text) == _parsed(lambda t: oracle.parse_cyclotomic(field, t), text)
+
+
 def test_cyclotomic_polynomial_matches_division_oracle():
     for n in range(1, 400):
         assert cyclotomic_polynomial(n) == oracle.cyclotomic_polynomial(n), n
@@ -265,14 +353,16 @@ def test_cyclotomic_inverse_matches_power():
     for n in (3, 4, 5, 12):
         field = CyclotomicField(n)
         z = field.zeta()
-        assert 1 / z == z ** (n - 1)
+        assert field.one() / z == z ** (n - 1)
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_parse_reduces_huge_exponents_mod_n(n):
     field = CyclotomicField(n)
     assert field.parse("z^1000000000000") == field.zeta() ** (10**12 % n)
-    assert field.parse("2*z^1000000000001-z^5") == 2 * field.zeta() ** ((10**12 + 1) % n) - field.zeta() ** (5 % n)
+    assert field.parse("2*z^1000000000001-z^5") == (
+        field.coerce(2) * field.zeta() ** ((10**12 + 1) % n) - field.zeta() ** (5 % n)
+    )
 
 
 def test_is_prime_matches_trial_division():
@@ -355,7 +445,7 @@ def test_cyclotomic_division_and_powers_match_oracle(case, k):
         return
     # q = a / b exactly when q * b = a
     assert oracle.cyclotomic_mul(n, fractions_of(a / b), ob) == oa
-    assert oracle.cyclotomic_mul(n, fractions_of(1 / b), ob) == one
+    assert oracle.cyclotomic_mul(n, fractions_of(field.one() / b), ob) == one
     power = one
     for _ in range(abs(k)):
         power = oracle.cyclotomic_mul(n, power, ob)
@@ -374,8 +464,8 @@ def test_cyclotomic_equality_and_hash_agree_with_rationals(n, q, k):
         (k, field.coerce(k)),
         (q, field.from_rational(q)),
         (q, field.parse(str(q))),
-        (q, (z + q) - z),
-        (k * q, field.coerce(k) * q),
+        (q, (z + field.coerce(q)) - z),
+        (k * q, field.coerce(k) * field.coerce(q)),
         (1, z**n),
     ]:
         assert x == value and value == x
@@ -422,7 +512,7 @@ def test_dense_inverse_in_q_zeta97_is_fast():
     rng = random.Random(97)
     a = field.element([rng.randint(-9, 9) for _ in range(field.degree)])
     start = time.perf_counter()
-    inverse = 1 / a
+    inverse = field.one() / a
     assert time.perf_counter() - start < 1.0
     assert inverse * a == 1
 
@@ -430,7 +520,7 @@ def test_dense_inverse_in_q_zeta97_is_fast():
 def test_inverse_of_a_negative_rational_in_q_zeta2():
     # Q(zeta_2) = Q has no other conjugates, so the norm is the element itself
     field = CyclotomicField(2)
-    inverse = 1 / field.coerce(-3)
+    inverse = field.one() / field.coerce(-3)
     assert inverse == Fraction(-1, 3) and inverse.den == 3
 
 
@@ -448,9 +538,9 @@ def test_inverse_by_cyclic_factors_matches_the_conjugate_loop(case):
     a = FIELDS[n].element(raw)
     if not a:
         with pytest.raises(DivisionByZero):
-            1 / a
+            a.field.one() / a
         return
-    assert 1 / a == oracle.cyclotomic_inverse(a)
+    assert a.field.one() / a == oracle.cyclotomic_inverse(a)
 
 
 def test_dense_inverse_in_q_zeta499_is_fast(monkeypatch):
@@ -467,6 +557,6 @@ def test_dense_inverse_in_q_zeta499_is_fast(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(CyclotomicElement, "__mul__", counted)
-    inverse = 1 / a
+    inverse = field.one() / a
     assert len(calls) <= 3 * math.ceil(math.log2(euler_phi(499)))
     assert inverse * a == 1

@@ -204,6 +204,20 @@ def test_repeated_key_exits_one_naming_it(tmp_path, old, new, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims", [(2, 0), (0, 2), (0, 0)], ids=["2-0", "0-2", "0-0"])
+def test_duplicate_arrow_exits_one_whatever_its_dims(tmp_path, dims):
+    # a first copy of dim 0 was not remembered, so its duplicate passed
+    job = copy.deepcopy(JOBS["crown3.json"])
+    job["quiver"]["arrows"][:1] = [{"source": "t0", "target": "t1", "dim": d} for d in dims]
+    path = tmp_path / "crown3.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    out = tmp_path / "report.json"
+    for argv in (["compute", "--input", str(path), "--out", str(out)], ["classify", "--input", str(path)]):
+        code, message = run_quietly(argv)
+        assert (code, message) == (1, "error: quiver.arrows[1]: duplicate arrow 't0' -> 't1'\n"), argv
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["x", 0, -1, True, 2.5, None])
 @pytest.mark.parametrize("override", ["options", "flag"])
 def test_bad_action_group_cap_is_rejected_under_an_override(tmp_path, bad, override):
