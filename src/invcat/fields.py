@@ -8,17 +8,21 @@ is kept in a canonical form, so ``a == b`` decides equality of field
 elements and hashing is safe.  There is no floating point anywhere in the
 package.
 
-Each field offers ``zero()``, ``one()``, ``coerce(value)`` and
-``parse(text)``.  ``coerce`` turns a Python int, a Fraction over Q and
-Q(zeta_n), or a scalar of the field into a scalar of the field.  A scalar
-prints with ``str``, and ``parse`` reads that text back to an equal scalar,
-in one pass over the text.
+The scalar contract is six names.  Each field offers ``zero()``,
+``one()``, ``coerce(value)``, ``parse(text)`` and ``inverse(x)``, and a
+scalar prints with ``str``.  ``coerce`` turns a Python int, a Fraction over
+Q and Q(zeta_n), or a scalar of the field into a scalar of the field;
+``parse`` reads the ``str`` of a scalar back to an equal scalar, in one
+pass over the text.  ``inverse`` is the only division: it raises
+``DivisionByZero`` (a ``ZeroDivisionError``) on zero and ``FieldMismatch``
+on anything but a scalar of the field.
 
 A Python number becomes a scalar only through ``coerce`` or ``parse``.
-The elements of F_p and Q(zeta_n) combine under + - * / only with
-elements of their own field: a Python number raises ``TypeError`` and a
-scalar of another field ``FieldMismatch``.  They still compare and hash
-equal to the int or Fraction they represent.
+The elements of F_p and Q(zeta_n) keep + - *, negation, ``==``, ``hash``
+and ``bool``, and combine only with elements of their own field: a Python
+number raises ``TypeError`` and a scalar of another field
+``FieldMismatch``.  They have no ``/`` and no ``**``.  They still compare
+and hash equal to the int or Fraction they represent.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ PRIME_LIMIT = 3317044064679887385961981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # products are integer schoolbook, quadratic in phi(n): about 0.1 s for two
 # dense elements of Q(zeta_997); an inverse takes O(log phi(n)) products of
-# growing integers (see CyclotomicElement._inverse)
+# growing integers (see CyclotomicField.inverse)
 MAX_CYCLOTOMIC_ORDER = 1000
 
 
@@ -181,21 +185,8 @@ class PrimeFieldElement:
             return NotImplemented
         return PrimeFieldElement(self.p, self.value * v)
 
-    def __truediv__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise DivisionByZero(f"division by zero in F_{self.p}")
-        return PrimeFieldElement(self.p, self.value * pow(v, -1, self.p))
-
     def __neg__(self):
         return PrimeFieldElement(self.p, -self.value)
-
-    def __pow__(self, k: int):
-        if self.value == 0 and k < 0:
-            raise DivisionByZero(f"division by zero in F_{self.p}")
-        return PrimeFieldElement(self.p, pow(self.value, k, self.p))
 
     def __eq__(self, other):
         if isinstance(other, PrimeFieldElement):
@@ -229,7 +220,7 @@ class CyclotomicElement:
     __slots__ = ("field", "coeffs", "den")
 
     def __init__(self, field: "CyclotomicField", coeffs: tuple[int, ...], den: int = 1):
-        # callers pass reduced numerators in lowest terms; CyclotomicField.element() reduces
+        # callers pass reduced numerators in lowest terms, as CyclotomicField._reduce() builds them
         self.field = field
         self.coeffs = coeffs
         self.den = den
@@ -269,28 +260,6 @@ class CyclotomicElement:
                     out[k] += x * y
         return self.field._reduce(out, self.den * o.den)
 
-    def __truediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return self * o._inverse()
-
-    def _inverse(self) -> "CyclotomicElement":
-        """R_1 ... R_r / b_r, a product of Galois conjugates over the norm.
-
-        For (Z/n)^x = <g_1> x ... x <g_r>, b_0 = self, R_i is the product of
-        the conjugates of b_(i-1) under g_i, ..., g_i^(order - 1), and
-        b_i = b_(i-1) R_i; b_r is the norm, a nonzero rational.
-        """
-        if not self:
-            raise DivisionByZero(f"division by zero in {self.field!r}")
-        out, b = self.field.one(), self
-        for g, order in _unit_group_factors(self.field.n):
-            rest = b._orbit_product(g, order - 1)
-            out = out * rest
-            b = b * rest
-        return out * self.field.from_rational(Fraction(b.den, b.coeffs[0]))
-
     def _conjugate(self, e: int) -> "CyclotomicElement":
         """The image under the automorphism z -> z^e (e prime to n)."""
         nums = [0] * self.field.n
@@ -312,18 +281,6 @@ class CyclotomicElement:
 
     def __neg__(self):
         return CyclotomicElement(self.field, tuple(-x for x in self.coeffs), self.den)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self._inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicElement):
@@ -411,6 +368,14 @@ class RationalField:
             return Fraction(value)
         raise FieldMismatch(f"{value!r} is not a rational scalar")
 
+    def inverse(self, x: Fraction) -> Fraction:
+        """1/x as a Fraction; like coerce, it also takes an int."""
+        if not isinstance(x, (int, Fraction)):
+            raise FieldMismatch(f"{x!r} is not a rational scalar")
+        if not x:
+            raise DivisionByZero("division by zero in QQ")
+        return Fraction(x.denominator, x.numerator)
+
     def parse(self, text: str) -> Fraction:
         """One match reads the scalar; only a rejected text is split again, for its message."""
         m = self._RE.fullmatch(text)
@@ -461,14 +426,6 @@ class CyclotomicField:
         self._zero = self.from_rational(0)
         self._one = self.from_rational(1)
 
-    def element(self, coeffs) -> CyclotomicElement:
-        """Build an element from int or Fraction power-basis coefficients of any length, reducing."""
-        values = list(coeffs)
-        if not all(isinstance(x, (int, Fraction)) for x in values):
-            raise FieldMismatch(f"coefficients {values!r} are not all ints or Fractions")
-        den = lcm(*(v.denominator for v in values))
-        return self._reduce([v.numerator * (den // v.denominator) for v in values], den)
-
     def _reduce(self, nums: list[int], den: int) -> CyclotomicElement:
         """The element sum(nums[k] z^k) / den; reduces nums in place.
 
@@ -510,7 +467,7 @@ class CyclotomicField:
 
     def zeta(self) -> CyclotomicElement:
         """The canonical primitive n-th root of unity."""
-        return self.element([0, 1])
+        return self._reduce([0, 1], 1)
 
     def coerce(self, value) -> CyclotomicElement:
         if isinstance(value, (int, Fraction)):
@@ -518,6 +475,24 @@ class CyclotomicField:
         if isinstance(value, CyclotomicElement):
             return self._zero._operand(value)
         raise FieldMismatch(f"{value!r} is not a {self!r} scalar")
+
+    def inverse(self, x: CyclotomicElement) -> CyclotomicElement:
+        """R_1 ... R_r / b_r, a product of Galois conjugates over the norm.
+
+        For (Z/n)^x = <g_1> x ... x <g_r>, b_0 = x, R_i is the product of
+        the conjugates of b_(i-1) under g_i, ..., g_i^(order - 1), and
+        b_i = b_(i-1) R_i; b_r is the norm, a nonzero rational.
+        """
+        if self._zero._operand(x) is None:
+            raise FieldMismatch(f"{x!r} is not a {self!r} scalar")
+        if not x:
+            raise DivisionByZero(f"division by zero in {self!r}")
+        out, b = self._one, x
+        for g, order in _unit_group_factors(self.n):
+            rest = b._orbit_product(g, order - 1)
+            out = out * rest
+            b = b * rest
+        return out * self.from_rational(Fraction(b.den, b.coeffs[0]))
 
     def parse(self, text: str) -> CyclotomicElement:
         """One scan of the signed terms, summed over one common denominator."""
@@ -597,6 +572,13 @@ class PrimeField:
         if isinstance(value, int):
             return PrimeFieldElement(self.p, value)
         raise FieldMismatch(f"{value!r} is not an F_{self.p} scalar")
+
+    def inverse(self, x: PrimeFieldElement) -> PrimeFieldElement:
+        if not isinstance(x, PrimeFieldElement) or x.p != self.p:
+            raise FieldMismatch(f"{x!r} is not an F_{self.p} scalar")
+        if not x.value:
+            raise DivisionByZero(f"division by zero in F_{self.p}")
+        return PrimeFieldElement(self.p, pow(x.value, -1, self.p))
 
     def parse(self, text: str) -> PrimeFieldElement:
         """One match reads the scalar; only a rejected text is split again, for its message."""

@@ -65,11 +65,6 @@ class Matrix:
         zero, one = field.zero(), field.one()
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        zero = field.zero()
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -78,12 +73,14 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
         zero = self.field.zero()
+        brows = other.sparse_rows()
         out = []
         for row in self.entries:
             new = [zero] * other.ncols
-            for a, brow in zip(row, other.entries):
+            for a, brow in zip(row, brows):
                 if a:  # a zero entry of the left factor adds nothing
-                    new = [x + a * b for x, b in zip(new, brow)]
+                    for k, b in brow.items():
+                        new[k] = new[k] + a * b
             out.append(new)
         return Matrix(self.field, out)
 
@@ -95,8 +92,6 @@ class Matrix:
         for arow in self.entries:
             for brow in other.entries:
                 rows.append([a * b for a in arow for b in brow])
-        if not rows:
-            return Matrix.zeros(self.field, self.nrows * other.nrows, self.ncols * other.ncols)
         return Matrix(self.field, rows)
 
     def sparse_rows(self):
@@ -202,7 +197,7 @@ def _echelon(field, rows) -> dict:
         lead = min(row)
         scale = row.pop(lead)
         if row and scale != one:
-            inverse = one / scale
+            inverse = field.inverse(scale)
             for k, x in row.items():
                 row[k] = x * inverse
         pivots[lead] = row

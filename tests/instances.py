@@ -22,6 +22,7 @@ from invcat import (
     Quiver,
     close_group,
 )
+from oracle import power
 
 
 def random_quiver(rng: random.Random, max_vertices=4, max_dim=3, extra_arrows=2) -> Quiver:
@@ -74,7 +75,7 @@ def _unit_scalars(field, rng: random.Random):
     """A sample of finite-order nonzero scalars of the field."""
     if isinstance(field, CyclotomicField):
         z = field.zeta()
-        return [z**k for k in range(field.n)] + [field.one(), -field.one()]
+        return [power(z, k) for k in range(field.n)] + [field.one(), -field.one()]
     if isinstance(field, PrimeField):
         # every nonzero residue has finite order
         return [field.coerce(k) for k in range(1, field.p)]
@@ -133,7 +134,7 @@ def character_action(quiver: Quiver, order: int, rng: random.Random) -> ActionSp
     if order >= 2:
         z = field.zeta()
         mats = {
-            edge: Matrix(field, [[z ** rng.randrange(order)]])
+            edge: Matrix(field, [[power(z, rng.randrange(order))]])
             for edge in quiver.track_edges()
         }
     else:

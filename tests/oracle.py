@@ -2,17 +2,21 @@
 
 A dense Gauss-Jordan oracle for the linear algebra layer, written from the
 textbook definitions with field scalars only; it calls no invcat
-elimination, so the sparse kernel in ``invcat.linalg`` can be diffed
-against it.  Vectors and bases are tuples of scalars; a basis is the
-reduced row echelon form of its span, with zero rows dropped; `basis`
-and `pivots` read those of an ``invcat`` Subspace.  Two dense
+elimination and no field ``inverse`` (`scalar_inverse` inverts by a
+reference of each field's own), so the sparse kernel in
+``invcat.linalg`` can be diffed against it.  Vectors and bases are
+tuples of scalars; a basis is the reduced row echelon form of its span,
+with zero rows dropped; `basis` and `pivots` read those of an
+``invcat`` Subspace.  Two dense
 helpers built on it stand in for matrix arithmetic the package does not
 need: `is_subspace` reduces one subspace's basis against another's, and
 `inverse` reads a matrix inverse off the rref of [m | 1].  The parsers
 that each field's one-pass ``parse`` replaced are kept as `parse_rational`,
 `parse_prime` and `parse_cyclotomic`, and Q(zeta_n) is modelled as
 Fraction coefficient tuples reduced modulo Phi_n by long division, for
-diffing ``invcat.fields``.  Path-level references
+diffing ``invcat.fields``; `power` and `cyclotomic` build the Q(zeta_n)
+scalars the tests need, since scalars have no ``**`` and enter a field only
+through ``coerce`` and ``parse``.  Path-level references
 follow: the dense diagonal action on a path's tensor space, the averaging
 projector's image (summed entry by entry), character values along a path,
 path enumeration, the decomposition of a fixed space into irreducible
@@ -30,7 +34,7 @@ from math import gcd, prod
 from invcat import engine
 from invcat.action import require_schurian
 from invcat.engine import DecompositionVerdict, StringInvariants
-from invcat.fields import PrimeFieldElement
+from invcat.fields import CyclotomicElement, PrimeFieldElement
 from invcat.linalg import Matrix, Subspace, tensor_rows
 from invcat.quiver import DEFAULT_PATH_CAP, Path, walk
 
@@ -45,7 +49,7 @@ def rref(field, rows, ncols):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = field.one() / a[r][c]
+        inv = scalar_inverse(a[r][c])
         a[r] = [x * inv for x in a[r]]
         for i in range(len(a)):
             if i != r and a[i][c] != 0:
@@ -54,6 +58,19 @@ def rref(field, rows, ncols):
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in a[:r]), tuple(pivots)
+
+
+def scalar_inverse(x):
+    """1/x by a reference of each field's own, not by its `inverse`.
+
+    Fraction division over Q, pow(v, -1, p) over F_p and the conjugate
+    loop `cyclotomic_inverse` over Q(zeta_n).
+    """
+    if isinstance(x, PrimeFieldElement):
+        return PrimeFieldElement(x.p, pow(x.value, -1, x.p))
+    if isinstance(x, CyclotomicElement):
+        return cyclotomic_inverse(x)
+    return Fraction(1) / x
 
 
 def span(field, vectors, ncols):
@@ -224,7 +241,8 @@ def parse_cyclotomic(field, text):
 
     The text is split at its signs, each term is matched on its own, its
     coefficient is read by `Fraction`, the Fraction coefficients are
-    summed by power (taken mod n) and `field.element` builds the element.
+    summed by power (taken mod n) and the element is built from them with
+    `coerce`, + and *, not with the parser under test.
     """
     powers = {}
     for sign, term in signed_terms(text):
@@ -237,9 +255,30 @@ def parse_cyclotomic(field, text):
             raise ValueError(f"zero denominator in {m.group(1)!r}") from None
         if sign == "-":
             coef = -coef
-        power = 0 if m.group(2) is None else (int(m.group(3)) if m.group(3) is not None else 1) % field.n
-        powers[power] = powers.get(power, Fraction(0)) + coef
-    return field.element([powers.get(k, Fraction(0)) for k in range(max(powers) + 1)])
+        exponent = 0 if m.group(2) is None else (int(m.group(3)) if m.group(3) is not None else 1) % field.n
+        powers[exponent] = powers.get(exponent, Fraction(0)) + coef
+    value = field.zero()
+    for k, coef in powers.items():
+        value = value + field.coerce(coef) * power(field.zeta(), k)
+    return value
+
+
+def power(x, k):
+    """x^k of a Q(zeta_n) scalar, k >= 0, by k products (scalars have no **)."""
+    out = x.field.one()
+    for _ in range(k):
+        out = x * out  # x = zeta on the left: the product loops over its one term
+    return out
+
+
+def cyclotomic(field, coeffs):
+    """The element sum(coeffs[k] z^k) of Q(zeta_n), for int or Fraction coefficients.
+
+    It is read by `field.parse`, the one way besides `coerce` into a
+    field, from a text with one term per nonzero coefficient.
+    """
+    text = "".join(f"{'-' if c < 0 else '+'}{abs(c)}*z^{k}" for k, c in enumerate(coeffs) if c)
+    return field.parse(text or "0")
 
 
 def cyclotomic_polynomial(n):
@@ -305,7 +344,7 @@ def cyclotomic_inverse(x):
             conjugate = [Fraction(0)] * n
             for i, c in enumerate(x.coeffs):
                 conjugate[i * e % n] += Fraction(c, x.den)
-            rest = rest * field.element(conjugate)
+            rest = rest * cyclotomic(field, conjugate)
     norm = x * rest
     return rest * field.coerce(Fraction(norm.den, norm.coeffs[0]))
 

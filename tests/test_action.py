@@ -14,6 +14,7 @@ from invcat.fields import CyclotomicField, QQ
 from invcat.linalg import Matrix
 from invcat.quiver import Path, Quiver
 
+import oracle
 from instances import crown_quiver, finite_order_matrix, random_quiver
 from oracle import act_on_path
 
@@ -21,7 +22,7 @@ from oracle import act_on_path
 def crown_spec(n, power=1):
     q = crown_quiver(n)
     field = CyclotomicField(n)
-    z = field.zeta() ** power
+    z = oracle.power(field.zeta(), power)
     mats = {edge: Matrix(field, [[z]]) for edge in q.track_edges()}
     return q, field, ActionSpec(q, field, [("t", mats)])
 

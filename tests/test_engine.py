@@ -743,7 +743,7 @@ def mesh_spec():
     field = CyclotomicField(3)
     z = field.zeta()
     q = Quiver([f"m{v}" for v in range(4)], {(f"m{t}", f"m{s}"): 1 for s, t in MESH_EXPONENTS})
-    mats = {(f"m{t}", f"m{s}"): Matrix(field, [[z**e]]) for (s, t), e in MESH_EXPONENTS.items()}
+    mats = {(f"m{t}", f"m{s}"): Matrix(field, [[oracle.power(z, e)]]) for (s, t), e in MESH_EXPONENTS.items()}
     return q, ActionSpec(q, field, [("g", mats)])
 
 

@@ -26,7 +26,7 @@ def scalar(field, draw_int):
     if field is QQ:
         return Fraction(draw_int(-3, 3), draw_int(1, 3))
     if isinstance(field, CyclotomicField):
-        return field.element([draw_int(-2, 2) for _ in range(field.degree)])
+        return oracle.cyclotomic(field, [draw_int(-2, 2) for _ in range(field.degree)])
     return field.coerce(draw_int(0, field.p - 1))
 
 
