@@ -4,9 +4,9 @@ The acting group is materialized as the closure of the generator tuples
 under componentwise matrix multiplication, i.e. the image of the abstract
 group inside the product of general linear groups; invariants only depend
 on this image.  The action extends to a path's tensor space diagonally,
-with the matrix for the last edge as the leftmost tensor factor; the
-engine builds it as sparse rows, and the dense reference `act_on_path`
-(like character values along a path) is in the tests, in `tests/oracle.py`.
+with the matrix for the last edge as the leftmost tensor factor, in
+`linalg`'s row format (`action_rows`); `tests/oracle.py` has the dense
+`act_on_path`.  `extract_characters` reads a Schurian spec's characters.
 """
 
 from __future__ import annotations
@@ -137,6 +137,11 @@ class CharacterTable(namedtuple("CharacterTable", "field edges elements values")
 
     __slots__ = ()
 
+    @property
+    def trivial(self):
+        """The character values of a trivial path: the identity of every element."""
+        return (self.field.one(),) * len(self.elements)
+
     def extend(self, values, edge):
         """The character values of a path followed by one more edge."""
         return tuple(a * b for a, b in zip(values, self.values[edge]))
@@ -150,18 +155,12 @@ def require_schurian(quiver: Quiver) -> None:
             raise NotSchurian(f"arrow space {s!r} -> {t!r} has dimension {d}; not Schurian")
 
 
-def extract_characters(quiver: Quiver, elements, field=None) -> CharacterTable:
+def extract_characters(spec: ActionSpec, elements) -> CharacterTable:
     """Read off the 1x1 action matrices as characters; needs a Schurian quiver."""
-    require_schurian(quiver)
-    edges = quiver.track_edges()
+    require_schurian(spec.quiver)
     elements = tuple(elements)
-    if not elements:
-        raise ValueError("need at least the identity element")
-    if elements[0].matrices:
-        field = elements[0].matrices[0].field
-    if field is None:
-        raise ValueError("pass the field explicitly for a quiver with no arrows")
-    values = {}
-    for i, edge in enumerate(edges):
-        values[edge] = tuple(g.matrices[i].entries[0][0] for g in elements)
-    return CharacterTable(field=field, edges=edges, elements=elements, values=values)
+    values = {
+        edge: tuple(spec.edge_matrix(g, edge).entries[0][0] for g in elements)
+        for edge in spec.edges
+    }
+    return CharacterTable(field=spec.field, edges=spec.edges, elements=elements, values=values)

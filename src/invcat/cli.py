@@ -5,10 +5,10 @@ and prints a summary, with the character cross-check when every arrow
 space is a line; `invcat classify` gives the representation type of the
 job's quiver alone.
 
-Exit codes: 0 success (and --help), 1 input error (bad file, cap
-exceeded, bad command line), 2 a verified mathematical property was
-falsified (reserved so CI property runs can script against it), 3 an
-internal error.
+Exit codes: 0 success (and --help), 1 input error (bad file, singular
+generator, cap exceeded, bad command line), 2 a verified mathematical
+property was falsified (reserved so CI property runs can script against
+it), 3 an internal error, such as a field or vertex error in the pipeline.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import stat
 import sys
 import tempfile
 
-from .action import ActionError, ClosureCapExceeded
-from .fields import FieldError
+from .action import ClosureCapExceeded, NonInvertibleGenerator
 from .jobs import (
     OPTIONS,
     ParseError,
@@ -30,7 +29,7 @@ from .jobs import (
     report_to_dict,
     run_pipeline,
 )
-from .quiver import PathCapExceeded, QuiverError
+from .quiver import PathCapExceeded
 from .reptype import classify
 
 
@@ -135,7 +134,8 @@ def main(argv=None) -> int:
         return 1 if done.code else 0
     try:
         return args.func(args)
-    except (ParseError, QuiverError, ActionError, FieldError, OSError) as err:
+    # the only errors a job file can raise; any other is a fault of the program
+    except (ParseError, PathCapExceeded, ClosureCapExceeded, NonInvertibleGenerator, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         if isinstance(err, (PathCapExceeded, ClosureCapExceeded)):
             print("hint: raise --path-cap / --group-cap, or lower --max-degree", file=sys.stderr)

@@ -4,11 +4,11 @@
 counts (the transfer-matrix method).  For a path of degree n with tensor
 space V, the fixed subspace F is the simultaneous kernel of (action -
 identity) over the group; it never uses averaging, so every
-characteristic is supported.  F depends on the action rows alone, so it
-is eliminated once per distinct action per degree and shared by the
-paths that carry that action: rows are tuples of (column, scalar) pairs
-in increasing column order, so equal actions have equal, hashable rows,
-and the actions of a degree are interned in one dict.  The composite
+characteristic is supported.  The engine builds no row and calls no
+field method: `linalg` gives the action rows (`action_rows`, `tensor_rows`),
+which are hashable, and eliminates F from them (`fixed_space`), once per
+distinct action per degree, shared by the paths that carry it, as the
+actions of a degree are interned in one dict by their rows.  The composite
 subspace C is the span of all products of invariants of complementary
 sub-paths, and the irreducible subspace I is the canonical
 pivot-extension complement of C inside F, from one elimination in F's
@@ -43,31 +43,12 @@ from collections import Counter, namedtuple
 from collections.abc import Mapping
 
 from .action import ActionSpec, CharacterTable
-from .linalg import Subspace, kernel_of_rows, tensor_rows
+from .linalg import Matrix, action_rows, fixed_space, tensor_rows
 from .quiver import DEFAULT_PATH_CAP, PRUNE, Path, Quiver, walk
 
 
 # one path's subspaces: fixed and irreducible in k^space_dim, composite in k^(dim fixed)
 StringInvariants = namedtuple("StringInvariants", "space_dim fixed composite irreducible")
-
-
-def _fixed(field, ambient: int, actions) -> Subspace:
-    """The kernel of the stacked rows of g - 1, one pair-tuple row list per element."""
-    one = field.one()
-    deltas = []
-    for rows in actions:
-        for r, row in enumerate(rows):
-            delta = dict(row)
-            x = delta.get(r)
-            if x is None:
-                delta[r] = -one
-            elif x == one:
-                del delta[r]
-            else:
-                delta[r] = x - one
-            if delta:
-                deltas.append(delta)
-    return kernel_of_rows(field, ambient, deltas)
 
 
 def _split(key) -> tuple:
@@ -202,8 +183,8 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     sources at once; the hom series, the path counts by degree and the
     per-pair `path_cap` come from those counts.  Fixed subspaces are
     intersections over the generator tuples (which generate the same
-    group as the closure, hence fix the same subspace), taken as the
-    kernel of the stacked sparse rows of g - 1; the action rows are
+    group as the closure, hence fix the same subspace), eliminated by
+    `linalg.fixed_space` from the generators' action rows, which are
     extended by one Kronecker factor per arrow (`tensor_rows`), once per
     (prefix action, arrow), interned among the actions of their degree by
     (width, rows), compared exactly, and dropped once that degree is
@@ -220,11 +201,8 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     gens = spec.generator_elements
     field = spec.field
     splits: dict[tuple, tuple] = {}  # (F, F(top), I(bottom), ...) -> (record, certified)
-    factors = {
-        edge: [[tuple(r.items()) for r in spec.edge_matrix(g, edge).sparse_rows()] for g in gens]
-        for edge in spec.edges
-    }
-    identity = (((0, field.one()),),)  # the rows of the 1 x 1 identity
+    factors = {edge: [action_rows(spec.edge_matrix(g, edge)) for g in gens] for edge in spec.edges}
+    identity = action_rows(Matrix.identity(field, 1))
     start = _Node(_Action(1, (identity,) * len(gens), None), (), None)
     # the interned actions and states of the degree being built; the width is
     # in the key, as with no generators every action has empty rows
@@ -238,7 +216,7 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
             rows = tuple(tensor_rows(em, pm, prev.width) for em, pm in zip(factors[edge], prev.rows))
             action = interned.get((width, rows))
             if action is None:
-                action = interned[width, rows] = _Action(width, rows, _fixed(field, width, rows))
+                action = interned[width, rows] = _Action(width, rows, fixed_space(field, width, rows))
             prev.next[edge] = action
         return action
 
@@ -367,7 +345,7 @@ def schurian_generators(quiver: Quiver, chars: CharacterTable, max_degree: int,
     """Irreducible invariant paths per hom-pair, by characters alone.
 
     A path is invariant when the product of its edge characters is the
-    trivial character, and irreducible when additionally no proper
+    trivial character (`chars.trivial`), and irreducible if also no proper
     nonempty prefix is invariant.  The walk stops at invariant paths, as
     no extension of one is irreducible; the cap counts the paths walked
     per hom-pair, those with no invariant proper nonempty prefix.  The
@@ -375,11 +353,12 @@ def schurian_generators(quiver: Quiver, chars: CharacterTable, max_degree: int,
     invariance of an extension are computed once per (state, edge).
     """
     states: dict[tuple, tuple] = {}  # values -> (values, invariant, {edge: state})
+    trivial = chars.trivial
 
     def state(vals):
         found = states.get(vals)
         if found is None:
-            found = states[vals] = (vals, all(v == 1 for v in vals), {})
+            found = states[vals] = (vals, vals == trivial, {})
         return found
 
     def step(prev, edge):
@@ -392,7 +371,7 @@ def schurian_generators(quiver: Quiver, chars: CharacterTable, max_degree: int,
         return found
 
     # the trivial path is not pruned, so it is no interned state
-    start_state = (tuple(chars.field.one() for _ in chars.elements), False, {})
+    start_state = (trivial, False, {})
     out: dict[tuple, list] = {}
     # one source at a time keeps only that source's waves alive
     for source in quiver.vertices:

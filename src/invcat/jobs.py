@@ -358,12 +358,13 @@ def _classification_to_dict(classification):
     }
 
 
-def schurian_diff(quiver, elements, field, report, max_degree, path_cap):
+def schurian_diff(spec, elements, report, max_degree, path_cap):
     """Compare the character fast path with the general engine's generators.
 
     Raises NotSchurian unless every arrow space of the quiver is a line.
     """
-    chars = extract_characters(quiver, elements, field)
+    quiver = spec.quiver
+    chars = extract_characters(spec, elements)
     generators = schurian_generators(quiver, chars, max_degree, path_cap)
     fast = {p for bucket in generators.values() for p in bucket}
     engine = {entry.path: entry.multiplicity for entry in report.generators}
@@ -406,10 +407,7 @@ def run_pipeline(job: JobSpec) -> PipelineResult:
     input_classification = classify(job.quiver)
     invariant_classification = classify_invariants(report)
     try:
-        schurian = schurian_diff(
-            job.quiver, elements, job.field, report,
-            job.max_degree, job.path_cap,
-        )
+        schurian = schurian_diff(job.action, elements, report, job.max_degree, job.path_cap)
     except NotSchurian:
         schurian = None
     elapsed = time.perf_counter() - start

@@ -5,9 +5,9 @@ are {column: scalar} dicts, each reduced against the pivots found before
 it and normalised, then back-substituted in one pass, so the work follows
 the nonzeros (the rows of g - 1 for a monomial path action have at most
 two).  A path action's rows, which are never edited, are tuples of
-(column, scalar) pairs in increasing column order instead (`tensor_rows`):
-a dict of them is an elimination row, and equal actions hash equal as
-they are.
+(column, scalar) pairs in increasing column order instead (`action_rows`
+per arrow, `tensor_rows` along a path), so equal actions hash equal as
+they are; `fixed_space` eliminates the common kernel of their g - 1.
 `Matrix` is a small dense grid, kept for per-arrow generator matrices; its
 rref, rank and kernel run on the sparse kernel.  A subspace of k^n
 is stored as its unique reduced row echelon basis in sparse form, so
@@ -114,7 +114,7 @@ class Matrix:
 
     def kernel(self) -> "Subspace":
         """The right kernel {v : m v = 0}, as a canonical subspace of k^ncols."""
-        return kernel_of_rows(self.field, self.ncols, self.sparse_rows())
+        return _kernel_of_echelon(self.field, self.ncols, _echelon(self.field, self.sparse_rows()))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -127,6 +127,11 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
+
+
+def action_rows(matrix: Matrix) -> tuple:
+    """A matrix's rows as pair tuples, the row format of path actions (`tensor_rows`)."""
+    return tuple(tuple(row.items()) for row in matrix.sparse_rows())
 
 
 def tensor_rows(left, right, right_ncols: int) -> tuple:
@@ -234,9 +239,27 @@ def _kernel_of_echelon(field, ncols: int, pivots: dict) -> "Subspace":
     return Subspace._canonical(field, ncols, _echelon(field, vectors.values()))
 
 
-def kernel_of_rows(field, ncols: int, rows) -> "Subspace":
-    """The right kernel of the matrix with these sparse rows (which it consumes)."""
-    return _kernel_of_echelon(field, ncols, _echelon(field, rows))
+def fixed_space(field, ncols: int, actions) -> "Subspace":
+    """The common fixed space of path actions: the kernel of the stacked rows of g - 1.
+
+    `actions` holds one pair-tuple row list (`action_rows`, `tensor_rows`)
+    per group element; a row of g - 1 that is zero is not eliminated.
+    """
+    one = field.one()
+    deltas = []
+    for rows in actions:
+        for r, row in enumerate(rows):
+            delta = dict(row)
+            x = delta.get(r)
+            if x is None:
+                delta[r] = -one
+            elif x == one:
+                del delta[r]
+            else:
+                delta[r] = x - one
+            if delta:
+                deltas.append(delta)
+    return _kernel_of_echelon(field, ncols, _echelon(field, deltas))
 
 
 @functools.lru_cache(maxsize=128)

@@ -85,10 +85,12 @@ class Quiver:
                 raise ValueError(f"arrow-space dimension must be a nonnegative integer, got {d!r}")
             if d > 0:
                 self._dims[(target, source)] = d
+        # the one edge order: by source, then target, in vertex order
+        self._edges = tuple(sorted(self._dims, key=lambda e: (self._index[e[1]], self._index[e[0]])))
         out = {v: [] for v in self.vertices}
-        for (target, source) in self._dims:
+        for (target, source) in self._edges:  # so each source's targets come in vertex order
             out[source].append(target)
-        self._out = {v: tuple(sorted(ts, key=self._index.__getitem__)) for v, ts in out.items()}
+        self._out = {v: tuple(ts) for v, ts in out.items()}
 
     def dim(self, target, source) -> int:
         return self._dims.get((target, source), 0)
@@ -101,9 +103,7 @@ class Quiver:
 
     def track_edges(self):
         """All (target, source) pairs with nonzero arrow space, in canonical order."""
-        return tuple(
-            sorted(self._dims, key=lambda e: (self._index[e[1]], self._index[e[0]]))
-        )
+        return self._edges
 
     def out_neighbors(self, v):
         if v not in self._index:
@@ -132,7 +132,7 @@ class Quiver:
         return self.vertices == other.vertices and self._dims == other._dims
 
     def __repr__(self):
-        arrows = ", ".join(f"{s}->{t}:{d}" for (t, s), d in sorted(self._dims.items(), key=lambda kv: (self._index[kv[0][1]], self._index[kv[0][0]])))
+        arrows = ", ".join(f"{s}->{t}:{self._dims[t, s]}" for t, s in self._edges)
         return f"Quiver({list(self.vertices)}; {arrows})"
 
 

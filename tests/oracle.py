@@ -31,11 +31,10 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
 
-from invcat import engine
 from invcat.action import require_schurian
 from invcat.engine import DecompositionVerdict, StringInvariants
 from invcat.fields import CyclotomicElement, PrimeFieldElement
-from invcat.linalg import Matrix, Subspace, tensor_rows
+from invcat.linalg import Matrix, Subspace, action_rows, fixed_space, tensor_rows
 from invcat.quiver import DEFAULT_PATH_CAP, Path, walk
 
 
@@ -494,10 +493,7 @@ def per_path_profiles(quiver, spec, max_degree, path_cap=DEFAULT_PATH_CAP):
     """
     field = spec.field
     gens = spec.generator_elements
-    factors = {
-        edge: [[tuple(r.items()) for r in spec.edge_matrix(g, edge).sparse_rows()] for g in gens]
-        for edge in spec.edges
-    }
+    factors = {edge: [action_rows(spec.edge_matrix(g, edge)) for g in gens] for edge in spec.edges}
 
     def step(state, edge):
         width, rows = state
@@ -511,12 +507,13 @@ def per_path_profiles(quiver, spec, max_degree, path_cap=DEFAULT_PATH_CAP):
     # path -> the live cuts (position, I(bottom)) its extensions inherit, for
     # the previous degree and the current one
     inherited, passing = {}, {}
-    start = [((v,), (1, [(((0, field.one()),),) for _ in gens])) for v in quiver.vertices]
+    identity = action_rows(Matrix.identity(field, 1))
+    start = [((v,), (1, [identity for _ in gens])) for v in quiver.vertices]
     for path, (width, rows) in walk(quiver, start, max_degree, path_cap, step):
         n = path.degree
         if not counts[n]:  # the first path of a degree wave
             inherited, passing = passing, {}
-        fixed = engine._fixed(field, width, rows)
+        fixed = fixed_space(field, width, rows)
         cuts = inherited.get(path[:-1], ())
         terms = [profiles[path[i:]].fixed.tensor(i_bottom) for i, i_bottom in cuts]
         composite, irreducible = fixed.split(terms)

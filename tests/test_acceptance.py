@@ -162,7 +162,7 @@ def test_criterion_4_schurian_dual_oracle():
         order = rng.randint(2, 6)
         spec = character_action(q, order, rng)
         max_degree = rng.randint(4, 8)
-        chars = extract_characters(q, close_group(spec), spec.field)
+        chars = extract_characters(spec, close_group(spec))
         fast = schurian_generators(q, chars, max_degree)
         fast_paths = {p for bucket in fast.values() for p in bucket}
         engine_paths, _table = _engine_generator_paths(q, spec, max_degree)
@@ -315,7 +315,7 @@ def test_criterion_8_cleaving_on_schurian_fixtures():
 
     checked = 0
     for q, spec, max_degree in fixtures:
-        chars = extract_characters(q, close_group(spec), spec.field)
+        chars = extract_characters(spec, close_group(spec))
         witness = verify_cleaving_schurian(q, chars, max_degree)
         assert witness.holds, f"cleaving falsified on {q!r}"
         checked += 1

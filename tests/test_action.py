@@ -140,7 +140,7 @@ def test_action_is_multiplicative_and_respects_concatenation():
 def test_extract_characters_crown():
     q, field, spec = crown_spec(4)
     elements = close_group(spec)
-    chars = extract_characters(q, elements)
+    chars = extract_characters(spec, elements)
     z = field.zeta()
     t_index = elements.index(spec.generator_elements[0])
     for edge in q.track_edges():
@@ -151,7 +151,7 @@ def test_extract_characters_crown():
 def test_characters_multiplicative():
     q, field, spec = crown_spec(5)
     elements = close_group(spec)
-    chars = extract_characters(q, elements)
+    chars = extract_characters(spec, elements)
     lookup = {g: i for i, g in enumerate(elements)}
     rng = random.Random(8)
     for _ in range(10):
@@ -164,7 +164,7 @@ def test_characters_multiplicative():
 def test_characters_trivial_group():
     q = crown_quiver(3)
     spec = ActionSpec(q, QQ, [])
-    chars = extract_characters(q, close_group(spec), QQ)
+    chars = extract_characters(spec, close_group(spec))
     for edge in q.track_edges():
         assert chars.values[edge][0] == 1
 
@@ -173,7 +173,7 @@ def test_not_schurian():
     q = Quiver(["x", "y"], {("y", "x"): 2})
     spec = ActionSpec(q, QQ, [])
     with pytest.raises(NotSchurian):
-        extract_characters(q, close_group(spec), QQ)
+        extract_characters(spec, close_group(spec))
 
 
 def test_closure_order_is_deterministic():

@@ -414,7 +414,7 @@ def test_failed_certificate_is_explained_without_elimination(monkeypatch, tmp_pa
 
 def test_cleaving_crown():
     q, _, spec = crown_spec(3)
-    chars = extract_characters(q, close_group(spec))
+    chars = extract_characters(spec, close_group(spec))
     witness = verify_cleaving_schurian(q, chars, 4)
     assert witness.holds
     # complement paths are exactly the ones whose length is not divisible by 3
@@ -427,7 +427,7 @@ def test_cleaving_crown():
 def test_cleaving_trivial_characters():
     q = linear_quiver(3)
     spec = character_action(q, 1, random.Random(0))
-    chars = extract_characters(q, close_group(spec), spec.field)
+    chars = extract_characters(spec, close_group(spec))
     witness = verify_cleaving_schurian(q, chars, 3)
     assert witness.holds
     assert all(n_other == 0 for (_, n_other) in witness.pair_counts.values())
@@ -438,7 +438,7 @@ def test_cleaving_random_character_actions():
     for _ in range(5):
         q = random_acyclic_quiver(rng, max_vertices=4)
         spec = character_action(q, rng.randint(2, 6), rng)
-        chars = extract_characters(q, close_group(spec), spec.field)
+        chars = extract_characters(spec, close_group(spec))
         assert verify_cleaving_schurian(q, chars, 3).holds
 
 
@@ -450,7 +450,7 @@ def test_cleaving_reports_an_invariant_composite_of_a_non_invariant_part():
     q = linear_quiver(3)
     a, b = ("u1", "u0"), ("u2", "u1")
     spec = ActionSpec(q, QQ, [("g", {a: Matrix.from_rows(QQ, [[-1]]), b: Matrix.identity(QQ, 1)})])
-    chars = extract_characters(q, close_group(spec))
+    chars = extract_characters(spec, close_group(spec))
     assert verify_cleaving_schurian(q, chars, 2).holds
 
     class LastEdgeOnly(CharacterTable):

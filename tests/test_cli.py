@@ -524,6 +524,41 @@ def test_composite_term_outside_the_fixed_space_exits_three(tmp_path, capsys, mo
     assert "internal error: NotASubspace: " in capsys.readouterr().err
 
 
+def test_singular_generator_is_an_input_error(tmp_path, capsys):
+    singular = _with(CROWN3, ["action", "generators", 0, "matrices", "t2<-t1"], [["0"]])
+    assert _compute_exit(tmp_path, singular) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "is singular on 't1' -> 't2'" in err
+
+
+def test_field_mismatch_in_the_pipeline_exits_three(tmp_path, capsys, monkeypatch):
+    # every scalar of a job is parsed into the job's field, so two fields
+    # meeting in the pipeline is a fault of the program, not of the input
+    import invcat.jobs as jobs_module
+    from invcat.fields import PrimeField
+
+    def mixed(quiver, spec, max_degree, path_cap):
+        return PrimeField(2).one() + PrimeField(3).one()
+
+    monkeypatch.setattr(jobs_module, "compute_profiles", mixed)
+    assert _compute_exit(tmp_path, CROWN3) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal error: FieldMismatch: F_2 vs F_3" in err
+
+
+def test_unknown_vertex_in_the_pipeline_exits_three(tmp_path, capsys, monkeypatch):
+    # the parser checks every vertex a job names, so an unknown one later is a fault
+    import invcat.jobs as jobs_module
+
+    def lost(quiver, spec, max_degree, path_cap):
+        return quiver.vertex_index("nowhere")
+
+    monkeypatch.setattr(jobs_module, "compute_profiles", lost)
+    assert _compute_exit(tmp_path, CROWN3) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal error: UnknownVertex: 'nowhere'" in err
+
+
 def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     job = write_job(tmp_path, CROWN3)
     assert main(["compute", "--input", job, "--out", str(tmp_path / "missing" / "r.json")]) == 1

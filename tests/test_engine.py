@@ -296,7 +296,7 @@ def test_verify_decomposition_crown_degree_six():
 def test_schurian_generators_crown():
     for n in (2, 3, 4):
         q, _, spec = crown_spec(n)
-        chars = extract_characters(q, close_group(spec))
+        chars = extract_characters(spec, close_group(spec))
         gens = schurian_generators(q, chars, 2 * n)
         paths = [p for bucket in gens.values() for p in bucket]
         assert len(paths) == n
@@ -309,7 +309,7 @@ def test_schurian_generators_sign_character_line():
     field = CyclotomicField(2)
     minus_one = Matrix(field, [[field.zeta()]])
     spec = ActionSpec(q, field, [("s", {e: minus_one for e in q.track_edges()})])
-    chars = extract_characters(q, close_group(spec))
+    chars = extract_characters(spec, close_group(spec))
     gens = schurian_generators(q, chars, 4)
     paths = [p for bucket in gens.values() for p in bucket]
     assert len(paths) == 1
@@ -320,7 +320,7 @@ def test_schurian_generators_trivial_characters_are_arrows():
     rng = random.Random(5)
     q = random_quiver(rng, max_vertices=4, max_dim=1)
     spec = character_action(q, 1, rng)
-    chars = extract_characters(q, close_group(spec), spec.field)
+    chars = extract_characters(spec, close_group(spec))
     gens = schurian_generators(q, chars, 4)
     paths = [p for bucket in gens.values() for p in bucket]
     assert sorted(p.vertices for p in paths) == sorted(
@@ -351,7 +351,7 @@ def test_schurian_generators_match_brute_force_on_random_instances():
         if k % 2:
             q = Quiver(tuple(reversed(q.vertices)), {e: q.dim(*e) for e in q.track_edges()})
         spec = character_action(q, rng.choice([1, 2, 3, 4, 6]), rng)
-        chars = extract_characters(q, close_group(spec), spec.field)
+        chars = extract_characters(spec, close_group(spec))
         gens = schurian_generators(q, chars, 5)
         assert gens == _brute_schurian_generators(q, chars, 5)
         found += sum(map(len, gens.values()))
@@ -362,7 +362,7 @@ def test_schurian_walk_cap_counts_only_paths_without_invariant_prefix():
     # every hom-pair of the 3-crown has one path in degrees d, d + 3, ...; the
     # walk stops at the degree-3 cycles, so one path per pair is walked
     q, _, spec = crown_spec(3)
-    chars = extract_characters(q, close_group(spec))
+    chars = extract_characters(spec, close_group(spec))
     with pytest.raises(PathCapExceeded):
         compute_profiles(q, spec, 6, path_cap=1)
     gens = schurian_generators(q, chars, 6, path_cap=1)
@@ -651,13 +651,13 @@ def test_composite_terms_match_on_non_schurian_instances_over_q_zeta4_and_q_zeta
 def fixed_calls(monkeypatch):
     """The ambient dimension of every fixed-space elimination, in call order."""
     calls = []
-    eliminate = engine._fixed
+    eliminate = engine.fixed_space
 
     def counted(field, ambient, actions):
         calls.append(ambient)
         return eliminate(field, ambient, actions)
 
-    monkeypatch.setattr(engine, "_fixed", counted)
+    monkeypatch.setattr(engine, "fixed_space", counted)
     return calls
 
 

@@ -2,7 +2,9 @@
 
 Seeded cases and hypothesis draws over Q, Q(zeta_5), F_2 and F_3 cover
 empty, zero, full, rank-deficient, dense and monomial-style (at most two
-nonzeros per row) matrices.
+nonzeros per row) matrices.  The hypothesis draws also diff the fixed
+space of a few square matrices, as path actions, against the kernel of
+their stacked m - 1.
 """
 
 import copy
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from invcat.fields import CyclotomicField, PrimeField, QQ
-from invcat.linalg import Matrix, NotASubspace, Subspace
+from invcat.linalg import Matrix, NotASubspace, Subspace, action_rows, fixed_space
 
 
 FIELDS = [QQ, CyclotomicField(5), PrimeField(2), PrimeField(3)]
@@ -72,6 +74,25 @@ def make_rows(field, kind, nrows, ncols, draw_int):
             row[draw_int(0, ncols - 1)] = nonzero(field, draw_int)
         rows.append(row)
     return rows
+
+
+def square(field, kind, n, draw_int):
+    """An n x n matrix of a kind other than "empty" ("full" is then invertible)."""
+    return make_rows(field, kind, 0 if kind == "full" else n, n, draw_int)
+
+
+def check_fixed_space(field, matrices, n):
+    """The common fixed space of square matrices against the kernel of the stacked m - 1."""
+    one, zero = field.one(), field.zero()
+    stacked = [[x - (one if i == j else zero) for j, x in enumerate(row)]
+               for m in matrices for i, row in enumerate(m)]
+    expected = oracle.kernel(field, stacked, n)
+    actions = [action_rows(Matrix(field, m)) for m in matrices]
+    assert oracle.basis(fixed_space(field, n, actions)) == expected
+    # a generator that acts trivially fixes everything, alone or beside others
+    identity = Matrix.identity(field, n)
+    assert oracle.basis(fixed_space(field, n, [action_rows(identity)])) == identity.entries
+    assert oracle.basis(fixed_space(field, n, actions + [action_rows(identity)])) == expected
 
 
 def subspace(field, rows, ncols):
@@ -141,6 +162,10 @@ def test_hypothesis_matrices_match_oracle(data):
     check_matrix(field, rows, ncols)
     vector = [scalar(field, draw_int) for _ in range(ncols)]
     check_pair(field, rows, draw_rows(), ncols, vector)
+    kinds = st.sampled_from(KINDS[1:])
+    matrices = [square(field, data.draw(kinds, label="square kind"), ncols, draw_int)
+                for _ in range(draw_int(1, 3))]
+    check_fixed_space(field, matrices, ncols)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -10,6 +10,7 @@ from invcat.linalg import (
     Matrix,
     NotASubspace,
     Subspace,
+    action_rows,
     tensor_rows,
 )
 
@@ -207,7 +208,9 @@ def _row_lists(draw):
 def test_tensor_rows_are_ordered_pair_tuples_of_the_kronecker_product(case):
     # actions are interned by their rows as they are, so a row must be the
     # one pair tuple of its vector: columns strictly increasing, no zero
-    _, ncols, (a, b, c) = case
+    field, ncols, (a, b, c) = case
+    # the engine's per-arrow rows are the same pair tuples
+    assert all(action_rows(Matrix(field, m)) == _pair_rows(m) for m in (a, b, c))
     out = tensor_rows(_pair_rows(a), _pair_rows(b), ncols[1])
     # _pair_rows gives tuples of tuples with increasing columns and no zero
     assert out == _pair_rows(_kronecker(a, b))
