@@ -45,7 +45,6 @@ from .action import (
     CharacterTable,
     ClosureCapExceeded,
     DEFAULT_GROUP_CAP,
-    GroupElement,
     NonInvertibleGenerator,
     NotSchurian,
     close_group,

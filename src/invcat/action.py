@@ -1,17 +1,20 @@
 """Homogeneous finite-group actions on the arrow spaces of a quiver.
 
-The acting group is materialized as the closure of the generator tuples
-under componentwise matrix multiplication, i.e. the image of the abstract
-group inside the product of general linear groups; invariants only depend
-on this image.  The action extends to a path's tensor space diagonally,
-with the matrix for the last edge as the leftmost tensor factor, in
-`linalg`'s row format (`action_rows`); `tests/oracle.py` has the dense
-`act_on_path`.  `extract_characters` reads a Schurian spec's characters.
+A group element, generator or closed, is a plain tuple of `Matrix`, one
+invertible matrix per track edge in `ActionSpec.edges` order, and the
+product of two elements is the tuple of their componentwise products.  The
+acting group is materialized as the closure of the generator tuples under
+that product, i.e. the image of the abstract group inside the product of
+general linear groups; invariants only depend on this image.  The action
+extends to a path's tensor space diagonally, with the matrix for the last
+edge as the leftmost tensor factor, in `linalg`'s row format
+(`action_rows`); `tests/oracle.py` has the dense `act_on_path`.
+`extract_characters` reads a Schurian spec's characters.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .linalg import Matrix
 from .quiver import Quiver
@@ -34,29 +37,6 @@ class ClosureCapExceeded(ActionError):
 
 class NotSchurian(ActionError):
     pass
-
-
-class GroupElement:
-    """A tuple of invertible matrices, one per track edge."""
-
-    __slots__ = ("matrices",)
-
-    def __init__(self, matrices):
-        self.matrices = tuple(matrices)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(a * b for a, b in zip(self.matrices, other.matrices))
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.matrices == other.matrices
-
-    def __hash__(self):
-        return hash(self.matrices)
-
-    def __repr__(self):
-        return f"GroupElement({len(self.matrices)} matrices)"
 
 
 class ActionSpec:
@@ -98,29 +78,33 @@ class ActionSpec:
                     raise NonInvertibleGenerator(f"generator {name!r} is singular on {s!r} -> {t!r}")
                 tuple_mats.append(m)
             names.append(name)
-            elements.append(GroupElement(tuple_mats))
+            elements.append(tuple(tuple_mats))
         self.generator_names = tuple(names)
         self.generator_elements = tuple(elements)
 
-    def identity(self) -> GroupElement:
-        return GroupElement(
+    def identity(self) -> tuple:
+        return tuple(
             Matrix.identity(self.field, self.quiver.dim(*edge)) for edge in self.edges
         )
 
-    def edge_matrix(self, element: GroupElement, edge) -> Matrix:
-        return element.matrices[self._position[edge]]
+    def edge_matrix(self, element: tuple, edge) -> Matrix:
+        return element[self._position[edge]]
 
 
-def close_group(spec: ActionSpec) -> list[GroupElement]:
-    """Breadth-first closure of the generator tuples, identity first."""
+def close_group(spec: ActionSpec) -> list[tuple]:
+    """Breadth-first closure of the generator tuples, identity first.
+
+    An element is a tuple of matrices in `spec.edges` order, and the product
+    of u and g is the tuple of their componentwise products.  The returned
+    list is also the queue: the loop multiplies each element, in the order
+    they were found, by every generator.
+    """
     identity = spec.identity()
     elements = [identity]
     seen = {identity}
-    queue = deque([identity])
-    while queue:
-        u = queue.popleft()
+    for u in elements:
         for g in spec.generator_elements:
-            v = u * g
+            v = tuple(a * b for a, b in zip(u, g))
             if v not in seen:
                 if len(elements) >= spec.group_cap:
                     raise ClosureCapExceeded(
@@ -128,7 +112,6 @@ def close_group(spec: ActionSpec) -> list[GroupElement]:
                     )
                 seen.add(v)
                 elements.append(v)
-                queue.append(v)
     return elements
 
 

@@ -216,7 +216,7 @@ def action_to_dict(spec):
     generators = []
     for name, element in zip(spec.generator_names, spec.generator_elements):
         mats = {}
-        for edge, matrix in zip(spec.edges, element.matrices):
+        for edge, matrix in zip(spec.edges, element):
             mats[edge_key(edge)] = [
                 [str(x) for x in row] for row in matrix.entries
             ]

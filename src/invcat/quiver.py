@@ -58,10 +58,6 @@ class Path(tuple):
     def target(self):
         return self[-1]
 
-    def edges(self):
-        """Edges as (target, source) pairs in path order."""
-        return [(self[i + 1], self[i]) for i in range(len(self) - 1)]
-
     def segment(self, start: int, stop: int) -> "Path":
         """The sub-path through vertices u_start .. u_stop."""
         return Path(self[start : stop + 1])
@@ -109,17 +105,6 @@ class Quiver:
         if v not in self._index:
             raise UnknownVertex(repr(v))
         return self._out[v]
-
-    def path(self, vertices) -> Path:
-        vs = tuple(vertices)
-        if not vs:
-            raise ValueError("a path needs at least one vertex")
-        for v in vs:
-            self.vertex_index(v)
-        for a, b in zip(vs, vs[1:]):
-            if self.dim(b, a) == 0:
-                raise ValueError(f"no arrow space {a!r} -> {b!r}")
-        return Path(vs)
 
     @cached_property
     def undirected(self) -> "Multigraph":

@@ -350,7 +350,7 @@ def cyclotomic_inverse(x):
 
 def space_dim(quiver, path):
     """The dimension of a path's tensor space: the product of its arrow-space dims."""
-    return prod(quiver.dim(*e) for e in path.edges())
+    return prod(quiver.dim(*e) for e in zip(path[1:], path))
 
 
 def act_on_path(spec, element, path):
@@ -360,7 +360,7 @@ def act_on_path(spec, element, path):
     the tensor basis convention of the linear algebra layer.  On a trivial
     path the action is the 1x1 identity.
     """
-    edges = path.edges()
+    edges = list(zip(path[1:], path))
     if not edges:
         return Matrix.identity(spec.field, 1)
     acc = spec.edge_matrix(element, edges[-1])
@@ -391,7 +391,7 @@ def averaged_fixed_subspace(spec, elements, path):
 def path_values(chars, path):
     """Componentwise product of the edge characters along a path."""
     out = tuple(chars.field.one() for _ in chars.elements)
-    for edge in path.edges():
+    for edge in zip(path[1:], path):
         out = tuple(a * b for a, b in zip(out, chars.values[edge]))
     return out
 

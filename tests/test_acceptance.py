@@ -16,7 +16,7 @@ from invcat.category import CERTIFIED, build_invariant_quiver, verify_freeness
 from invcat.engine import compute_profiles, schurian_generators, verify_decomposition
 from invcat.fields import CyclotomicField, PrimeField, QQ
 from invcat.linalg import Matrix
-from invcat.quiver import Multigraph, Quiver
+from invcat.quiver import Multigraph, Path, Quiver
 from invcat.reptype import (
     FINITE,
     TAME,
@@ -193,7 +193,7 @@ def test_criterion_5_swap_loop_series():
     table = compute_profiles(q, spec, 6)
 
     for n in range(1, 7):
-        path = q.path(["v"] * (n + 1))
+        path = Path(("v",) * (n + 1))
         prof = table.profiles[path]
 
         # independent oracle: the degree-n action permutes the 2^n basis

@@ -19,6 +19,11 @@ from instances import crown_quiver, finite_order_matrix, random_quiver
 from oracle import act_on_path
 
 
+def times(g, h):
+    """The componentwise product of two group elements (matrix tuples)."""
+    return tuple(a * b for a, b in zip(g, h))
+
+
 def crown_spec(n, power=1):
     q = crown_quiver(n)
     field = CyclotomicField(n)
@@ -65,7 +70,25 @@ def test_closure_is_closed_under_products():
     seen = set(elements)
     for a in elements:
         for b in elements:
-            assert a * b in seen
+            assert times(a, b) in seen
+
+
+def test_closure_elements_are_matrix_tuples_in_edge_order():
+    q = Quiver(["x", "y"], {("y", "x"): 2, ("x", "y"): 1})
+    swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
+    sign = Matrix.from_rows(QQ, [[-1]])
+    spec = ActionSpec(q, QQ, [("s", {("y", "x"): swap, ("x", "y"): sign})])
+    assert spec.edges == (("y", "x"), ("x", "y"))
+    assert spec.generator_elements == ((swap, sign),)
+    elements = close_group(spec)
+    assert elements[0] == spec.identity() == (Matrix.identity(QQ, 2), Matrix.identity(QQ, 1))
+    assert len(elements) == 2 and elements[1] == (swap, sign)
+    for g in elements:
+        assert type(g) is tuple and len(g) == len(spec.edges)
+        for i, edge in enumerate(spec.edges):
+            assert type(g[i]) is Matrix and g[i].nrows == g[i].ncols == q.dim(*edge)
+            assert spec.edge_matrix(g, edge) is g[i]
+    assert {times(a, b) for a in elements for b in elements} == set(elements)
 
 
 def test_closure_cap():
@@ -92,8 +115,8 @@ def test_generator_coverage_validation():
 def test_act_on_degree_one_is_edge_matrix():
     q, spec = swap_loop_spec()
     g = spec.generator_elements[0]
-    acted = act_on_path(spec, g, q.path(["v", "v"]))
-    assert acted == g.matrices[0]
+    acted = act_on_path(spec, g, Path(("v", "v")))
+    assert acted == g[0]
 
 
 def test_act_on_trivial_path_is_scalar_identity():
@@ -105,13 +128,13 @@ def test_act_on_trivial_path_is_scalar_identity():
 def test_crown_degree_three_acts_trivially():
     q, field, spec = crown_spec(3)
     g = spec.generator_elements[0]
-    path = q.path(["t0", "t1", "t2", "t0"])
+    path = Path(("t0", "t1", "t2", "t0"))
     assert act_on_path(spec, g, path) == Matrix.identity(field, 1)
 
 
 def test_identity_acts_as_identity():
     q, spec = swap_loop_spec()
-    path = q.path(["v", "v", "v"])
+    path = Path(("v", "v", "v"))
     acted = act_on_path(spec, spec.identity(), path)
     assert acted == Matrix.identity(QQ, 4)
 
@@ -125,15 +148,15 @@ def test_action_is_multiplicative_and_respects_concatenation():
         gens.append((f"g{k}", mats))
     spec = ActionSpec(q, QQ, gens, group_cap=500)
     elements = close_group(spec)
-    path = q.path(["a", "b", "a", "b"])
+    path = Path(("a", "b", "a", "b"))
     for _ in range(10):
         g, h = rng.choice(elements), rng.choice(elements)
-        assert act_on_path(spec, g * h, path) == act_on_path(spec, g, path) * act_on_path(spec, h, path)
+        assert act_on_path(spec, times(g, h), path) == act_on_path(spec, g, path) * act_on_path(spec, h, path)
     # concatenation: the action on b.a is the tensor of the parts
     g = rng.choice(elements)
-    alpha = q.path(["a", "b"])
-    beta = q.path(["b", "a", "b"])
-    whole = q.path(["a", "b", "a", "b"])
+    alpha = Path(("a", "b"))
+    beta = Path(("b", "a", "b"))
+    whole = Path(("a", "b", "a", "b"))
     assert act_on_path(spec, g, whole) == act_on_path(spec, g, beta).tensor(act_on_path(spec, g, alpha))
 
 
@@ -156,7 +179,7 @@ def test_characters_multiplicative():
     rng = random.Random(8)
     for _ in range(10):
         g, h = rng.choice(elements), rng.choice(elements)
-        gi, hi, ghi = lookup[g], lookup[h], lookup[g * h]
+        gi, hi, ghi = lookup[g], lookup[h], lookup[times(g, h)]
         for edge in q.track_edges():
             assert chars.values[edge][ghi] == chars.values[edge][gi] * chars.values[edge][hi]
 

@@ -73,19 +73,19 @@ def test_compositions():
 def test_fixed_subspace_trivial_group_is_everything():
     q, spec = swap_loop_spec()
     trivial = ActionSpec(q, QQ, [])
-    path = q.path(["v", "v", "v"])
+    path = Path(("v", "v", "v"))
     assert compute_profiles(q, trivial, 2).profiles[path].fixed.dim == 4
 
 
 def test_fixed_subspace_crown_degree_one_is_zero():
     q, _, spec = crown_spec(3)
-    path = q.path(["t0", "t1"])
+    path = Path(("t0", "t1"))
     assert compute_profiles(q, spec, 1).profiles[path].fixed.dim == 0
 
 
 def test_fixed_subspace_swap_degree_one():
     q, spec = swap_loop_spec()
-    path = q.path(["v", "v"])
+    path = Path(("v", "v"))
     fixed = compute_profiles(q, spec, 1).profiles[path].fixed
     assert oracle.basis(fixed) == ((Fraction(1), Fraction(1)),)
 
@@ -135,27 +135,27 @@ def test_averaging_rejects_modular_case():
     swap = Matrix.from_rows(f2, [[0, 1], [1, 0]])
     spec = ActionSpec(q, f2, [("s", {("v", "v"): swap})])
     with pytest.raises(ValueError):
-        oracle.averaged_fixed_subspace(spec, close_group(spec), q.path(["v", "v"]))
+        oracle.averaged_fixed_subspace(spec, close_group(spec), Path(("v", "v")))
 
 
 def test_composite_degree_one_is_zero():
     q, spec = swap_loop_spec()
     table = compute_profiles(q, spec, 2)
-    path = q.path(["v", "v"])
+    path = Path(("v", "v"))
     assert table.profiles[path].composite.dim == 0
 
 
 def test_composite_crown_degree_three_is_zero():
     q, _, spec = crown_spec(3)
     table = compute_profiles(q, spec, 3)
-    path = q.path(["t0", "t1", "t2", "t0"])
+    path = Path(("t0", "t1", "t2", "t0"))
     assert table.profiles[path].composite.dim == 0
 
 
 def test_composite_swap_degree_two_brute_force():
     q, spec = swap_loop_spec()
     table = compute_profiles(q, spec, 2)
-    path = q.path(["v", "v", "v"])
+    path = Path(("v", "v", "v"))
     comp = ambient_composite(table.profiles[path])
     # (1,1) tensor (1,1) expands to (1,1,1,1)
     expected = Subspace.from_vectors(QQ, 4, [[Fraction(1)] * 4])
@@ -165,7 +165,7 @@ def test_composite_swap_degree_two_brute_force():
 def test_missing_subpath_error():
     q, spec = swap_loop_spec()
     table = compute_profiles(q, spec, 1)
-    path = q.path(["v", "v", "v", "v"])  # beyond the degree bound
+    path = Path(("v", "v", "v", "v"))  # beyond the degree bound
     with pytest.raises(KeyError):
         table.profiles[path]
 
@@ -173,15 +173,15 @@ def test_missing_subpath_error():
 def test_irreducible_examples():
     q, spec = swap_loop_spec()
     table = compute_profiles(q, spec, 2)
-    deg1 = table.profiles[q.path(["v", "v"])]
+    deg1 = table.profiles[Path(("v", "v"))]
     assert deg1.irreducible == deg1.fixed
-    deg2 = table.profiles[q.path(["v", "v", "v"])]
+    deg2 = table.profiles[Path(("v", "v", "v"))]
     assert (deg2.fixed.dim, deg2.composite.dim, deg2.irreducible.dim) == (2, 1, 1)
     assert ambient_composite(deg2).complement_in(deg2.fixed) == deg2.irreducible
 
     qc, _, specc = crown_spec(3)
     tablec = compute_profiles(qc, specc, 3)
-    prof = tablec.profiles[qc.path(["t0", "t1", "t2", "t0"])]
+    prof = tablec.profiles[Path(("t0", "t1", "t2", "t0"))]
     assert prof.irreducible == prof.fixed
     assert prof.irreducible.dim == 1
 
@@ -263,7 +263,7 @@ def test_direct_sum_invariant_random():
 def test_verify_decomposition_degree_one():
     q, spec = swap_loop_spec()
     table = compute_profiles(q, spec, 1)
-    verdict = verify_decomposition(q.path(["v", "v"]), table)
+    verdict = verify_decomposition(Path(("v", "v")), table)
     assert verdict.holds
     assert verdict.fixed_dim == verdict.composition_sum == 1
 
@@ -271,7 +271,7 @@ def test_verify_decomposition_degree_one():
 def test_verify_decomposition_swap_degree_three():
     q, spec = swap_loop_spec()
     table = compute_profiles(q, spec, 3)
-    path = q.path(["v", "v", "v", "v"])
+    path = Path(("v", "v", "v", "v"))
     verdict = verify_decomposition(path, table)
     assert verdict.holds
     # brute force: the fixed space of the full degree-3 action
@@ -286,7 +286,7 @@ def test_verify_decomposition_swap_degree_three():
 def test_verify_decomposition_crown_degree_six():
     q, _, spec = crown_spec(3)
     table = compute_profiles(q, spec, 6)
-    path = q.path(["t0", "t1", "t2", "t0", "t1", "t2", "t0"])
+    path = Path(("t0", "t1", "t2", "t0", "t1", "t2", "t0"))
     verdict = verify_decomposition(path, table)
     assert verdict.holds
     assert verdict.fixed_dim == 1
@@ -378,7 +378,7 @@ def _brute_action_matrix(q, spec, element, path):
     Basis tensors are indexed with the factor of the first edge as stride 1
     and each later edge with stride = product of the earlier edge dims.
     """
-    edges = path.edges()
+    edges = list(zip(path[1:], path))
     dims = [q.dim(*e) for e in edges]
     strides = []
     acc = 1
@@ -491,7 +491,7 @@ def test_multiplicities_are_basis_independent():
         conjugated = []
         for name, element in zip(spec.generator_names, spec.generator_elements):
             mats = {}
-            for edge, g in zip(spec.edges, element.matrices):
+            for edge, g in zip(spec.edges, element):
                 p, inv = base_change[edge]
                 mats[edge] = p * g * inv
             conjugated.append((name, mats))
