@@ -42,13 +42,10 @@ from .quiver import (
 from .action import (
     ActionError,
     ActionSpec,
-    CharacterTable,
     ClosureCapExceeded,
     DEFAULT_GROUP_CAP,
     NonInvertibleGenerator,
-    NotSchurian,
     close_group,
-    extract_characters,
 )
 from .engine import (
     DecompositionVerdict,

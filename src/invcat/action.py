@@ -8,13 +8,11 @@ that product, i.e. the image of the abstract group inside the product of
 general linear groups; invariants only depend on this image.  The action
 extends to a path's tensor space diagonally, with the matrix for the last
 edge as the leftmost tensor factor, in `linalg`'s row format
-(`action_rows`); `tests/oracle.py` has the dense `act_on_path`.
-`extract_characters` reads a Schurian spec's characters.
+(`action_rows`); `tests/oracle.py` has the dense `act_on_path`, and the
+characters of a Schurian spec over the closed group.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
 
 from .linalg import Matrix
 from .quiver import Quiver
@@ -32,10 +30,6 @@ class NonInvertibleGenerator(ActionError):
 
 
 class ClosureCapExceeded(ActionError):
-    pass
-
-
-class NotSchurian(ActionError):
     pass
 
 
@@ -113,37 +107,3 @@ def close_group(spec: ActionSpec) -> list[tuple]:
                 seen.add(v)
                 elements.append(v)
     return elements
-
-
-class CharacterTable(namedtuple("CharacterTable", "field edges elements values")):
-    """Per-edge scalar characters of a closed group on a Schurian quiver."""
-
-    __slots__ = ()
-
-    @property
-    def trivial(self):
-        """The character values of a trivial path: the identity of every element."""
-        return (self.field.one(),) * len(self.elements)
-
-    def extend(self, values, edge):
-        """The character values of a path followed by one more edge."""
-        return tuple(a * b for a, b in zip(values, self.values[edge]))
-
-
-def require_schurian(quiver: Quiver) -> None:
-    """Raise NotSchurian unless every nonzero arrow space is a line."""
-    for t, s in quiver.track_edges():
-        d = quiver.dim(t, s)
-        if d != 1:
-            raise NotSchurian(f"arrow space {s!r} -> {t!r} has dimension {d}; not Schurian")
-
-
-def extract_characters(spec: ActionSpec, elements) -> CharacterTable:
-    """Read off the 1x1 action matrices as characters; needs a Schurian quiver."""
-    require_schurian(spec.quiver)
-    elements = tuple(elements)
-    values = {
-        edge: tuple(spec.edge_matrix(g, edge).entries[0][0] for g in elements)
-        for edge in spec.edges
-    }
-    return CharacterTable(field=spec.field, edges=spec.edges, elements=elements, values=values)

@@ -137,8 +137,10 @@ def main(argv=None) -> int:
     # the only errors a job file can raise; any other is a fault of the program
     except (ParseError, PathCapExceeded, ClosureCapExceeded, NonInvertibleGenerator, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        if isinstance(err, (PathCapExceeded, ClosureCapExceeded)):
-            print("hint: raise --path-cap / --group-cap, or lower --max-degree", file=sys.stderr)
+        if isinstance(err, PathCapExceeded):
+            print("hint: raise --path-cap, or lower --max-degree", file=sys.stderr)
+        elif isinstance(err, ClosureCapExceeded):
+            print("hint: raise --group-cap", file=sys.stderr)
         return 1
     except Exception as err:
         import traceback  # imported only on failure: it costs startup time and memory

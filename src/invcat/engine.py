@@ -33,8 +33,8 @@ edges) * e(rest), to set against dim F.  The references for F (the
 averaging projector's image, the dense path action), the profiles folded
 one path at a time, and the enumeration of the compositions with their
 chain sums are in the tests, in `tests/oracle.py`.
-`schurian_generators` folds characters instead and stops the walk at
-invariant paths.
+`schurian_generators` folds character values instead and stops the walk
+at invariant paths.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Mapping
 
-from .action import ActionSpec, CharacterTable
+from .action import ActionSpec
 from .linalg import Matrix, action_rows, fixed_space, tensor_rows
 from .quiver import DEFAULT_PATH_CAP, PRUNE, Path, Quiver, walk
 
@@ -340,20 +340,22 @@ def verify_decomposition(path: Path, table: ProfileTable) -> DecompositionVerdic
     return DecompositionVerdict(path, detail is None, fixed, expected, detail)
 
 
-def schurian_generators(quiver: Quiver, chars: CharacterTable, max_degree: int,
+def schurian_generators(quiver: Quiver, values, trivial: tuple, max_degree: int,
                         path_cap: int = DEFAULT_PATH_CAP):
     """Irreducible invariant paths per hom-pair, by characters alone.
 
-    A path is invariant when the product of its edge characters is the
-    trivial character (`chars.trivial`), and irreducible if also no proper
-    nonempty prefix is invariant.  The walk stops at invariant paths, as
-    no extension of one is irreducible; the cap counts the paths walked
-    per hom-pair, those with no invariant proper nonempty prefix.  The
-    character values are interned as states, so the values and the
-    invariance of an extension are computed once per (state, edge).
+    values maps each edge to its character values, one per group generator,
+    and a path's values are the products of its edges' values.  A path is
+    invariant when its values equal trivial (every character is a
+    homomorphism, so it is trivial on the group exactly when it is on each
+    generator), and irreducible if also no proper nonempty prefix is
+    invariant.  The walk stops at invariant paths, as no extension of one
+    is irreducible; the cap counts the paths walked per hom-pair, those
+    with no invariant proper nonempty prefix.  The character values are
+    interned as states, so the values and the invariance of an extension
+    are computed once per (state, edge).
     """
     states: dict[tuple, tuple] = {}  # values -> (values, invariant, {edge: state})
-    trivial = chars.trivial
 
     def state(vals):
         found = states.get(vals)
@@ -367,7 +369,7 @@ def schurian_generators(quiver: Quiver, chars: CharacterTable, max_degree: int,
             return PRUNE
         found = nxt.get(edge)
         if found is None:
-            found = nxt[edge] = state(chars.extend(vals, edge))
+            found = nxt[edge] = state(tuple(a * b for a, b in zip(vals, values[edge])))
         return found
 
     # the trivial path is not pruned, so it is no interned state

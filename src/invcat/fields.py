@@ -305,25 +305,17 @@ class CyclotomicElement:
         return any(self.coeffs)
 
     def __str__(self):
-        pieces = []
+        out = ""
         for i in range(self.field.degree - 1, -1, -1):
             if not self.coeffs[i]:
                 continue
             c = Fraction(self.coeffs[i], self.den)
-            if i == 0:
-                body = str(abs(c))
-            else:
-                zpart = "z" if i == 1 else f"z^{i}"
-                body = zpart if abs(c) == 1 else f"{abs(c)}*{zpart}"
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, body))
-        if not pieces:
-            return "0"
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += sign + body
-        return out
+            body = str(abs(c)) if i == 0 else "z" if i == 1 else f"z^{i}"
+            if i and abs(c) != 1:
+                body = f"{abs(c)}*{body}"
+            # a positive first term is unsigned; every later term is signed
+            out += ("-" if c < 0 else "+" if out else "") + body
+        return out or "0"
 
     def __repr__(self):
         return f"Cyc{self.field.n}({self})"

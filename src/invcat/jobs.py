@@ -16,7 +16,7 @@ import json
 import time
 from collections import namedtuple
 
-from .action import DEFAULT_GROUP_CAP, ActionSpec, NotSchurian, close_group, extract_characters
+from .action import DEFAULT_GROUP_CAP, ActionSpec, close_group
 from .category import build_invariant_quiver, verify_freeness
 from .engine import compute_profiles, schurian_generators
 from .fields import CyclotomicField, PrimeField, QQ
@@ -206,10 +206,7 @@ def action_from_dict(data, quiver, field, ctx="action", group_cap=DEFAULT_GROUP_
         if missing:
             raise ParseError(f"{gctx}.matrices: missing matrix for arrow {edge_key(missing[0])!r}")
         generators.append((name, mats))
-    try:
-        return ActionSpec(quiver, field, generators, group_cap=group_cap)
-    except (ValueError,) as err:
-        raise ParseError(f"{ctx}: {err}") from None
+    return ActionSpec(quiver, field, generators, group_cap=group_cap)
 
 
 def action_to_dict(spec):
@@ -358,14 +355,22 @@ def _classification_to_dict(classification):
     }
 
 
-def schurian_diff(spec, elements, report, max_degree, path_cap):
+def schurian_diff(spec, report, max_degree, path_cap):
     """Compare the character fast path with the general engine's generators.
 
-    Raises NotSchurian unless every arrow space of the quiver is a line.
+    None unless every arrow space of the quiver is a line.  Then each
+    generator acts on an arrow by a scalar, its 1x1 entry, and these are
+    the character values that `schurian_generators` folds along a path.
     """
     quiver = spec.quiver
-    chars = extract_characters(spec, elements)
-    generators = schurian_generators(quiver, chars, max_degree, path_cap)
+    if any(quiver.dim(*edge) != 1 for edge in spec.edges):
+        return None
+    values = {
+        edge: tuple(spec.edge_matrix(g, edge).entries[0][0] for g in spec.generator_elements)
+        for edge in spec.edges
+    }
+    trivial = (spec.field.one(),) * len(spec.generator_elements)
+    generators = schurian_generators(quiver, values, trivial, max_degree, path_cap)
     fast = {p for bucket in generators.values() for p in bucket}
     engine = {entry.path: entry.multiplicity for entry in report.generators}
     # the two agree on a path when the engine finds it once exactly where the characters do
@@ -406,10 +411,7 @@ def run_pipeline(job: JobSpec) -> PipelineResult:
     freeness = verify_freeness(table, report, verify_depth=job.verify_depth)
     input_classification = classify(job.quiver)
     invariant_classification = classify_invariants(report)
-    try:
-        schurian = schurian_diff(job.action, elements, report, job.max_degree, job.path_cap)
-    except NotSchurian:
-        schurian = None
+    schurian = schurian_diff(job.action, report, job.max_degree, job.path_cap)
     elapsed = time.perf_counter() - start
     return PipelineResult(
         job=job,

@@ -128,18 +128,27 @@ def random_action(quiver: Quiver, field, rng: random.Random, n_generators: int,
     return spec, elements
 
 
-def character_action(quiver: Quiver, order: int, rng: random.Random) -> ActionSpec:
-    """A cyclic-group character action on a Schurian quiver, over Q(zeta_order)."""
+def character_action(quiver: Quiver, order: int, rng: random.Random,
+                     n_generators: int = 1) -> ActionSpec:
+    """A character action on a Schurian quiver, over Q(zeta_order).
+
+    Each generator scales each arrow by its own random power of zeta, so
+    with one generator the group is cyclic, and with more the generators'
+    characters differ.
+    """
     field = CyclotomicField(order) if order >= 2 else QQ
-    if order >= 2:
-        z = field.zeta()
-        mats = {
-            edge: Matrix(field, [[power(z, rng.randrange(order))]])
-            for edge in quiver.track_edges()
-        }
-    else:
-        mats = {edge: Matrix(field, [[Fraction(1)]]) for edge in quiver.track_edges()}
-    return ActionSpec(quiver, field, [("t", mats)])
+    generators = []
+    for k in range(n_generators):
+        if order >= 2:
+            z = field.zeta()
+            mats = {
+                edge: Matrix(field, [[power(z, rng.randrange(order))]])
+                for edge in quiver.track_edges()
+            }
+        else:
+            mats = {edge: Matrix(field, [[Fraction(1)]]) for edge in quiver.track_edges()}
+        generators.append((f"t{k}" if k else "t", mats))
+    return ActionSpec(quiver, field, generators)
 
 
 # Z/3 acts on the arrow m_s -> m_t of a 4-vertex mesh by z^e

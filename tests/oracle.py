@@ -18,12 +18,15 @@ diffing ``invcat.fields``; `power` and `cyclotomic` build the Q(zeta_n)
 scalars the tests need, since scalars have no ``**`` and enter a field only
 through ``coerce`` and ``parse``.  Path-level references
 follow: the dense diagonal action on a path's tensor space, the averaging
-projector's image (summed entry by entry), character values along a path,
-path enumeration, the decomposition of a fixed space into irreducible
-chains, checked over every composition of the path's degree, the profiles
-folded one path at a time, and the Schurian cleaving check: for a
-character action, composing an invariant path with a non-invariant one
-never gives an invariant path, checked over every composable pair.
+projector's image (summed entry by entry), the characters of a Schurian
+action over every element of the closed group (`extract_characters`, the
+reference for the engine's fold over the generators' values), character
+values along a path, path enumeration, the decomposition of a fixed space
+into irreducible chains, checked over every composition of the path's
+degree, the profiles folded one path at a time, and the Schurian cleaving
+check: for a character action, composing an invariant path with a
+non-invariant one never gives an invariant path, checked over every
+composable pair.
 """
 
 import re
@@ -31,11 +34,11 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
 
-from invcat.action import require_schurian
+from invcat.action import ActionError, ActionSpec
 from invcat.engine import DecompositionVerdict, StringInvariants
 from invcat.fields import CyclotomicElement, PrimeFieldElement
 from invcat.linalg import Matrix, Subspace, action_rows, fixed_space, tensor_rows
-from invcat.quiver import DEFAULT_PATH_CAP, Path, walk
+from invcat.quiver import DEFAULT_PATH_CAP, Path, Quiver, walk
 
 
 def rref(field, rows, ncols):
@@ -386,6 +389,44 @@ def averaged_fixed_subspace(spec, elements, path):
         total = [[x + y for x, y in zip(r, a)] for r, a in zip(total, action)]
     # the image of total / order is the column span of total
     return span(field, list(zip(*total)), ambient)
+
+
+class NotSchurian(ActionError):
+    pass
+
+
+class CharacterTable(namedtuple("CharacterTable", "field edges elements values")):
+    """Per-edge scalar characters of a closed group on a Schurian quiver."""
+
+    __slots__ = ()
+
+    @property
+    def trivial(self):
+        """The character values of a trivial path: the identity of every element."""
+        return (self.field.one(),) * len(self.elements)
+
+    def extend(self, values, edge):
+        """The character values of a path followed by one more edge."""
+        return tuple(a * b for a, b in zip(values, self.values[edge]))
+
+
+def require_schurian(quiver: Quiver) -> None:
+    """Raise NotSchurian unless every nonzero arrow space is a line."""
+    for t, s in quiver.track_edges():
+        d = quiver.dim(t, s)
+        if d != 1:
+            raise NotSchurian(f"arrow space {s!r} -> {t!r} has dimension {d}; not Schurian")
+
+
+def extract_characters(spec: ActionSpec, elements) -> CharacterTable:
+    """Read off the 1x1 action matrices as characters; needs a Schurian quiver."""
+    require_schurian(spec.quiver)
+    elements = tuple(elements)
+    values = {
+        edge: tuple(spec.edge_matrix(g, edge).entries[0][0] for g in elements)
+        for edge in spec.edges
+    }
+    return CharacterTable(field=spec.field, edges=spec.edges, elements=elements, values=values)
 
 
 def path_values(chars, path):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from invcat.action import ActionSpec, close_group, extract_characters
+from invcat.action import ActionSpec, close_group
 from invcat.category import CERTIFIED, build_invariant_quiver, verify_freeness
 from invcat.engine import compute_profiles, schurian_generators, verify_decomposition
 from invcat.fields import CyclotomicField, PrimeField, QQ
@@ -34,7 +34,7 @@ from instances import (
     random_action,
     random_quiver,
 )
-from oracle import enumerate_paths, is_invariant, verify_cleaving_schurian
+from oracle import enumerate_paths, extract_characters, is_invariant, verify_cleaving_schurian
 from test_reptype import diagram_table, to_networkx
 
 
@@ -163,7 +163,7 @@ def test_criterion_4_schurian_dual_oracle():
         spec = character_action(q, order, rng)
         max_degree = rng.randint(4, 8)
         chars = extract_characters(spec, close_group(spec))
-        fast = schurian_generators(q, chars, max_degree)
+        fast = schurian_generators(q, chars.values, chars.trivial, max_degree)
         fast_paths = {p for bucket in fast.values() for p in bucket}
         engine_paths, _table = _engine_generator_paths(q, spec, max_degree)
         assert fast_paths == engine_paths, f"generator mismatch on {q!r}"

@@ -6,9 +6,7 @@ from invcat.action import (
     ActionSpec,
     ClosureCapExceeded,
     NonInvertibleGenerator,
-    NotSchurian,
     close_group,
-    extract_characters,
 )
 from invcat.fields import CyclotomicField, QQ
 from invcat.linalg import Matrix
@@ -16,7 +14,7 @@ from invcat.quiver import Path, Quiver
 
 import oracle
 from instances import crown_quiver, finite_order_matrix, random_quiver
-from oracle import act_on_path
+from oracle import NotSchurian, act_on_path, extract_characters
 
 
 def times(g, h):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from invcat.action import ActionSpec, CharacterTable, NotSchurian, close_group, extract_characters
+from invcat.action import ActionSpec, close_group
 from invcat.category import (
     CERTIFIED,
     TRUNCATED,
@@ -27,7 +27,13 @@ from invcat.linalg import Matrix, Subspace
 from invcat.quiver import Quiver
 
 from instances import character_action, crown_quiver, random_acyclic_quiver
-from oracle import enumerate_paths, verify_cleaving_schurian
+from oracle import (
+    CharacterTable,
+    NotSchurian,
+    enumerate_paths,
+    extract_characters,
+    verify_cleaving_schurian,
+)
 
 
 def crown_spec(n):

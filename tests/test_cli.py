@@ -37,6 +37,35 @@ CROWN3 = {
     "options": {"max_degree": 6},
 }
 
+# s is -1 on b<-a and on the loop, t is z^2 (of order 3) on the crown: the
+# two generators' characters differ, and a path is invariant only where both
+# are trivial on it
+CROWN3_LOOP = {
+    "field": {"kind": "cyclotomic", "n": 6},
+    "quiver": {
+        "vertices": ["a", "b", "c"],
+        "arrows": [
+            {"source": "a", "target": "b", "dim": 1},
+            {"source": "b", "target": "c", "dim": 1},
+            {"source": "c", "target": "a", "dim": 1},
+            {"source": "a", "target": "a", "dim": 1},
+        ],
+    },
+    "action": {
+        "generators": [
+            {
+                "name": "s",
+                "matrices": {"b<-a": [["-1"]], "c<-b": [["1"]], "a<-c": [["1"]], "a<-a": [["-1"]]},
+            },
+            {
+                "name": "t",
+                "matrices": {"b<-a": [["z^2"]], "c<-b": [["z^2"]], "a<-c": [["z^2"]], "a<-a": [["1"]]},
+            },
+        ]
+    },
+    "options": {"max_degree": 7},
+}
+
 KRONECKER_TRIVIAL = {
     "field": {"kind": "rationals"},
     "quiver": {
@@ -213,6 +242,30 @@ def test_schurian_check_command(tmp_path, capsys):
     assert "invalid choice: 'schurian-check'" in capsys.readouterr().err
     assert main(["compute", "--input", job, "--out", str(tmp_path / "r.json")]) == 0
     assert "character cross-check: agrees" in capsys.readouterr().out
+
+
+def test_cross_check_reads_every_generator(tmp_path, capsys):
+    # read at s alone, the arrow b -> c would be invariant; read at t alone,
+    # the crown cycle a -> b -> c -> a would be
+    assert _compute_exit(tmp_path, CROWN3_LOOP) == 0
+    assert "character cross-check: agrees" in capsys.readouterr().out
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["group_size"] == 6
+    assert report["schurian_check"] == {"applicable": True, "agrees": True, "first_difference": None}
+    paths = [entry["path"] for entry in report["generators"]]
+    assert ["a", "a", "a"] in paths and ["a", "b", "c", "a", "a"] in paths
+    assert ["b", "c"] not in paths and ["a", "b", "c", "a"] not in paths
+
+
+def test_cross_check_needs_every_arrow_space_a_line():
+    from invcat.jobs import schurian_diff
+
+    job = parse_job(_with(KRONECKER_TRIVIAL, ["quiver"], {
+        "vertices": ["x", "y", "z"],
+        "arrows": [{"source": "x", "target": "y", "dim": 1}, {"source": "y", "target": "z", "dim": 2}],
+    }))
+    assert schurian_diff(job.action, None, job.max_degree, job.path_cap) is None
+    assert run_pipeline(job).schurian is None
 
 
 @pytest.mark.parametrize("argv", [
@@ -496,6 +549,21 @@ def test_path_cap_exceeded_exits_one_with_hint(tmp_path, capsys):
     assert _compute_exit(tmp_path, CROWN3, "--path-cap", "2", "--max-degree", "9") == 1
     err = capsys.readouterr().err
     assert "more than 2 paths" in err and "--path-cap" in err
+    # the group closure depends on neither the path cap nor the degree
+    assert "hint: raise --path-cap, or lower --max-degree" in err and "--group-cap" not in err
+
+
+def test_group_cap_exceeded_exits_one_with_hint(tmp_path, capsys):
+    # a generator of infinite order: the path walk never starts
+    loop = {
+        "field": {"kind": "rationals"},
+        "quiver": {"vertices": ["v"], "arrows": [{"source": "v", "target": "v", "dim": 1}]},
+        "action": {"generators": [{"name": "g", "matrices": {"v<-v": [["2"]]}}]},
+    }
+    assert _compute_exit(tmp_path, loop) == 1
+    err = capsys.readouterr().err
+    assert "closure exceeds the cap of 1024 elements" in err
+    assert "hint: raise --group-cap" in err and "--path-cap" not in err
 
 
 def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
@@ -544,6 +612,20 @@ def test_field_mismatch_in_the_pipeline_exits_three(tmp_path, capsys, monkeypatc
     assert _compute_exit(tmp_path, CROWN3) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "internal error: FieldMismatch: F_2 vs F_3" in err
+
+
+def test_value_error_building_the_action_exits_three(tmp_path, capsys, monkeypatch):
+    # the parser checks each matrix's arrow, shape and field before the
+    # action is built, so a ValueError there is a fault of the program
+    import invcat.jobs as jobs_module
+
+    def broken(quiver, field, generators, group_cap):
+        raise ValueError("matrix over the wrong field")
+
+    monkeypatch.setattr(jobs_module, "ActionSpec", broken)
+    assert _compute_exit(tmp_path, CROWN3) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal error: ValueError: matrix over the wrong field" in err
 
 
 def test_unknown_vertex_in_the_pipeline_exits_three(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from invcat import engine
-from invcat.action import ActionSpec, close_group, extract_characters
+from invcat.action import ActionSpec, close_group
 from invcat.category import build_invariant_quiver, verify_freeness
 from invcat.engine import (
     compute_profiles,
@@ -14,9 +14,10 @@ from invcat.engine import (
 )
 from invcat.fields import CyclotomicField, PrimeField, QQ
 from invcat.linalg import Matrix, Subspace
-from invcat.quiver import Path, PathCapExceeded, Quiver, UnknownVertex
+from invcat.quiver import DEFAULT_PATH_CAP, Path, PathCapExceeded, Quiver, UnknownVertex
 
 import oracle
+from oracle import extract_characters
 from instances import (
     MESH_EXPONENTS,
     _permutation_matrix,
@@ -297,7 +298,7 @@ def test_schurian_generators_crown():
     for n in (2, 3, 4):
         q, _, spec = crown_spec(n)
         chars = extract_characters(spec, close_group(spec))
-        gens = schurian_generators(q, chars, 2 * n)
+        gens = schurian_generators(q, chars.values, chars.trivial, 2 * n)
         paths = [p for bucket in gens.values() for p in bucket]
         assert len(paths) == n
         assert all(p.degree == n for p in paths)
@@ -310,7 +311,7 @@ def test_schurian_generators_sign_character_line():
     minus_one = Matrix(field, [[field.zeta()]])
     spec = ActionSpec(q, field, [("s", {e: minus_one for e in q.track_edges()})])
     chars = extract_characters(spec, close_group(spec))
-    gens = schurian_generators(q, chars, 4)
+    gens = schurian_generators(q, chars.values, chars.trivial, 4)
     paths = [p for bucket in gens.values() for p in bucket]
     assert len(paths) == 1
     assert paths[0].vertices == ("u0", "u1", "u2")
@@ -321,7 +322,7 @@ def test_schurian_generators_trivial_characters_are_arrows():
     q = random_quiver(rng, max_vertices=4, max_dim=1)
     spec = character_action(q, 1, rng)
     chars = extract_characters(spec, close_group(spec))
-    gens = schurian_generators(q, chars, 4)
+    gens = schurian_generators(q, chars.values, chars.trivial, 4)
     paths = [p for bucket in gens.values() for p in bucket]
     assert sorted(p.vertices for p in paths) == sorted(
         (s, t) for (t, s) in q.track_edges()
@@ -352,10 +353,40 @@ def test_schurian_generators_match_brute_force_on_random_instances():
             q = Quiver(tuple(reversed(q.vertices)), {e: q.dim(*e) for e in q.track_edges()})
         spec = character_action(q, rng.choice([1, 2, 3, 4, 6]), rng)
         chars = extract_characters(spec, close_group(spec))
-        gens = schurian_generators(q, chars, 5)
+        gens = schurian_generators(q, chars.values, chars.trivial, 5)
         assert gens == _brute_schurian_generators(q, chars, 5)
         found += sum(map(len, gens.values()))
     assert found > 50
+
+
+def test_cross_check_folds_every_generator_on_random_suites(monkeypatch):
+    # the cross-check folds the generators' values, the oracle every closed
+    # element's; both must give the same paths, and those the engine finds
+    from invcat import jobs
+
+    folded = []
+    real = jobs.schurian_generators
+
+    def spy(*args):
+        folded.append(real(*args))
+        return folded[-1]
+
+    monkeypatch.setattr(jobs, "schurian_generators", spy)
+    rng = random.Random(1729)
+    differs = 0
+    for _ in range(20):
+        q = random_quiver(rng, max_vertices=4, max_dim=1, extra_arrows=4)
+        spec = character_action(q, rng.choice([2, 3, 4, 6]), rng, n_generators=rng.randint(2, 3))
+        report = build_invariant_quiver(compute_profiles(q, spec, 5))
+        check = jobs.schurian_diff(spec, report, 5, DEFAULT_PATH_CAP)
+        chars = extract_characters(spec, close_group(spec))
+        expected = real(q, chars.values, chars.trivial, 5)
+        assert folded.pop() == expected
+        assert check["agrees"], check["first_difference"]
+        # the suite tells the first generator's values from all of them
+        first = extract_characters(spec, spec.generator_elements[:1])
+        differs += real(q, first.values, first.trivial, 5) != expected
+    assert differs >= 10
 
 
 def test_schurian_walk_cap_counts_only_paths_without_invariant_prefix():
@@ -365,8 +396,8 @@ def test_schurian_walk_cap_counts_only_paths_without_invariant_prefix():
     chars = extract_characters(spec, close_group(spec))
     with pytest.raises(PathCapExceeded):
         compute_profiles(q, spec, 6, path_cap=1)
-    gens = schurian_generators(q, chars, 6, path_cap=1)
-    assert gens == schurian_generators(q, chars, 6)
+    gens = schurian_generators(q, chars.values, chars.trivial, 6, path_cap=1)
+    assert gens == schurian_generators(q, chars.values, chars.trivial, 6)
     assert sorted(p.vertices for bucket in gens.values() for p in bucket) == [
         ("t0", "t1", "t2", "t0"), ("t1", "t2", "t0", "t1"), ("t2", "t0", "t1", "t2"),
     ]
