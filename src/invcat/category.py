@@ -177,19 +177,13 @@ def verify_freeness(table: ProfileTable, report: InvariantQuiverReport,
         for e in report.generators
     ]
     free_dims = free_category_dims(table.quiver.vertices, gens, max_degree)
-    mismatches = []
-    for x in table.quiver.vertices:
-        for y in table.quiver.vertices:
-            inv = table.hom_dims(x, y)
-            free = free_dims[(x, y)]
-            for d in range(max_degree + 1):
-                if inv[d] != free[d]:
-                    mismatches.append(
-                        SeriesMismatch(
-                            source=x, target=y, degree=d,
-                            invariant_dim=inv[d], free_dim=free[d],
-                        )
-                    )
+    mismatches = [
+        SeriesMismatch(source=x, target=y, degree=d, invariant_dim=inv, free_dim=free)
+        for x in table.quiver.vertices
+        for y in table.quiver.vertices
+        for d, (inv, free) in enumerate(zip(table.hom_dims(x, y), free_dims[x, y]))
+        if inv != free
+    ]
     return FreenessVerdict(
         holds=not failures and not mismatches,
         verify_depth=verify_depth,

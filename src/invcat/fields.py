@@ -326,11 +326,13 @@ _SIGNS = re.compile(r"\s*([+-])\s*")
 
 
 def _signed_terms(text: str) -> list[tuple[str, str]]:
-    """The (sign, term) pairs of a scalar; an empty term is a ValueError."""
+    """The (sign, term) pairs of a scalar; a blank text or an empty term is a ValueError."""
+    if not text.strip():
+        raise ValueError(f"cannot parse {text!r}: the entry is blank")
     pieces = _SIGNS.split(text.strip())
     # term, sign, term, ...: a leading sign leaves the first term empty
     head = pieces.pop(0)
-    terms = [("+", head)] if head or not pieces else []
+    terms = [("+", head)] if head else []
     terms += zip(pieces[::2], pieces[1::2])
     if not all(term for _, term in terms):
         raise ValueError(f"cannot parse {text!r}: a sign needs a term on its right")

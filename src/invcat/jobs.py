@@ -91,17 +91,12 @@ def field_from_dict(data, ctx="field"):
     kind = _field_kind(data, ctx)
     if kind == "rationals":
         return QQ
-    if kind == "cyclotomic":
-        n = _get(data, "n", ctx, int)
-        try:
-            return CyclotomicField(n)
-        except ValueError as err:
-            raise ParseError(f"{ctx}.n: {err}") from None
-    p = _get(data, "p", ctx, int)
+    key, make = ("n", CyclotomicField) if kind == "cyclotomic" else ("p", PrimeField)
+    value = _get(data, key, ctx, int)
     try:
-        return PrimeField(p)
+        return make(value)
     except ValueError as err:
-        raise ParseError(f"{ctx}.p: {err}") from None
+        raise ParseError(f"{ctx}.{key}: {err}") from None
 
 
 def field_to_dict(field):

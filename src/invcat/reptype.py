@@ -5,7 +5,9 @@ underlying graph of its bases-quiver is a disjoint union of Dynkin
 diagrams A_n (n>=1), D_n (n>=4), E6, E7, E8, and of tame type exactly
 when extended Dynkin diagrams (one loop A~0, the cycles A~n, D~n, E~6,
 E~7, E~8) are also allowed.  Recognition is exact graph matching, no
-heuristics; anything else is wild.  A graph is split into its connected
+heuristics; anything else is wild.  A tree with one branch vertex is
+named by its arm signature (`recognize_component`), and D~n by two
+degree-3 forks with two leaves each.  A graph is split into its connected
 components in one pass (`Multigraph.components`), so classification is
 linear in vertices plus arrows before the per-component matching.
 The module reads quivers only: the invariant category's bases-quiver comes
@@ -53,28 +55,34 @@ class DiagramLabel(namedtuple("DiagramLabel", "family index extended", defaults=
 OTHER = DiagramLabel("other")
 
 
-def _arm_lengths(adj, center, n_vertices):
-    """Lengths of the simple arms hanging off a branch vertex of a tree."""
+_STARS = {
+    (1, 2, 2): DiagramLabel("E", 6),
+    (1, 2, 3): DiagramLabel("E", 7),
+    (1, 2, 4): DiagramLabel("E", 8),
+    (1, 1, 1, 1): DiagramLabel("D", 4, extended=True),
+    (2, 2, 2): DiagramLabel("E", 6, extended=True),
+    (1, 3, 3): DiagramLabel("E", 7, extended=True),
+    (1, 2, 5): DiagramLabel("E", 8, extended=True),
+}
+
+
+def _arms(adj, center):
+    """Sorted arm lengths of a tree whose only branch vertex is center."""
     arms = []
-    for first in sorted(adj[center]):
-        length = 1
-        prev, cur = center, first
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None  # another branch vertex on this arm
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    if sum(arms) + 1 != n_vertices:
-        return None
-    return sorted(arms)
+    for first in adj[center]:
+        arm = [center, first]
+        while len(adj[arm[-1]]) == 2:
+            arm += adj[arm[-1]] - {arm[-2]}
+        arms.append(len(arm) - 1)
+    return tuple(sorted(arms))
 
 
 def recognize_component(graph: Multigraph) -> DiagramLabel:
-    """Exact diagram recognition of one connected multigraph."""
+    """Exact diagram recognition of one connected multigraph.
+
+    A tree with one branch vertex is named by its arm signature, the sorted
+    arm lengths: D_n is (1, 1, k), else its `_STARS` entry, else Other.
+    """
     if len(graph.components()) != 1:
         raise Disconnected("recognize_component needs a connected graph")
     n = len(graph.vertices)
@@ -83,69 +91,34 @@ def recognize_component(graph: Multigraph) -> DiagramLabel:
     n_edges = sum(plain.values())
 
     if loops:
-        if n == 1 and loops == 1:
-            return DiagramLabel("A", 0, extended=True)
-        return OTHER
-    if n == 1:
-        return DiagramLabel("A", 1)
+        return DiagramLabel("A", 0, extended=True) if n == 1 and loops == 1 else OTHER
     if any(m > 1 for m in plain.values()):
-        if n == 2 and n_edges == 2:
-            return DiagramLabel("A", 1, extended=True)
-        return OTHER
+        return DiagramLabel("A", 1, extended=True) if n == 2 and n_edges == 2 else OTHER
 
     adj = {i: set() for i in range(n)}
     for (a, b) in plain:
         adj[a].add(b)
         adj[b].add(a)
-    degrees = sorted(len(adj[i]) for i in range(n))
+    branch = [i for i in range(n) if len(adj[i]) >= 3]
 
     if n_edges == n:  # exactly one cycle
-        if degrees[-1] == 2:
-            return DiagramLabel("A", n - 1, extended=True)
-        return OTHER
+        return OTHER if branch else DiagramLabel("A", n - 1, extended=True)
     if n_edges != n - 1:
         return OTHER
 
     # a tree from here on
-    if degrees[-1] <= 2:
+    if not branch:
         return DiagramLabel("A", n)
-    branch = [i for i in range(n) if len(adj[i]) >= 3]
     if len(branch) == 1:
-        center = branch[0]
-        if len(adj[center]) == 4:
-            arms = _arm_lengths(adj, center, n)
-            if arms == [1, 1, 1, 1]:
-                return DiagramLabel("D", 4, extended=True)
-            return OTHER
-        if len(adj[center]) > 4:
-            return OTHER
-        arms = _arm_lengths(adj, center, n)
-        if arms is None:
-            return OTHER
-        if arms[0] == 1 and arms[1] == 1:
+        arms = _arms(adj, branch[0])
+        if len(arms) == 3 and arms[:2] == (1, 1):
             return DiagramLabel("D", n)  # n = arms[2] + 3 >= 4
-        if arms == [1, 2, 2]:
-            return DiagramLabel("E", 6)
-        if arms == [1, 2, 3]:
-            return DiagramLabel("E", 7)
-        if arms == [1, 2, 4]:
-            return DiagramLabel("E", 8)
-        if arms == [2, 2, 2]:
-            return DiagramLabel("E", 6, extended=True)
-        if arms == [1, 3, 3]:
-            return DiagramLabel("E", 7, extended=True)
-        if arms == [1, 2, 5]:
-            return DiagramLabel("E", 8, extended=True)
-        return OTHER
+        return _STARS.get(arms, OTHER)
     if len(branch) == 2:
         # two degree-3 forks, each carrying two leaves, joined by a path
-        for c in branch:
-            if len(adj[c]) != 3:
-                return OTHER
-            leaf_neighbors = [w for w in adj[c] if len(adj[w]) == 1]
-            if len(leaf_neighbors) != 2:
-                return OTHER
-        return DiagramLabel("D", n - 1, extended=True)
+        leaves = [sum(len(adj[w]) == 1 for w in adj[c]) for c in branch]
+        if all(len(adj[c]) == 3 for c in branch) and leaves == [2, 2]:
+            return DiagramLabel("D", n - 1, extended=True)
     return OTHER
 
 

@@ -194,10 +194,12 @@ _UNSIGNED = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
 
 def signed_terms(text):
-    """The (sign, term) pairs of the stripped text split at its signs; an empty term is a ValueError."""
+    """The (sign, term) pairs of the stripped text split at its signs; a blank text or an empty term is a ValueError."""
+    if not text.strip():
+        raise ValueError(f"cannot parse {text!r}: the entry is blank")
     pieces = _SIGNS.split(text.strip())
     head = pieces.pop(0)
-    terms = [("+", head)] if head or not pieces else []
+    terms = [("+", head)] if head else []
     terms += zip(pieces[::2], pieces[1::2])
     if not all(term for _, term in terms):
         raise ValueError(f"cannot parse {text!r}: a sign needs a term on its right")

@@ -13,6 +13,7 @@ from invcat.category import (
     Completeness,
     FreenessVerdict,
     GeneratorEntry,
+    SeriesMismatch,
     build_invariant_quiver,
     completeness_bound,
     free_category_dims,
@@ -373,7 +374,19 @@ def test_freeness_catches_wrong_generators():
     )
     verdict = verify_freeness(table, broken)
     assert not verdict.holds
-    assert verdict.series_mismatches
+    assert verdict.series_mismatches == [
+        SeriesMismatch(source="t2", target="t2", degree=3, invariant_dim=1, free_dim=0),
+        SeriesMismatch(source="t2", target="t2", degree=6, invariant_dim=1, free_dim=0),
+    ]
+    # on A3 each pair differs from its reverse, so a swapped lookup shows
+    q = Quiver(["u0", "u1", "u2"], {("u1", "u0"): 1, ("u2", "u1"): 1})
+    table = compute_profiles(q, ActionSpec(q, QQ, []), 2)
+    report = build_invariant_quiver(table)
+    broken = report._replace(generators=report.generators[:-1])
+    assert verify_freeness(table, broken).series_mismatches == [
+        SeriesMismatch(source="u0", target="u2", degree=2, invariant_dim=1, free_dim=0),
+        SeriesMismatch(source="u1", target="u2", degree=1, invariant_dim=1, free_dim=0),
+    ]
 
 
 def test_failed_certificate_is_explained_by_the_composition_check(monkeypatch, tmp_path):

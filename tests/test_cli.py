@@ -305,16 +305,16 @@ def test_group_cap_error(tmp_path, capsys):
 
 
 def test_field_validation(tmp_path, capsys):
-    for field, fragment in [
-        ({"kind": "cyclotomic", "n": 1}, "cyclotomic"),
-        ({"kind": "prime", "p": 4}, "prime"),
-        ({"kind": "gaussian"}, "unknown field kind"),
+    for field, line in [
+        ({"kind": "cyclotomic", "n": 1}, "error: field.n: cyclotomic order must be at least 2"),
+        ({"kind": "prime", "p": 4}, f"error: field.p: 4 is not a prime below {PRIME_LIMIT}"),
+        ({"kind": "gaussian"}, "error: field.kind: unknown field kind 'gaussian'"),
     ]:
         bad = json.loads(json.dumps(KRONECKER_TRIVIAL))
         bad["field"] = field
         job = write_job(tmp_path, bad)
         assert main(["compute", "--input", job, "--out", str(tmp_path / "r.json")]) == 1
-        assert fragment in capsys.readouterr().err
+        assert line in capsys.readouterr().err.splitlines()
 
 
 def test_bad_scalar_entry_names_position(tmp_path, capsys):
@@ -326,6 +326,17 @@ def test_bad_scalar_entry_names_position(tmp_path, capsys):
     assert main(["compute", "--input", job, "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert "[1][1]" in err
+
+
+def test_blank_scalar_entry_names_position_and_blank(tmp_path, capsys):
+    bad = json.loads(json.dumps(KRONECKER_TRIVIAL))
+    bad["action"]["generators"] = [
+        {"name": "s", "matrices": {"y<-x": [["1", "0"], ["0", ""]]}}
+    ]
+    job = write_job(tmp_path, bad)
+    assert main(["compute", "--input", job, "--out", str(tmp_path / "r.json")]) == 1
+    line = "error: action.generators[0].matrices['y<-x'][1][1]: cannot parse '': the entry is blank"
+    assert line in capsys.readouterr().err.splitlines()
 
 
 def test_falsified_property_exits_two(tmp_path, monkeypatch):

@@ -266,6 +266,14 @@ def test_whitespace_around_signs_parses_in_every_field():
     assert F5.parse("+ 7") == 2
 
 
+def test_blank_entry_is_named_blank_in_every_field():
+    for field in (QQ, C3, F5):
+        for text in ("", "  "):
+            with pytest.raises(ValueError) as err:
+                field.parse(text)
+            assert str(err.value) == f"cannot parse {text!r}: the entry is blank"
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from([QQ, C3, F5]), st.text(alphabet="0123456789/+-*z^ ", max_size=12))
 def test_parse_raises_only_value_error(field, text):

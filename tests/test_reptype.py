@@ -147,6 +147,40 @@ def test_random_perturbations_are_other():
         produced += 1
 
 
+def small_multigraphs():
+    """Every connected graph on at most 7 vertices, each also with one loop
+    and with one doubled edge, and every tree on at most 12 vertices."""
+    for h in nx.graph_atlas_g():
+        if len(h) and nx.is_connected(h):
+            edges = sorted(tuple(sorted(e)) for e in h.edges)
+            yield graph(len(h), edges)
+            yield graph(len(h), edges + [(0, 0)])
+            if edges:
+                yield graph(len(h), edges + edges[:1])
+    for n in range(2, 13):
+        for tree in nx.nonisomorphic_trees(n):
+            yield graph(n, tree.edges)
+
+
+def test_recognize_every_small_graph_and_tree():
+    # the reference label is the diagram networkx finds isomorphic, if any
+    def shape(h):
+        return len(h), tuple(sorted(d for _, d in h.degree))
+
+    by_shape = {}
+    for label, g in diagram_table(12):
+        h = to_networkx(g)
+        by_shape.setdefault(shape(h), []).append((label, h))
+    checked = 0
+    for g in small_multigraphs():
+        h = to_networkx(g)
+        matches = [label for label, d in by_shape.get(shape(h), []) if nx.is_isomorphic(h, d)]
+        expected = matches[0] if matches else DiagramLabel("other")
+        assert recognize_component(g) == expected, f"{sorted(g.edges.elements())}"
+        checked += 1
+    assert checked == 3 * 996 - 1 + 986  # the one-vertex graph has no edge to double
+
+
 def test_classify_examples():
     a3 = Quiver(["a", "b", "c"], {("b", "a"): 1, ("c", "b"): 1})
     assert classify(a3).overall == FINITE
