@@ -81,7 +81,7 @@ def completeness_bound(quiver: Quiver, spec: ActionSpec) -> Completeness | None:
         for g in spec.generator_elements:
             value = one
             for e in edges:
-                value = value * spec.edge_matrix(g, e).entries[0][0]
+                value = value * spec.line_value(g, e)
             order = _value_order(value, one, spec.group_cap)
             if order is None:
                 return None

@@ -5,7 +5,7 @@ counts (the transfer-matrix method).  For a path of degree n with tensor
 space V, the fixed subspace F is the simultaneous kernel of (action -
 identity) over the group; it never uses averaging, so every
 characteristic is supported.  The engine builds no row and calls no
-field method: `linalg` gives the action rows (`action_rows`, `tensor_rows`),
+field method: `linalg` extends the spec's rows (`edge_rows`, `tensor_rows`),
 which are hashable, and eliminates F from them (`fixed_space`), once per
 distinct action per degree, shared by the paths that carry it, as the
 actions of a degree are interned in one dict by their rows.  The composite
@@ -43,7 +43,7 @@ from collections import Counter, namedtuple
 from collections.abc import Mapping
 
 from .action import ActionSpec
-from .linalg import Matrix, action_rows, fixed_space, tensor_rows
+from .linalg import fixed_space, identity_rows, tensor_rows
 from .quiver import DEFAULT_PATH_CAP, PRUNE, Path, Quiver, walk
 
 
@@ -201,8 +201,8 @@ def compute_profiles(quiver: Quiver, spec: ActionSpec, max_degree: int,
     gens = spec.generator_elements
     field = spec.field
     splits: dict[tuple, tuple] = {}  # (F, F(top), I(bottom), ...) -> (record, certified)
-    factors = {edge: [action_rows(spec.edge_matrix(g, edge)) for g in gens] for edge in spec.edges}
-    identity = action_rows(Matrix.identity(field, 1))
+    factors = {edge: [spec.edge_rows(g, edge) for g in gens] for edge in spec.edges}
+    identity = identity_rows(field, 1)
     start = _Node(_Action(1, (identity,) * len(gens), None), (), None)
     # the interned actions and states of the degree being built; the width is
     # in the key, as with no generators every action has empty rows

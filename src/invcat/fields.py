@@ -339,6 +339,13 @@ def _signed_terms(text: str) -> list[tuple[str, str]]:
     return terms
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as err:  # past Python's digit limit: the message without its hint to call sys
+        raise ValueError(str(err).partition(";")[0]) from None
+
+
 # ---------------------------------------------------------------------------
 # Field descriptors.  A field knows how to build and parse scalars; the
 # scalars themselves carry the arithmetic and print themselves.
@@ -377,10 +384,10 @@ class RationalField:
             _signed_terms(text)  # a sign without a term has its own message
             raise ValueError(f"cannot parse {text!r} as a rational")
         sign, num, den = m.groups()
-        numerator = -int(num) if sign == "-" else int(num)
+        numerator = -_int(num) if sign == "-" else _int(num)
         if den is None:
             return Fraction(numerator)
-        denominator = int(den)
+        denominator = _int(den)
         if not denominator:
             raise ValueError(f"zero denominator in {(sign or '+') + num + '/' + den!r}")
         return Fraction(numerator, denominator)
@@ -523,11 +530,11 @@ class CyclotomicField:
                 raise ValueError(f"cannot parse term {term!r} in {text!r}")
             num, den, _, exp = m.groups()
             if num is not None:
-                int(num)  # a number past the int digit limit raises here, in text order
-            if den is not None and not int(den):
+                _int(num)  # a number past the int digit limit raises here, in text order
+            if den is not None and not _int(den):
                 raise ValueError(f"zero denominator in {num + '/' + den!r}")
             if exp is not None:
-                int(exp)
+                _int(exp)
         raise AssertionError(f"parse rejected {text!r}, which has no fault")
 
     def __eq__(self, other):
@@ -581,7 +588,7 @@ class PrimeField:
             _signed_terms(text)  # a sign without a term has its own message
             raise ValueError(f"cannot parse {text!r} as an integer mod {self.p}")
         sign, digits = m.groups()
-        return PrimeFieldElement(self.p, -int(digits) if sign == "-" else int(digits))
+        return PrimeFieldElement(self.p, -_int(digits) if sign == "-" else _int(digits))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

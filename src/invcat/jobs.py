@@ -16,11 +16,10 @@ import json
 import time
 from collections import namedtuple
 
-from .action import DEFAULT_GROUP_CAP, ActionSpec, close_group
+from .action import DEFAULT_GROUP_CAP, ActionSpec, close_group, parsed_matrix
 from .category import build_invariant_quiver, verify_freeness
 from .engine import compute_profiles, schurian_generators
 from .fields import CyclotomicField, PrimeField, QQ
-from .linalg import Matrix
 from .quiver import DEFAULT_PATH_CAP, Quiver
 from .reptype import classify, classify_invariants
 
@@ -193,7 +192,7 @@ def action_from_dict(data, quiver, field, ctx="action", group_cap=DEFAULT_GROUP_
                 not isinstance(r, list) or len(r) != d for r in rows
             ):
                 raise ParseError(f"{mctx}: expected a {d}x{d} matrix for this arrow")
-            mats[edge] = Matrix(field, [
+            mats[edge] = parsed_matrix(field, [
                 [_parse_entry(field, rows[r][c], f"{mctx}[{r}][{c}]") for c in range(d)]
                 for r in range(d)
             ])
@@ -206,11 +205,12 @@ def action_from_dict(data, quiver, field, ctx="action", group_cap=DEFAULT_GROUP_
 
 def action_to_dict(spec):
     generators = []
+    zero = spec.field.zero()
     for name, element in zip(spec.generator_names, spec.generator_elements):
         mats = {}
-        for edge, matrix in zip(spec.edges, element):
+        for edge, rows in zip(spec.edges, element):
             mats[edge_key(edge)] = [
-                [str(x) for x in row] for row in matrix.entries
+                [str(row.get(c, zero)) for c in range(len(rows))] for row in map(dict, rows)
             ]
         generators.append({"name": name, "matrices": mats})
     return {"generators": generators}
@@ -361,7 +361,7 @@ def schurian_diff(spec, report, max_degree, path_cap):
     if any(quiver.dim(*edge) != 1 for edge in spec.edges):
         return None
     values = {
-        edge: tuple(spec.edge_matrix(g, edge).entries[0][0] for g in spec.generator_elements)
+        edge: tuple(spec.line_value(g, edge) for g in spec.generator_elements)
         for edge in spec.edges
     }
     trivial = (spec.field.one(),) * len(spec.generator_elements)

@@ -7,9 +7,10 @@ the nonzeros (the rows of g - 1 for a monomial path action have at most
 two).  A path action's rows, which are never edited, are tuples of
 (column, scalar) pairs in increasing column order instead (`action_rows`
 per arrow, `tensor_rows` along a path), so equal actions hash equal as
-they are; `fixed_space` eliminates the common kernel of their g - 1.
-`Matrix` is a small dense grid, kept for per-arrow generator matrices; its
-rref, rank and kernel run on the sparse kernel.  A subspace of k^n
+they are; `fixed_space` eliminates the common kernel of their g - 1.  A
+group element holds such rows too (`identity_rows`, `rows_product`).
+`Matrix` is a small dense grid, the input type of generator matrices; its
+rref and kernel run on the sparse kernel.  A subspace of k^n
 is stored as its unique reduced row echelon basis in sparse form, so
 subspace equality is literal equality of the stored rows, and its vectors
 are fixed by their pivot entries: so `Subspace.split` sums subspaces of it
@@ -60,30 +61,6 @@ class Matrix:
         """Build a matrix, coercing plain ints (and rationals) per the field."""
         return cls(field, [[field.coerce(x) for x in row] for row in rows])
 
-    @classmethod
-    def identity(cls, field, n):
-        zero, one = field.zero(), field.one()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.field != other.field:
-            raise FieldMismatch("matrices over different fields")
-        if self.ncols != other.nrows:
-            raise ShapeMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        zero = self.field.zero()
-        brows = other.sparse_rows()
-        out = []
-        for row in self.entries:
-            new = [zero] * other.ncols
-            for a, brow in zip(row, brows):
-                if a:  # a zero entry of the left factor adds nothing
-                    for k, b in brow.items():
-                        new[k] = new[k] + a * b
-            out.append(new)
-        return Matrix(self.field, out)
-
     def tensor(self, other: "Matrix") -> "Matrix":
         """Kronecker product; the left factor is the major index."""
         if self.field != other.field:
@@ -101,16 +78,16 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form (zero rows last) and the pivot columns."""
         pivots = _echelon(self.field, self.sparse_rows())
-        zero = self.field.zero()
-        rows = [_dense(self.field, self.ncols, p, tail) for p, tail in pivots.items()]
-        rows += [[zero] * self.ncols for _ in range(self.nrows - len(rows))]
+        one, zero = self.field.one(), self.field.zero()
+        rows = [[zero] * self.ncols for _ in range(self.nrows)]
+        for row, (p, tail) in zip(rows, pivots.items()):
+            row[p] = one
+            for k, x in tail.items():
+                row[k] = x
         return Matrix(self.field, rows), tuple(pivots)
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
+        return self.nrows == self.ncols and len(self.rref()[1]) == self.nrows
 
     def kernel(self) -> "Subspace":
         """The right kernel {v : m v = 0}, as a canonical subspace of k^ncols."""
@@ -121,9 +98,6 @@ class Matrix:
             return NotImplemented
         return self.field == other.field and self.entries == other.entries
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, self.entries))
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
@@ -132,6 +106,28 @@ class Matrix:
 def action_rows(matrix: Matrix) -> tuple:
     """A matrix's rows as pair tuples, the row format of path actions (`tensor_rows`)."""
     return tuple(tuple(row.items()) for row in matrix.sparse_rows())
+
+
+def identity_rows(field, n: int) -> tuple:
+    """The n x n identity in the row format of `action_rows`."""
+    one = field.one()
+    return tuple(((i, one),) for i in range(n))
+
+
+def rows_product(left, right) -> tuple:
+    """The product of two square row lists, over the nonzeros of both.
+
+    Zero sums are dropped and each row is sorted by column, so the product
+    is in the row format of `action_rows` and equal products hash equal.
+    """
+    out = []
+    for lrow in left:
+        acc = {}
+        for c, x in lrow:
+            for k, y in right[c]:
+                acc[k] = acc[k] + x * y if k in acc else x * y
+        out.append(tuple((k, z) for k, z in sorted(acc.items()) if z))
+    return tuple(out)
 
 
 def tensor_rows(left, right, right_ncols: int) -> tuple:
@@ -217,14 +213,6 @@ def _sparse_vector(vector, ambient_dim: int) -> dict:
     if len(v) != ambient_dim:
         raise AmbientMismatch(f"vector of length {len(v)} in k^{ambient_dim}")
     return {i: x for i, x in enumerate(v) if x}
-
-
-def _dense(field, ncols: int, pivot: int, tail: dict) -> list:
-    row = [field.zero()] * ncols
-    row[pivot] = field.one()
-    for k, x in tail.items():
-        row[k] = x
-    return row
 
 
 def _kernel_of_echelon(field, ncols: int, pivots: dict) -> "Subspace":

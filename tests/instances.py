@@ -22,7 +22,7 @@ from invcat import (
     Quiver,
     close_group,
 )
-from oracle import power
+from oracle import matmul, power
 
 
 def random_quiver(rng: random.Random, max_vertices=4, max_dim=3, extra_arrows=2) -> Quiver:
@@ -105,7 +105,7 @@ def finite_order_matrix(field, dim: int, rng: random.Random) -> Matrix:
             for i in range(dim)
         ],
     )
-    return m * diag
+    return matmul(m, diag)
 
 
 def random_action(quiver: Quiver, field, rng: random.Random, n_generators: int,

@@ -7,17 +7,21 @@ reference of each field's own), so the sparse kernel in
 ``invcat.linalg`` can be diffed against it.  Vectors and bases are
 tuples of scalars; a basis is the reduced row echelon form of its span,
 with zero rows dropped; `basis` and `pivots` read those of an
-``invcat`` Subspace.  Two dense
+``invcat`` Subspace.  Dense
 helpers built on it stand in for matrix arithmetic the package does not
-need: `is_subspace` reduces one subspace's basis against another's, and
-`inverse` reads a matrix inverse off the rref of [m | 1].  The parsers
+need: `is_subspace` reduces one subspace's basis against another's,
+`inverse` reads a matrix inverse off the rref of [m | 1], `matmul` is the
+dense product (the reference for `linalg.rows_product`), and
+`identity_matrix` and `dense` build a dense `Matrix`, the latter from a
+group element's pair rows.  The parsers
 that each field's one-pass ``parse`` replaced are kept as `parse_rational`,
 `parse_prime` and `parse_cyclotomic`, and Q(zeta_n) is modelled as
 Fraction coefficient tuples reduced modulo Phi_n by long division, for
 diffing ``invcat.fields``; `power` and `cyclotomic` build the Q(zeta_n)
 scalars the tests need, since scalars have no ``**`` and enter a field only
 through ``coerce`` and ``parse``.  Path-level references
-follow: the dense diagonal action on a path's tensor space, the averaging
+follow: the closed group by dense products (`dense_closure`), the dense
+diagonal action on a path's tensor space, the averaging
 projector's image (summed entry by entry), the characters of a Schurian
 action over every element of the closed group (`extract_characters`, the
 reference for the engine's fold over the generators' values), character
@@ -37,7 +41,8 @@ from math import gcd, prod
 from invcat.action import ActionError, ActionSpec
 from invcat.engine import DecompositionVerdict, StringInvariants
 from invcat.fields import CyclotomicElement, PrimeFieldElement
-from invcat.linalg import Matrix, Subspace, action_rows, fixed_space, tensor_rows
+from invcat.fields import FieldMismatch
+from invcat.linalg import Matrix, ShapeMismatch, Subspace, fixed_space, identity_rows, tensor_rows
 from invcat.quiver import DEFAULT_PATH_CAP, Path, Quiver, walk
 
 
@@ -152,6 +157,40 @@ def is_subspace(a, b):
     return all(all(x == 0 for x in reduce(basis(b), v)) for v in basis(a))
 
 
+def identity_matrix(field, n):
+    """The n x n identity as a dense Matrix."""
+    zero, one = field.zero(), field.one()
+    return Matrix(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def dense(field, rows):
+    """The square dense Matrix of a pair-row list (`linalg.action_rows`, a group element's arrow)."""
+    out = [[field.zero()] * len(rows) for _ in rows]
+    for row, pairs in zip(out, rows):
+        for c, x in pairs:
+            row[c] = x
+    return Matrix(field, out)
+
+
+def matmul(left, right):
+    """The dense product, once `Matrix.__mul__`: the reference for `linalg.rows_product`."""
+    if left.field != right.field:
+        raise FieldMismatch("matrices over different fields")
+    if left.ncols != right.nrows:
+        raise ShapeMismatch(f"{left.nrows}x{left.ncols} times {right.nrows}x{right.ncols}")
+    zero = left.field.zero()
+    brows = right.sparse_rows()
+    out = []
+    for row in left.entries:
+        new = [zero] * right.ncols
+        for a, brow in zip(row, brows):
+            if a:  # a zero entry of the left factor adds nothing
+                for k, b in brow.items():
+                    new[k] = new[k] + a * b
+        out.append(new)
+    return Matrix(left.field, out)
+
+
 def inverse(m):
     """The inverse of a square Matrix, read off the rref of [m | 1]; ValueError if singular."""
     n, field = m.nrows, m.field
@@ -206,6 +245,14 @@ def signed_terms(text):
     return terms
 
 
+def _read(convert, digits):
+    """convert(digits); past Python's int digit limit, the ValueError without its hint to call sys."""
+    try:
+        return convert(digits)
+    except ValueError as err:
+        raise ValueError(str(err).partition(";")[0]) from None
+
+
 def parse_rational(text):
     """A rational scalar read in three passes, as `RationalField.parse` once did.
 
@@ -219,7 +266,7 @@ def parse_rational(text):
         raise ValueError(f"cannot parse {text!r} as a rational")
     signed = "".join(terms[0])
     try:
-        return Fraction(signed)
+        return _read(Fraction, signed)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {signed!r}") from None
 
@@ -233,7 +280,7 @@ def parse_prime(p, text):
     terms = signed_terms(text)
     if len(terms) != 1 or not re.fullmatch(r"[0-9]+", terms[0][1]):
         raise ValueError(f"cannot parse {text!r} as an integer mod {p}")
-    return PrimeFieldElement(p, int("".join(terms[0])))
+    return PrimeFieldElement(p, _read(int, "".join(terms[0])))
 
 
 # a cyclotomic term after its sign; a '*' only joins a coefficient to z
@@ -254,12 +301,12 @@ def parse_cyclotomic(field, text):
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ValueError(f"cannot parse term {term!r} in {text!r}")
         try:
-            coef = Fraction(m.group(1)) if m.group(1) is not None else Fraction(1)
+            coef = _read(Fraction, m.group(1)) if m.group(1) is not None else Fraction(1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {m.group(1)!r}") from None
         if sign == "-":
             coef = -coef
-        exponent = 0 if m.group(2) is None else (int(m.group(3)) if m.group(3) is not None else 1) % field.n
+        exponent = 0 if m.group(2) is None else (_read(int, m.group(3)) if m.group(3) is not None else 1) % field.n
         powers[exponent] = powers.get(exponent, Fraction(0)) + coef
     value = field.zero()
     for k, coef in powers.items():
@@ -367,11 +414,30 @@ def act_on_path(spec, element, path):
     """
     edges = list(zip(path[1:], path))
     if not edges:
-        return Matrix.identity(spec.field, 1)
-    acc = spec.edge_matrix(element, edges[-1])
+        return identity_matrix(spec.field, 1)
+    acc = dense(spec.field, spec.edge_rows(element, edges[-1]))
     for edge in reversed(edges[:-1]):
-        acc = acc.tensor(spec.edge_matrix(element, edge))
+        acc = acc.tensor(dense(spec.field, spec.edge_rows(element, edge)))
     return acc
+
+
+def dense_closure(spec):
+    """The closed group by dense products, in `close_group`'s breadth-first order.
+
+    Each element is a tuple of entry grids, one per edge in `spec.edges` order.
+    """
+    field = spec.field
+    gens = [tuple(dense(field, rows) for rows in g) for g in spec.generator_elements]
+    identity = tuple(identity_matrix(field, spec.quiver.dim(*edge)) for edge in spec.edges)
+    elements, seen = [identity], {tuple(m.entries for m in identity)}
+    for u in elements:
+        for g in gens:
+            v = tuple(matmul(a, b) for a, b in zip(u, g))
+            key = tuple(m.entries for m in v)
+            if key not in seen:
+                seen.add(key)
+                elements.append(v)
+    return [tuple(m.entries for m in u) for u in elements]
 
 
 def averaged_fixed_subspace(spec, elements, path):
@@ -425,7 +491,7 @@ def extract_characters(spec: ActionSpec, elements) -> CharacterTable:
     require_schurian(spec.quiver)
     elements = tuple(elements)
     values = {
-        edge: tuple(spec.edge_matrix(g, edge).entries[0][0] for g in elements)
+        edge: tuple(spec.line_value(g, edge) for g in elements)
         for edge in spec.edges
     }
     return CharacterTable(field=spec.field, edges=spec.edges, elements=elements, values=values)
@@ -536,7 +602,7 @@ def per_path_profiles(quiver, spec, max_degree, path_cap=DEFAULT_PATH_CAP):
     """
     field = spec.field
     gens = spec.generator_elements
-    factors = {edge: [action_rows(spec.edge_matrix(g, edge)) for g in gens] for edge in spec.edges}
+    factors = {edge: [spec.edge_rows(g, edge) for g in gens] for edge in spec.edges}
 
     def step(state, edge):
         width, rows = state
@@ -550,7 +616,7 @@ def per_path_profiles(quiver, spec, max_degree, path_cap=DEFAULT_PATH_CAP):
     # path -> the live cuts (position, I(bottom)) its extensions inherit, for
     # the previous degree and the current one
     inherited, passing = {}, {}
-    identity = action_rows(Matrix.identity(field, 1))
+    identity = identity_rows(field, 1)
     start = [((v,), (1, [identity for _ in gens])) for v in quiver.vertices]
     for path, (width, rows) in walk(quiver, start, max_degree, path_cap, step):
         n = path.degree

@@ -8,18 +8,20 @@ from invcat.action import (
     NonInvertibleGenerator,
     close_group,
 )
-from invcat.fields import CyclotomicField, QQ
-from invcat.linalg import Matrix
+from invcat.fields import CyclotomicField, PrimeField, QQ
+from invcat.linalg import Matrix, action_rows, identity_rows
 from invcat.quiver import Path, Quiver
 
 import oracle
-from instances import crown_quiver, finite_order_matrix, random_quiver
+from instances import crown_quiver, finite_order_matrix, random_action, random_quiver
 from oracle import NotSchurian, act_on_path, extract_characters
 
 
-def times(g, h):
-    """The componentwise product of two group elements (matrix tuples)."""
-    return tuple(a * b for a, b in zip(g, h))
+def times(field, g, h):
+    """The componentwise product of two group elements (row tuples), by dense products."""
+    return tuple(
+        action_rows(oracle.matmul(oracle.dense(field, a), oracle.dense(field, b))) for a, b in zip(g, h)
+    )
 
 
 def crown_spec(n, power=1):
@@ -68,25 +70,47 @@ def test_closure_is_closed_under_products():
     seen = set(elements)
     for a in elements:
         for b in elements:
-            assert times(a, b) in seen
+            assert times(QQ, a, b) in seen
 
 
-def test_closure_elements_are_matrix_tuples_in_edge_order():
+def test_closure_elements_are_row_tuples_in_edge_order():
     q = Quiver(["x", "y"], {("y", "x"): 2, ("x", "y"): 1})
     swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
     sign = Matrix.from_rows(QQ, [[-1]])
     spec = ActionSpec(q, QQ, [("s", {("y", "x"): swap, ("x", "y"): sign})])
     assert spec.edges == (("y", "x"), ("x", "y"))
-    assert spec.generator_elements == ((swap, sign),)
+    one, minus = QQ.one(), QQ.coerce(-1)
+    rows = (((1, one),), ((0, one),)), (((0, minus),),)
+    assert spec.generator_elements == (rows,) == ((action_rows(swap), action_rows(sign)),)
     elements = close_group(spec)
-    assert elements[0] == spec.identity() == (Matrix.identity(QQ, 2), Matrix.identity(QQ, 1))
-    assert len(elements) == 2 and elements[1] == (swap, sign)
+    assert elements[0] == spec.identity() == (identity_rows(QQ, 2), identity_rows(QQ, 1))
+    assert elements[0] == (action_rows(oracle.identity_matrix(QQ, 2)), action_rows(oracle.identity_matrix(QQ, 1)))
+    assert len(elements) == 2 and elements[1] == rows
     for g in elements:
         assert type(g) is tuple and len(g) == len(spec.edges)
         for i, edge in enumerate(spec.edges):
-            assert type(g[i]) is Matrix and g[i].nrows == g[i].ncols == q.dim(*edge)
-            assert spec.edge_matrix(g, edge) is g[i]
-    assert {times(a, b) for a in elements for b in elements} == set(elements)
+            d = q.dim(*edge)
+            assert type(g[i]) is tuple and len(g[i]) == d
+            assert all(type(row) is tuple and all(0 <= c < d and x for c, x in row) for row in g[i])
+            assert spec.edge_rows(g, edge) is g[i]
+    assert spec.line_value(elements[1], ("x", "y")) == -1
+    assert {times(QQ, a, b) for a in elements for b in elements} == set(elements)
+
+
+@pytest.mark.parametrize("field", [QQ, CyclotomicField(3), PrimeField(2), PrimeField(3)], ids=repr)
+def test_closure_is_the_dense_closure_on_random_suites(field):
+    # the same elements in the same order as a closure by dense products
+    rng = random.Random(53)
+    checked = 0
+    while checked < 8:
+        q = random_quiver(rng, max_vertices=3, max_dim=3)
+        drawn = random_action(q, field, rng, rng.randint(1, 2), 48)
+        if drawn is None:
+            continue
+        spec, elements = drawn
+        densified = [tuple(oracle.dense(field, rows).entries for rows in g) for g in elements]
+        assert densified == oracle.dense_closure(spec)
+        checked += 1
 
 
 def test_closure_cap():
@@ -103,6 +127,17 @@ def test_non_invertible_generator():
         ActionSpec(q, QQ, [("s", {("y", "x"): Matrix.from_rows(QQ, singular)})])
 
 
+def test_plain_rows_are_coerced_and_checked_by_shape():
+    q = Quiver(["x", "y"], {("y", "x"): 2})
+    spec = ActionSpec(q, QQ, [("s", {("y", "x"): [[0, 1], [1, 0]]})])
+    assert spec.generator_elements == ((action_rows(Matrix.from_rows(QQ, [[0, 1], [1, 0]])),),)
+    # a ragged row list names the generator and the arrow, as every other shape fault does
+    with pytest.raises(ValueError, match=r"^generator 's': matrix for 'x' -> 'y' has ragged rows$"):
+        ActionSpec(q, QQ, [("s", {("y", "x"): [[1, 0], [0, 1, 0]]})])
+    with pytest.raises(ValueError, match=r"^generator 's': matrix for 'x' -> 'y' must be 2x2, got 2x3$"):
+        ActionSpec(q, QQ, [("s", {("y", "x"): [[1, 0, 0], [0, 1, 0]]})])
+
+
 def test_generator_coverage_validation():
     q = crown_quiver(2)
     z = CyclotomicField(2)
@@ -114,27 +149,27 @@ def test_act_on_degree_one_is_edge_matrix():
     q, spec = swap_loop_spec()
     g = spec.generator_elements[0]
     acted = act_on_path(spec, g, Path(("v", "v")))
-    assert acted == g[0]
+    assert acted == oracle.dense(QQ, g[0]) == Matrix.from_rows(QQ, [[0, 1], [1, 0]])
 
 
 def test_act_on_trivial_path_is_scalar_identity():
     q, spec = swap_loop_spec()
     g = spec.generator_elements[0]
-    assert act_on_path(spec, g, Path(("v",))) == Matrix.identity(QQ, 1)
+    assert act_on_path(spec, g, Path(("v",))) == oracle.identity_matrix(QQ, 1)
 
 
 def test_crown_degree_three_acts_trivially():
     q, field, spec = crown_spec(3)
     g = spec.generator_elements[0]
     path = Path(("t0", "t1", "t2", "t0"))
-    assert act_on_path(spec, g, path) == Matrix.identity(field, 1)
+    assert act_on_path(spec, g, path) == oracle.identity_matrix(field, 1)
 
 
 def test_identity_acts_as_identity():
     q, spec = swap_loop_spec()
     path = Path(("v", "v", "v"))
     acted = act_on_path(spec, spec.identity(), path)
-    assert acted == Matrix.identity(QQ, 4)
+    assert acted == oracle.identity_matrix(QQ, 4)
 
 
 def test_action_is_multiplicative_and_respects_concatenation():
@@ -149,7 +184,8 @@ def test_action_is_multiplicative_and_respects_concatenation():
     path = Path(("a", "b", "a", "b"))
     for _ in range(10):
         g, h = rng.choice(elements), rng.choice(elements)
-        assert act_on_path(spec, times(g, h), path) == act_on_path(spec, g, path) * act_on_path(spec, h, path)
+        product = oracle.matmul(act_on_path(spec, g, path), act_on_path(spec, h, path))
+        assert act_on_path(spec, times(QQ, g, h), path) == product
     # concatenation: the action on b.a is the tensor of the parts
     g = rng.choice(elements)
     alpha = Path(("a", "b"))
@@ -177,7 +213,7 @@ def test_characters_multiplicative():
     rng = random.Random(8)
     for _ in range(10):
         g, h = rng.choice(elements), rng.choice(elements)
-        gi, hi, ghi = lookup[g], lookup[h], lookup[times(g, h)]
+        gi, hi, ghi = lookup[g], lookup[h], lookup[times(field, g, h)]
         for edge in q.track_edges():
             assert chars.values[edge][ghi] == chars.values[edge][gi] * chars.values[edge][hi]
 

@@ -27,6 +27,7 @@ from invcat.jobs import load_job, report_to_dict, run_pipeline
 from invcat.linalg import Matrix, Subspace
 from invcat.quiver import Quiver
 
+import oracle
 from instances import character_action, crown_quiver, random_acyclic_quiver
 from oracle import (
     CharacterTable,
@@ -468,7 +469,7 @@ def test_cleaving_reports_an_invariant_composite_of_a_non_invariant_part():
     # invariant, which the check must report against a
     q = linear_quiver(3)
     a, b = ("u1", "u0"), ("u2", "u1")
-    spec = ActionSpec(q, QQ, [("g", {a: Matrix.from_rows(QQ, [[-1]]), b: Matrix.identity(QQ, 1)})])
+    spec = ActionSpec(q, QQ, [("g", {a: Matrix.from_rows(QQ, [[-1]]), b: oracle.identity_matrix(QQ, 1)})])
     chars = extract_characters(spec, close_group(spec))
     assert verify_cleaving_schurian(q, chars, 2).holds
 

@@ -13,6 +13,8 @@ from invcat.cli import main
 from invcat.fields import MAX_CYCLOTOMIC_ORDER, PRIME_LIMIT, RationalField
 from invcat.jobs import ParseError, parse_job, run_pipeline
 
+import oracle
+
 DEMO_INPUTS = Path(__file__).resolve().parent.parent / "demos" / "inputs"
 
 
@@ -595,7 +597,7 @@ def test_composite_term_outside_the_fixed_space_exits_three(tmp_path, capsys, mo
 
     def full(self, other):
         n = self.ambient_dim * other.ambient_dim
-        return Subspace.from_vectors(self.field, n, Matrix.identity(self.field, n).entries)
+        return Subspace.from_vectors(self.field, n, oracle.identity_matrix(self.field, n).entries)
 
     monkeypatch.setattr(Subspace, "tensor", full)
     job = Path(__file__).resolve().parent.parent / "demos" / "inputs" / "swap_loop.json"

@@ -425,7 +425,7 @@ def _brute_action_matrix(q, spec, element, path):
             out.append((idx // s) % d)
         return out
 
-    mats = [spec.edge_matrix(element, e) for e in edges]
+    mats = [oracle.dense(field, spec.edge_rows(element, e)) for e in edges]
     rows = []
     for r in range(total):
         ri = decode(r)
@@ -524,7 +524,7 @@ def test_multiplicities_are_basis_independent():
             mats = {}
             for edge, g in zip(spec.edges, element):
                 p, inv = base_change[edge]
-                mats[edge] = p * g * inv
+                mats[edge] = oracle.matmul(oracle.matmul(p, oracle.dense(QQ, g)), inv)
             conjugated.append((name, mats))
         spec2 = ActionSpec(q, QQ, conjugated, group_cap=spec.group_cap)
         t1 = compute_profiles(q, spec, 3)
@@ -543,7 +543,7 @@ def test_multiplicities_ignore_vertex_declaration_order():
     spec, _ = drawn
     reordered = Quiver(tuple(reversed(q.vertices)), {e: q.dim(*e) for e in q.track_edges()})
     mats = [
-        (name, {e: spec.edge_matrix(g, e) for e in q.track_edges()})
+        (name, {e: oracle.dense(QQ, spec.edge_rows(g, e)) for e in q.track_edges()})
         for name, g in zip(spec.generator_names, spec.generator_elements)
     ]
     spec2 = ActionSpec(reordered, QQ, mats, group_cap=spec.group_cap)
@@ -613,8 +613,12 @@ def _fat_instance_in_a_fractional_basis(rng, field):
     def change(d):  # upper unitriangular but for the diagonal 1, 2, ..., d
         return Matrix.from_rows(field, [[i + 1 if i == j else int(j > i) for j in range(d)] for i in range(d)])
 
+    def conjugate(g, e):
+        p = change(q.dim(*e))
+        return oracle.matmul(oracle.matmul(p, oracle.dense(field, spec.edge_rows(g, e))), oracle.inverse(p))
+
     gens = [
-        (name, {e: change(q.dim(*e)) * spec.edge_matrix(g, e) * oracle.inverse(change(q.dim(*e))) for e in spec.edges})
+        (name, {e: conjugate(g, e) for e in spec.edges})
         for name, g in zip(spec.generator_names, spec.generator_elements)
     ]
     return q, ActionSpec(q, field, gens)
@@ -695,7 +699,7 @@ def fixed_calls(monkeypatch):
 def _distinct_actions(spec, paths):
     """Distinct (degree, action matrices of the generators) over paths, by dense matrices."""
     return {
-        (path.degree, tuple(oracle.act_on_path(spec, g, path) for g in spec.generator_elements))
+        (path.degree, tuple(oracle.act_on_path(spec, g, path).entries for g in spec.generator_elements))
         for path in paths
     }
 

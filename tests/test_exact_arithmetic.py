@@ -3,7 +3,10 @@
 Every division goes through a field's ``inverse``, since ``int / int`` is a
 float; floor division ``//`` on integers stays exact and is allowed.  The
 engine also handles no scalar itself: it reads no field method, so the
-scalar and row formats stay inside ``fields`` and ``linalg``.
+scalar and row formats stay inside ``fields`` and ``linalg``.  And the
+pipeline past the action layer (``engine``, ``category``, ``jobs``) names
+no ``Matrix`` and reads no ``.entries``: a group element's rows stay
+behind ``linalg`` and ``action`` (``edge_rows``, ``line_value``).
 """
 
 import ast
@@ -22,6 +25,19 @@ def field_methods(source: str) -> list:
     """(line, name) of each attribute read named like a field method, called or not."""
     return sorted((node.lineno, node.attr) for node in nodes(source)
                   if isinstance(node, ast.Attribute) and node.attr in FIELD_METHODS)
+
+
+def dense_matrix_uses(source: str) -> list:
+    """(line, what) of each name, attribute or import of `Matrix` and each `.entries` read."""
+    found = []
+    for node in nodes(source):
+        if isinstance(node, ast.Name) and node.id == "Matrix":
+            found.append((node.lineno, "Matrix"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("Matrix", "entries"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, "Matrix") for alias in node.names if alias.name == "Matrix"]
+    return sorted(found)
 
 
 def inexact(source: str) -> list:
@@ -57,3 +73,15 @@ def test_field_methods_sees_attribute_reads_only():
 
 def test_engine_reads_no_field_method():
     assert field_methods((PACKAGE / "engine.py").read_text(encoding="utf-8")) == []
+
+
+def test_dense_matrix_uses_sees_names_imports_and_entries_reads():
+    source = ("from .linalg import Matrix as M\nm = Matrix(f, rows)\nx = m.entries[0][0]\n"
+              "y = linalg.Matrix\nentries = 3\nz = 'Matrix.entries'\n# m.entries\nw = m.entry\n")
+    assert dense_matrix_uses(source) == [(1, "Matrix"), (2, "Matrix"), (3, "entries"), (4, "Matrix")]
+
+
+def test_pipeline_names_no_matrix_and_reads_no_entries():
+    found = {name: hits for name in ("engine.py", "category.py", "jobs.py")
+             if (hits := dense_matrix_uses((PACKAGE / name).read_text(encoding="utf-8")))}
+    assert found == {}

@@ -8,8 +8,10 @@ eigenvector, invariant exactly when its exponent sum is 0 mod 3.
 """
 
 import itertools
+import time
 
 from invcat import engine
+from invcat.action import close_group
 from invcat.jobs import parse_job, report_to_dict, run_pipeline
 
 from instances import MESH_EXPONENTS
@@ -97,6 +99,20 @@ def test_swap_loop_over_f2_degree_fourteen():
     # N = 2^14 = 16,384, with freeness certified at every degree
     fixed = check_frontier({"kind": "prime", "p": 2}, 2, [(1, 0)], 14)
     assert fixed == [2 ** (d - 1) for d in range(1, 15)]
+
+
+def test_closure_of_a_128_dim_cyclic_permutation_over_q():
+    # 128 elements, each a 128 x 128 permutation: a product follows the
+    # nonzeros of both factors and an element hashes its 128 nonzeros only
+    cycle = tuple((i + 1) % 128 for i in range(128))
+    spec = parse_job(permutation_job({"kind": "rationals"}, 128, [cycle], 1)).action
+    seconds = []
+    for _ in range(3):
+        start = time.process_time()
+        elements = close_group(spec)
+        seconds.append(time.process_time() - start)
+    assert len(elements) == 128
+    assert min(seconds) < 0.5, seconds
 
 
 def mesh_oracle(max_degree):

@@ -346,3 +346,20 @@ def test_many_arrows_are_checked_against_the_vertex_labels_at_once():
     with pytest.raises(ParseError) as err:
         quiver_from_dict(data)
     assert str(err.value) == "quiver.vertices: labels must be unique"
+
+
+@pytest.mark.parametrize("name", ["swap_loop.json", "sign_line_f5.json", "crown3.json"])
+def test_entry_past_the_digit_limit_exits_one_with_the_json_text(tmp_path, name):
+    # one entry in each field kind; the text is the JSON path's, without the
+    # hint to call sys.set_int_max_str_digits, which a job file cannot act on
+    job = copy.deepcopy(JOBS[name])
+    key, rows = next(iter(job["action"]["generators"][0]["matrices"].items()))
+    rows[0][0] = "1" * 5000
+    path = tmp_path / name
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, message = run_quietly(["compute", "--input", str(path), "--out", str(tmp_path / "r.json")])
+    text = "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits"
+    assert code == 1 and message == f"error: action.generators[0].matrices[{key!r}][0][0]: {text}\n", message
+    assert "sys." not in message and not (tmp_path / "r.json").exists()
+    too_long = CROWN_TEXT.replace('"max_degree": 6', '"max_degree": ' + "1" * 5000)
+    assert _exits_one_naming_the_file(tmp_path, too_long.encode()).endswith(f"invalid JSON: {text}\n")

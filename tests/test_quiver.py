@@ -17,6 +17,7 @@ from invcat.quiver import (
     walk,
 )
 
+import oracle
 from instances import crown_quiver, random_quiver
 from oracle import enumerate_paths
 
@@ -103,9 +104,9 @@ def test_path_counts_match_adjacency_powers():
             ],
         )
         max_degree = 4
-        powers = [Matrix.identity(QQ, n)]
+        powers = [oracle.identity_matrix(QQ, n)]
         for _ in range(max_degree):
-            powers.append(powers[-1] * adjacency)
+            powers.append(oracle.matmul(powers[-1], adjacency))
         for i, x in enumerate(q.vertices):
             for j, y in enumerate(q.vertices):
                 paths = enumerate_paths(q, x, y, max_degree, path_cap=100000)
